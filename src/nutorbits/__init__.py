@@ -17,9 +17,9 @@ from .constructions import (ConstructionParams, VerifiedNut, cayley_nut,
                             buset_general, construct_with_orbits, fig3_graph,
                             nut_realizable, primes_from, prop1_graph,
                             prop2_graph, prop3_graph, subdivided_nut)
-from .errors import (Graph6ParseError, HypothesisError, NotCoveredByThisPaper,
-                     NotRealizable, ResourceCapError, SpecificationError,
-                     VerificationError)
+from .errors import (Graph6ParseError, HypothesisError, InputError,
+                     NotCoveredByThisPaper, NotRealizable, ResourceCapError,
+                     SpecificationError, VerificationError)
 from .graphs import (AbelianCayleySpec, CirculantSpec, Graph,
                      cartesian_product, cayley_abelian, circulant,
                      complete_graph, read_graph6, subdivide_edges, write_dot,
@@ -34,9 +34,9 @@ from .polynomials import (IntPoly, VanishingReport, circulant_is_nut_symbolic,
 
 __all__ = [
     "AbelianCayleySpec", "CirculantSpec", "ConstructionParams", "Graph",
-    "Graph6ParseError", "HypothesisError", "IntPoly", "NotCoveredByThisPaper",
-    "NotRealizable", "NutVerdict", "OrbitCensus", "Permutation",
-    "PermutationGroup", "ResourceCapError", "SpecificationError",
+    "Graph6ParseError", "HypothesisError", "InputError", "IntPoly",
+    "NotCoveredByThisPaper", "NotRealizable", "NutVerdict", "OrbitCensus",
+    "Permutation", "PermutationGroup", "ResourceCapError", "SpecificationError",
     "VanishingReport", "VerificationError", "VerifiedNut",
     "automorphism_group", "buset_connected", "buset_general",
     "cartesian_product", "cayley_abelian", "cayley_nut",

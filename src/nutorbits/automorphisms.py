@@ -20,7 +20,7 @@ import os
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .errors import ResourceCapError
+from .errors import InputError, ResourceCapError
 from .graphs import Graph
 
 Permutation = tuple[int, ...]
@@ -29,7 +29,13 @@ DEFAULT_ENUM_CAP = 10 ** 6
 
 
 def _enum_cap() -> int:
-    return int(os.environ.get("NUTORBITS_ENUM_CAP", DEFAULT_ENUM_CAP))
+    text = os.environ.get("NUTORBITS_ENUM_CAP")
+    if not text:
+        return DEFAULT_ENUM_CAP
+    try:
+        return int(text)
+    except ValueError:
+        raise InputError(f"NUTORBITS_ENUM_CAP must be an integer, got {text!r}") from None
 
 
 def identity(n: int) -> Permutation:

@@ -27,7 +27,7 @@ from .constructions import (ConstructionParams, VerifiedNut, cayley_nut,
                             construct_with_orbits, fig3_graph, primes_from,
                             prop1_graph, prop2_graph, prop3_graph,
                             subdivided_nut)
-from .errors import (Graph6ParseError, HypothesisError, NotCoveredByThisPaper,
+from .errors import (HypothesisError, InputError, NotCoveredByThisPaper,
                      NotRealizable, ResourceCapError, SpecificationError,
                      VerificationError)
 from .graphs import CirculantSpec, Graph, circulant, read_graph6, write_dot, write_graph6
@@ -52,8 +52,13 @@ SWEEP_CAPS = {
 
 
 def _sweep_cap(suite: str) -> int:
-    env = os.environ.get("NUTORBITS_SWEEP_CAP")
-    return int(env) if env else SWEEP_CAPS[suite][1]
+    text = os.environ.get("NUTORBITS_SWEEP_CAP")
+    if not text:
+        return SWEEP_CAPS[suite][1]
+    try:
+        return int(text)
+    except ValueError:
+        raise InputError(f"NUTORBITS_SWEEP_CAP must be an integer, got {text!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -159,6 +164,9 @@ def _cmd_check(args) -> int:
     for line in lines:
         start = time.perf_counter()
         g = read_graph6(line)
+        if g.n == 0:
+            raise InputError(f"graph {line.strip()!r} has order 0; "
+                             "check needs at least one vertex")
         verdict = is_nut(g)
         census = orbit_census(g)
         report = _report("check", {"input": line.strip()}, g, verdict, census,
@@ -246,14 +254,14 @@ def _sweep_instances(args) -> list[tuple]:
     tasks: list[tuple] = []
     if suite == "prop1":
         ks = [args.k] if args.k else list(range(2, (args.kmax or 6) + 1, 2))
-        if max(ks) > cap:
+        if max(ks, default=0) > cap:
             raise ResourceCapError(f"prop1 sweep capped at kmax = {cap}")
         for k in ks:
             for p in islice(primes_from(k + 2), args.primes):
                 tasks.append(("prop1", k, p))
     elif suite == "prop2":
         ks = [args.k] if args.k else list(range(5, (args.kmax or 7) + 1, 2))
-        if max(ks) > cap:
+        if max(ks, default=0) > cap:
             raise ResourceCapError(f"prop2 sweep capped at kmax = {cap}")
         for k in ks:
             for p in islice(primes_from(2 * k + 1), args.primes):
@@ -277,6 +285,8 @@ def _sweep_instances(args) -> list[tuple]:
             for size in range(1, len(pool) + 1):
                 for subset in combinations(pool, size):
                     tasks.append(("cross", n, subset))
+    if not tasks:
+        raise HypothesisError(f"{suite} sweep: the parameter range is empty")
     return tasks
 
 
@@ -402,7 +412,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.fn(args)
-    except Graph6ParseError as exc:
+    except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (NotRealizable, NotCoveredByThisPaper, HypothesisError,

@@ -33,7 +33,12 @@ class ResourceCapError(RuntimeError):
     """A size or enumeration cap was exceeded; the request was refused."""
 
 
-class Graph6ParseError(ValueError):
+class InputError(ValueError):
+    """Input from outside the program that cannot be used: a malformed or
+    unusable graph, or a malformed environment setting."""
+
+
+class Graph6ParseError(InputError):
     """Malformed graph6 input.  ``offset`` is the byte offset of the first
     offending character in the original text."""
 

@@ -1,12 +1,21 @@
 """Exact rational linear algebra on integer matrices.
 
-Kernel computation runs fraction-free (Bareiss-style) over the integers and
-back-substitutes to reduced rationals, so every certificate is an exact
-identity: A v = 0 with zero residual, no tolerances anywhere.
+Kernels are certified modularly first: sparse elimination modulo the prime
+P = 2^61 - 1 with low-fill (Markowitz-style) pivoting gives the nullity
+d = n - rank_P and d kernel vectors, whose reduced echelon form is lifted
+entry by entry to rationals by rational reconstruction.  Every lifted
+vector, scaled to integers, is checked to satisfy A v = 0 over Z, which
+makes the answer exact: rank over Q is at least rank mod P, so the nullity
+is at most d, and d independent verified vectors give at least d.  When a
+reconstruction or a check fails (an unlucky prime, or entries past the
+reconstruction bound) the kernel comes from the exact path instead:
+fraction-free (Bareiss) elimination over the integers, back-substitution
+to reduced rationals and a zero-residual check.  No tolerances anywhere.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -20,6 +29,11 @@ IntMatrix = Sequence[Sequence[int]]
 RationalVector = tuple[Fraction, ...]
 
 PRODUCT_SPECTRUM_SIZE_CAP = 64
+
+MODULUS = (1 << 61) - 1  # a Mersenne prime
+# Reconstructed numerators and denominators stay below this bound B.  Since
+# 2 (B - 1)^2 < MODULUS, a residue has at most one such fraction.
+RECONSTRUCTION_BOUND = 1 << 30
 
 
 @dataclass(frozen=True)
@@ -102,11 +116,135 @@ def _rref(vectors: list[list[Fraction]]) -> tuple[RationalVector, ...]:
     return tuple(tuple(row) for row in rows[:r])
 
 
-def kernel_basis(a: IntMatrix) -> list[RationalVector]:
-    """Basis of the right kernel of an integer matrix, in reduced echelon
-    form with first nonzero entry 1.  Every returned vector satisfies
-    A v = 0 exactly (verified before returning)."""
-    n = _check_square(a)
+def _eliminate_mod_p(rows: list[dict[int, int]]) -> list[tuple[int, list]]:
+    """Forward elimination modulo MODULUS on sparse rows (column -> entry).
+
+    Each step pivots on a sparsest remaining row and, in it, on the column
+    with the fewest remaining entries: the least Markowitz count
+    (r - 1)(c - 1) that row offers, which keeps fill low on sparse graphs.
+    Returns the pivots in elimination order as (pivot column, the row's
+    other entries scaled so the pivot is 1).  A pivot row holds no column
+    pivoted before it."""
+    p = MODULUS
+    rows = [{j: x % p for j, x in row.items() if x % p} for row in rows]
+    col_rows: dict[int, set[int]] = {}
+    for i, row in enumerate(rows):
+        for j in row:
+            col_rows.setdefault(j, set()).add(i)
+    # Every remaining row keeps a heap entry no larger than its length:
+    # rows that shrink are pushed again, and an entry found smaller than its
+    # row's length is pushed back with the length, so an entry popped at
+    # its row's length belongs to a sparsest remaining row.
+    heap = [(len(row), i) for i, row in enumerate(rows) if row]
+    heapq.heapify(heap)
+    done = [False] * len(rows)
+    pivots = []
+    while heap:
+        length, i = heapq.heappop(heap)
+        row = rows[i]
+        if done[i] or not row:
+            continue
+        if length < len(row):
+            heapq.heappush(heap, (len(row), i))
+            continue
+        done[i] = True
+        for j in row:
+            col_rows[j].discard(i)
+        c = min(row, key=lambda j: len(col_rows[j]))
+        inverse = pow(row.pop(c), -1, p)
+        tail = [(j, x * inverse % p) for j, x in row.items()]
+        for k in col_rows.pop(c):
+            other = rows[k]
+            before = len(other)
+            factor = p - other.pop(c)
+            for j, x in tail:
+                if j in other:
+                    value = (other[j] + factor * x) % p
+                    if value:
+                        other[j] = value
+                    else:
+                        del other[j]
+                        col_rows[j].discard(k)
+                else:
+                    other[j] = factor * x % p
+                    col_rows[j].add(k)
+            if len(other) < before:
+                heapq.heappush(heap, (len(other), k))
+        pivots.append((c, tail))
+    return pivots
+
+
+def _rref_mod_p(rows: list[list[int]]) -> list[list[int]]:
+    """Reduced row echelon form modulo MODULUS of linearly independent
+    rows, ordered by pivot position, each leading entry 1.  Mutates and
+    returns ``rows``."""
+    p = MODULUS
+    ncols = len(rows[0]) if rows else 0
+    r = 0
+    for c in range(ncols):
+        if r == len(rows):
+            break
+        k = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if k is None:
+            continue
+        rows[r], rows[k] = rows[k], rows[r]
+        inverse = pow(rows[r][c], -1, p)
+        prow = rows[r] = [x * inverse % p for x in rows[r]]
+        for i, row in enumerate(rows):
+            f = row[c]
+            if f and i != r:
+                rows[i] = [(x - f * y) % p for x, y in zip(row, prow)]
+        r += 1
+    return rows
+
+
+def _reconstruct(x: int) -> tuple[int, int] | None:
+    """The fraction num/den congruent to x modulo MODULUS with |num| and den
+    below RECONSTRUCTION_BOUND, or None when there is none (Wang's
+    half-extended Euclidean algorithm)."""
+    bound = RECONSTRUCTION_BOUND
+    r0, r1, t0, t1 = MODULUS, x, 0, 1
+    while r1 >= bound:
+        q = r0 // r1
+        r0, r1 = r1, r0 - q * r1
+        t0, t1 = t1, t0 - q * t1
+    if abs(t1) >= bound:
+        return None
+    return (r1, t1) if t1 > 0 else (-r1, -t1)
+
+
+def _modular_kernel(rows: list[dict[int, int]], n: int) -> list[RationalVector] | None:
+    """The reduced echelon kernel basis of the n-column sparse integer
+    matrix ``rows``, certified modulo MODULUS and verified over Z; None when
+    rational reconstruction or the integer check fails."""
+    pivots = _eliminate_mod_p(rows)
+    pivoted = {c for c, _ in pivots}
+    vectors = []
+    for f in range(n):
+        if f in pivoted:
+            continue
+        x = [0] * n
+        x[f] = 1
+        for c, tail in reversed(pivots):
+            x[c] = -sum(a * x[j] for j, a in tail) % MODULUS
+        vectors.append(x)
+    basis = []
+    for x in _rref_mod_p(vectors):
+        pairs = [_reconstruct(e) for e in x]
+        if None in pairs:
+            return None
+        denom = lcm(*(d for _, d in pairs))
+        ints = [num * (denom // d) for num, d in pairs]
+        if any(sum(a * ints[j] for j, a in row.items()) for row in rows):
+            return None
+        basis.append(tuple(Fraction(num, d) for num, d in pairs))
+    return basis
+
+
+def _exact_kernel(a: IntMatrix) -> list[RationalVector]:
+    """The reduced echelon kernel basis by fraction-free elimination over
+    the integers and back-substitution over the rationals."""
+    n = len(a)
     echelon, piv_cols = _bareiss_echelon([list(row) for row in a])
     piv_set = set(piv_cols)
     free_cols = [c for c in range(n) if c not in piv_set]
@@ -127,6 +265,22 @@ def kernel_basis(a: IntMatrix) -> list[RationalVector]:
             raise AssertionError(
                 f"internal error: kernel vector has nonzero residual {residual}")
     return canonical
+
+
+def kernel_basis(a: IntMatrix) -> list[RationalVector]:
+    """Basis of the right kernel of a square integer matrix, in reduced
+    echelon form with first nonzero entry 1; the form is unique, so the
+    basis is canonical.
+
+    The basis is certified modulo the prime 2^61 - 1, lifted by rational
+    reconstruction and verified to satisfy A v = 0 over Z.  Should any step
+    fail, it comes from exact fraction-free elimination instead, also
+    verified before returning.  Either way the result is exact and the
+    same."""
+    n = _check_square(a)
+    rows = [{j: x for j, x in enumerate(row) if x} for row in a]
+    basis = _modular_kernel(rows, n)
+    return basis if basis is not None else _exact_kernel(a)
 
 
 def is_nut(g: Graph) -> NutVerdict:

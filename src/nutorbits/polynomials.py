@@ -219,11 +219,6 @@ def remainder_mod(f: IntPoly, g: IntPoly) -> IntPoly:
     return polydivmod(f, g)[1]
 
 
-def divides(g: IntPoly, f: IntPoly) -> bool:
-    """Whether g | f over the integers (g monic in all our uses)."""
-    return remainder_mod(f, g).is_zero
-
-
 def resultant(f: IntPoly, g: IntPoly) -> Coeff:
     """Resultant via the Sylvester matrix with fraction-free (Bareiss)
     elimination.  Exact for integer coefficients and for coefficients that
@@ -345,13 +340,34 @@ def _euler_phi(n: int) -> int:
     return sum(1 for k in range(1, n + 1) if gcd(k, n) == 1)
 
 
+def _monic_divides(g: tuple[int, ...], f: list[int]) -> bool:
+    """Whether the monic integer polynomial g divides f; both are coefficient
+    sequences, lowest degree first.  Consumes f."""
+    dg = len(g) - 1
+    for top in range(len(f) - 1, dg - 1, -1):
+        c = f[top]
+        if c:
+            shift = top - dg
+            for i in range(dg):
+                f[shift + i] -= c * g[i]
+    return not any(f[:dg])
+
+
 def vanishing_orders(n: int, offsets: Iterable[int]) -> VanishingReport:
     """Exactly which orders of n-th roots of unity are zeros of the symbol
-    polynomial of Circ(n, S)."""
-    symbol = circulant_symbol(n, offsets)
-    modulus = IntPoly((-1,) + (0,) * (n - 1) + (1,))
-    reduced = remainder_mod(symbol, modulus)
-    vanishing = [d for d in _divisors(n) if divides(cyclotomic(d), reduced)]
+    polynomial of Circ(n, S).
+
+    For each d | n the symbol is folded modulo x^d - 1, which Phi_d divides,
+    so Phi_d divides the symbol exactly when it divides the fold, a
+    polynomial of degree below d."""
+    symbol = circulant_symbol(n, offsets).coeffs
+    vanishing = []
+    for d in _divisors(n):
+        folded = [0] * d
+        for i, c in enumerate(symbol):
+            folded[i % d] += c
+        if _monic_divides(cyclotomic(d).coeffs, folded):
+            vanishing.append(d)
     return VanishingReport(n, vanishing)
 
 

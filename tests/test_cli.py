@@ -156,3 +156,30 @@ def test_check_human_output(capsys):
     assert code == 0
     assert "is_nut         True" in out
     assert "o_v=1 o_e=2 o_a=2" in out
+
+
+def test_check_order_zero_exits_2(capsys):
+    code, out, err = run_cli(capsys, "check", "?")
+    assert code == 2 and out == ""
+    assert "order 0" in err
+
+
+@pytest.mark.parametrize("suite, bound, value", [
+    ("prop1", "--kmax", "1"), ("prop2", "--kmax", "3"), ("prop3", "--nmax", "3"),
+])
+def test_sweep_empty_range_exits_3(capsys, suite, bound, value):
+    code, out, err = run_cli(capsys, "sweep", "--suite", suite, bound, value)
+    assert code == 3 and out == ""
+    assert "empty" in err
+
+
+@pytest.mark.parametrize("variable, argv", [
+    ("NUTORBITS_SWEEP_CAP", ("sweep", "--suite", "prop1", "--kmax", "2")),
+    ("NUTORBITS_ENUM_CAP", ("check", "C~")),
+    ("NUTORBITS_ENUM_CAP", ("construct", "--variant", "fig3")),
+])
+def test_non_integer_cap_exits_2(capsys, monkeypatch, variable, argv):
+    monkeypatch.setenv(variable, "x")
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert variable in err

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from oracles import charpoly_cofactor, root_zero_multiplicity
 
+from nutorbits import linalg
 from nutorbits import (CirculantSpec, Graph, IntPoly, ResourceCapError,
                        cartesian_product, char_poly, circulant, complete_graph,
                        integer_scaled, is_nut, kernel_basis,
@@ -10,6 +11,7 @@ from nutorbits import (CirculantSpec, Graph, IntPoly, ResourceCapError,
 from nutorbits.linalg import EigenvectorMismatch, matvec
 
 X = IntPoly.x()
+EXACT_KERNEL = linalg._exact_kernel
 
 
 def test_kernel_of_k2_is_trivial():
@@ -163,3 +165,94 @@ def test_nut_check_stays_fast_at_desk_scale():
     start = time.perf_counter()
     is_nut(g)
     assert time.perf_counter() - start < 10.0
+
+
+# -- the modular certificate and its exact fallback ---------------------------
+
+def _sympy_rref_kernel(a):
+    sympy = pytest.importorskip("sympy")
+    null = sympy.Matrix(a).nullspace()
+    if not null:
+        return []
+    reduced = sympy.Matrix.hstack(*null).T.rref()[0]
+    return [tuple(Fraction(int(e.p), int(e.q)) for e in reduced.row(i))
+            for i in range(reduced.rows)]
+
+
+def _all_circulants(nmax, step=1):
+    from itertools import combinations
+    for n in range(step, nmax + 1, step):
+        pool = range(1, n // 2 + 1)
+        for size in range(1, len(pool) + 1):
+            for offs in combinations(pool, size):
+                yield circulant(CirculantSpec(n, offs)).adjacency_matrix()
+
+
+def test_kernel_basis_matches_sympy_on_random_matrices():
+    import random
+    rng = random.Random(2025)
+    nullities = set()
+    for trial in range(60):
+        n = rng.randint(4, 8)
+        r = n - trial % 5
+        b = [[rng.randint(-3, 3) for _ in range(r)] for _ in range(n)]
+        c = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(r)]
+        a = [[sum(b[i][t] * c[t][j] for t in range(r)) for j in range(n)]
+             for i in range(n)]
+        expected = _sympy_rref_kernel(a)
+        assert kernel_basis(a) == expected, a
+        nullities.add(len(expected))
+    assert nullities == {0, 1, 2, 3, 4}
+
+
+def test_kernel_basis_matches_sympy_on_every_small_circulant():
+    for a in _all_circulants(12):
+        assert kernel_basis(a) == _sympy_rref_kernel(a), a
+
+
+@pytest.fixture
+def exact_calls(monkeypatch):
+    """Records every matrix that kernel_basis hands to the exact path."""
+    calls = []
+
+    def spy(a):
+        calls.append(a)
+        return EXACT_KERNEL(a)
+
+    monkeypatch.setattr(linalg, "_exact_kernel", spy)
+    return calls
+
+
+def test_certificate_answers_every_cross_oracle_circulant(exact_calls):
+    # every even n <= 18: the modular certificate holds and agrees with the
+    # exact path, which is never called
+    for a in _all_circulants(18, step=2):
+        assert kernel_basis(a) == EXACT_KERNEL(a)
+    assert exact_calls == []
+
+
+@pytest.mark.parametrize("a, expected", [
+    # singular modulo 2^61 - 1 but not over Q
+    ([[2 ** 61 - 1]], []),
+    ([[1, 0], [0, 2 ** 61 - 1]], []),
+    # RREF entry 2^-40, past the reconstruction bound: it is congruent to
+    # 2^21, which reconstructs but fails A v = 0 over Z
+    ([[1, -2 ** 40], [0, 0]], [(Fraction(1), Fraction(1, 2 ** 40))]),
+    # RREF entry 5^17 / 3^25, a residue with no reconstruction in bounds
+    ([[3 ** 25, -5 ** 17], [0, 0]], [(Fraction(1), Fraction(3 ** 25, 5 ** 17))]),
+])
+def test_failed_certificate_falls_back_to_exact_path(exact_calls, a, expected):
+    basis = kernel_basis(a)
+    assert exact_calls == [a]
+    assert basis == expected == EXACT_KERNEL(a)
+    for v in basis:
+        assert all(x == 0 for x in matvec(a, v))
+
+
+def test_rational_reconstruction_round_trips_small_fractions():
+    p = linalg.MODULUS
+    bound = linalg.RECONSTRUCTION_BOUND
+    for num, den in [(0, 1), (1, 1), (-1, 1), (3, 7), (-5, 12),
+                     (bound - 1, bound - 2), (-(bound - 1), bound - 3)]:
+        assert linalg._reconstruct(num * pow(den, -1, p) % p) == (num, den)
+    assert linalg._reconstruct(3 ** 25 * pow(5 ** 17, -1, p) % p) is None

@@ -140,3 +140,23 @@ def test_prop2_cyclotomic_nonvanishing():
             assert poly.degree == 2 * k - 2
             for order in (p, 2 * p):
                 assert not remainder_mod(poly, cyclotomic(order)).is_zero
+
+
+def test_vanishing_orders_match_sympy_on_every_small_circulant():
+    # oracle: Phi_d divides the symbol sum_{s in S} x^s + x^(n-s), by sympy's
+    # cyclotomic_poly and polynomial remainder
+    sympy = pytest.importorskip("sympy")
+    from itertools import combinations
+    x = sympy.Symbol("x")
+    phi = {}
+    for n in range(1, 17):
+        divisors = [d for d in range(1, n + 1) if n % d == 0]
+        for d in divisors:
+            phi.setdefault(d, sympy.Poly(sympy.cyclotomic_poly(d, x), x))
+        pool = range(1, n // 2 + 1)
+        for size in range(1, len(pool) + 1):
+            for offs in combinations(pool, size):
+                symbol = sympy.Poly(sum(x ** s + x ** (n - s) if 2 * s != n
+                                        else x ** s for s in offs), x)
+                expected = {d for d in divisors if sympy.rem(symbol, phi[d]).is_zero}
+                assert vanishing_orders(n, offs).divisors_vanishing == expected, (n, offs)
