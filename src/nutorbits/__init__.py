@@ -3,8 +3,8 @@ vertex, edge and arc orbit counts.
 
 Everything runs in exact integer/rational arithmetic: nut certificates are
 rational nullspace bases with zero residual, symbolic circulant criteria use
-cyclotomic divisibility, and automorphism groups are searched and enumerated
-from scratch.
+cyclotomic divisibility, and automorphism groups are searched from scratch,
+with exact orders from a Sims-filtered stabilizer chain.
 """
 
 __version__ = "0.1.0"

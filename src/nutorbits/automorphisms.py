@@ -8,34 +8,23 @@ an automorphism.  Siblings already reachable from an explored branch via
 known automorphisms fixing the branching prefix are pruned, which is what
 keeps vertex-transitive instances cheap.
 
-Groups are enumerated in full by breadth-first closure over the generators
-up to a cap (default 10^6, override with NUTORBITS_ENUM_CAP); above the cap
-the group is returned with an order computed by a Schreier-style orbit chain
-and flagged unverified.
+No group element is ever listed.  The order is exact and comes from a
+stabilizer chain: at each level the orbit of a base point gives a
+transversal, and the Schreier generators of the point stabilizer are passed
+through a Sims filter, which keeps at most one permutation per (first moved
+point i, image of i) and so at most n(n-1)/2 generators of the same group.
+The order is the product of the orbit sizes down the chain (Sims 1970;
+Seress, Permutation Group Algorithms, 2003).
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .errors import InputError, ResourceCapError
 from .graphs import Graph
 
 Permutation = tuple[int, ...]
-
-DEFAULT_ENUM_CAP = 10 ** 6
-
-
-def _enum_cap() -> int:
-    text = os.environ.get("NUTORBITS_ENUM_CAP")
-    if not text:
-        return DEFAULT_ENUM_CAP
-    try:
-        return int(text)
-    except ValueError:
-        raise InputError(f"NUTORBITS_ENUM_CAP must be an integer, got {text!r}") from None
 
 
 def identity(n: int) -> Permutation:
@@ -44,7 +33,7 @@ def identity(n: int) -> Permutation:
 
 def compose(p: Permutation, q: Permutation) -> Permutation:
     """(p o q)(i) = p[q[i]]: apply q first, then p."""
-    return tuple(p[i] for i in q)
+    return tuple([p[i] for i in q])
 
 
 def invert(p: Permutation) -> Permutation:
@@ -65,61 +54,65 @@ def is_automorphism(g: Graph, p: Permutation) -> bool:
 class PermutationGroup:
     degree: int
     generators: tuple[Permutation, ...]
-    elements: Optional[tuple[Permutation, ...]]
     order: int
-    order_verified: bool
+
+    # Not a field: no element list is kept.  Only the benchmark's tracer
+    # (perfbench/tracer.py) reads it.
+    elements = None
 
     @classmethod
-    def from_generators(cls, degree: int, generators: Iterable[Permutation],
-                        cap: Optional[int] = None) -> "PermutationGroup":
-        """Enumerate the generated group by BFS closure.  When the closure
-        would exceed the cap, elements are dropped and the order falls back
-        to a Schreier-style orbit-chain computation, flagged unverified."""
-        cap = _enum_cap() if cap is None else cap
+    def from_generators(cls, degree: int,
+                        generators: Iterable[Permutation]) -> "PermutationGroup":
+        """The group generated by ``generators``, with its exact order from a
+        Sims-filtered stabilizer chain."""
         ident = identity(degree)
         gens = tuple(dict.fromkeys(g for g in generators if g != ident))
-        elems = {ident}
-        frontier = [ident]
-        while frontier:
-            nxt = []
-            for e in frontier:
-                for g in gens:
-                    h = compose(g, e)
-                    if h not in elems:
-                        if len(elems) >= cap:
-                            return cls(degree, gens, None,
-                                       _schreier_order(degree, gens), False)
-                        elems.add(h)
-                        nxt.append(h)
-            frontier = nxt
-        return cls(degree, gens, tuple(sorted(elems)), len(elems), True)
+        order = 1
+        chain = gens
+        while chain:
+            base = min(_first_moved(g) for g in chain)
+            transversal, chain = _point_stabilizer(degree, chain, base)
+            order *= len(transversal)
+        return cls(degree, gens, order)
 
 
-def _schreier_order(degree: int, gens: Sequence[Permutation]) -> int:
-    """Group order via a plain orbit/stabilizer chain (Schreier generators,
-    no sifting).  Exact, but not cross-checked by closure."""
+def _first_moved(p: Permutation) -> int:
+    return next(i for i, j in enumerate(p) if i != j)
+
+
+def _point_stabilizer(degree: int, gens: Sequence[Permutation], b: int
+                      ) -> tuple[dict[int, Permutation], tuple[Permutation, ...]]:
+    """The orbit transversal of ``b`` (orbit point -> element mapping b to
+    it) and generators of the stabilizer of ``b``: its Schreier generators
+    after a Sims filter.  The filter keeps one permutation per slot (first
+    moved point i, image of i).  Any other permutation in a taken slot is
+    multiplied by the inverse of the kept one, which fixes i, and tried
+    again until it lands in a free slot or becomes the identity.  What the
+    filter keeps generates the same group."""
     ident = identity(degree)
-    gens = [g for g in gens if g != ident]
-    if not gens:
-        return 1
-    base = min(i for g in gens for i in range(degree) if g[i] != i)
-    transversal: dict[int, Permutation] = {base: ident}
-    frontier = [base]
+    transversal: dict[int, Permutation] = {b: ident}
+    frontier = [b]
     while frontier:
         a = frontier.pop()
         for g in gens:
-            b = g[a]
-            if b not in transversal:
-                transversal[b] = compose(g, transversal[a])
-                frontier.append(b)
-    stab_gens = set()
+            c = g[a]
+            if c not in transversal:
+                transversal[c] = compose(g, transversal[a])
+                frontier.append(c)
+    inverse = {c: invert(u) for c, u in transversal.items()}
+    kept: dict[tuple[int, int], tuple[Permutation, Permutation]] = {}
     for a, u in transversal.items():
         for g in gens:
-            rep = transversal[g[a]]
-            s = compose(invert(rep), compose(g, u))
-            if s != ident:
-                stab_gens.add(s)
-    return len(transversal) * _schreier_order(degree, sorted(stab_gens))
+            w = inverse[g[a]]
+            s = tuple([w[g[j]] for j in u])     # w o g o u, which fixes b
+            while s != ident:
+                i = _first_moved(s)
+                slot = kept.get((i, s[i]))
+                if slot is None:
+                    kept[i, s[i]] = (s, invert(s))
+                    break
+                s = compose(slot[1], s)
+    return transversal, tuple(p for p, _ in kept.values())
 
 
 def orbits_of(gens: Sequence[Permutation], items: Iterable, act) -> list[tuple]:
@@ -305,10 +298,9 @@ def _search_generators(g: Graph) -> list[Permutation]:
     return gens
 
 
-def automorphism_group(g: Graph, cap: Optional[int] = None) -> PermutationGroup:
+def automorphism_group(g: Graph) -> PermutationGroup:
     """Compute Aut(G).  Every emitted generator is checked to preserve
-    adjacency, and the group is enumerated by closure when its order is
-    within the cap."""
+    adjacency; the exact order comes from the stabilizer chain."""
     if g.n < 1:
         raise ValueError("automorphism group needs at least one vertex")
     gens = _search_generators(g)
@@ -316,17 +308,13 @@ def automorphism_group(g: Graph, cap: Optional[int] = None) -> PermutationGroup:
         if not is_automorphism(g, p):
             raise AssertionError(
                 f"internal error: search produced a non-automorphism {p}")
-    return PermutationGroup.from_generators(g.n, gens, cap)
+    return PermutationGroup.from_generators(g.n, gens)
 
 
 def orbit_census(g: Graph, group: Optional[PermutationGroup] = None) -> OrbitCensus:
     """Vertex, edge and arc orbit partitions under Aut(G)."""
     if group is None:
         group = automorphism_group(g)
-    if not group.order_verified:
-        raise ResourceCapError(
-            "orbit census requires a fully enumerated automorphism group; "
-            f"order estimate {group.order} exceeded the enumeration cap")
     gens = group.generators
     census = OrbitCensus(
         vertex_orbits=tuple(orbits_of(gens, range(g.n), _act_point)),
@@ -341,13 +329,10 @@ def orbit_census(g: Graph, group: Optional[PermutationGroup] = None) -> OrbitCen
 
 
 def stabilizer(group: PermutationGroup, x: int) -> PermutationGroup:
-    """Subgroup fixing the point x; requires an enumerated group."""
-    if group.elements is None:
-        raise ValueError("stabilizer requires an enumerated group")
-    elems = tuple(p for p in group.elements if p[x] == x)
-    ident = identity(group.degree)
-    gens = tuple(p for p in elems if p != ident)
-    return PermutationGroup(group.degree, gens, elems, len(elems), True)
+    """Subgroup fixing the point x, generated by the Sims-filtered Schreier
+    generators of its stabilizer."""
+    _, gens = _point_stabilizer(group.degree, group.generators, x)
+    return PermutationGroup.from_generators(group.degree, gens)
 
 
 def is_vertex_transitive(g: Graph) -> bool:

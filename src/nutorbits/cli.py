@@ -18,6 +18,7 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import ExitStack
 from itertools import combinations, islice
 from typing import Optional
 
@@ -183,16 +184,32 @@ def _cmd_check(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+# The parameter flags each construct form reads; any other one is rejected.
+FORM_FLAGS = {
+    "dispatch": ("r", "k"),
+    "prop1": ("k", "p"),
+    "prop2": ("k", "p"),
+    "prop3": ("n",),
+    "fig3": (),
+    "subdiv": ("k", "p", "t", "orbit"),
+}
+
+
 def _build_from_args(args) -> VerifiedNut:
-    if args.r is not None:
-        if args.variant is not None:
-            raise HypothesisError("--r/--k dispatch and --variant are mutually exclusive")
+    if args.r is not None and args.variant is not None:
+        raise HypothesisError("--r/--k dispatch and --variant are mutually exclusive")
+    if args.r is None and args.variant is None:
+        raise HypothesisError("pass either --r/--k or --variant")
+    form = "dispatch" if args.r is not None else args.variant
+    unread = [f"--{key}" for key in ("r", "k", "p", "n", "t", "orbit")
+              if getattr(args, key) is not None and key not in FORM_FLAGS[form]]
+    if unread:
+        raise HypothesisError(f"{form} does not read {', '.join(unread)}")
+    if form == "dispatch":
         if args.k is None:
             raise HypothesisError("the dispatch form needs both --r and --k")
         return construct_with_orbits(args.r, args.k)
     variant = args.variant
-    if variant is None:
-        raise HypothesisError("pass either --r/--k or --variant")
     if variant == "prop1":
         if args.k is None:
             raise HypothesisError("prop1 needs --k (even, >= 2)")
@@ -337,23 +354,25 @@ def _sweep_task(task: tuple) -> dict:
 def _cmd_sweep(args) -> int:
     tasks = _sweep_instances(args)
     start = time.perf_counter()
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(pool.map(_sweep_task, tasks, chunksize=8))
-    else:
-        rows = [_sweep_task(t) for t in tasks]
     failures = 0
-    for row in rows:
-        seconds = row.pop("_seconds")
-        if args.timings:
-            row["seconds"] = round(seconds, 3)
-        if not row.get("verified", False):
-            failures += 1
-        if args.human:
-            print("  ".join(f"{key}={value}" for key, value in row.items()))
+    with ExitStack() as stack:
+        if args.jobs > 1:
+            pool = stack.enter_context(ProcessPoolExecutor(max_workers=args.jobs))
+            rows = pool.map(_sweep_task, tasks, chunksize=8)
         else:
-            _emit(row, pretty=False)
-    print(f"sweep {args.suite}: {len(rows)} instances, {failures} failures, "
+            rows = map(_sweep_task, tasks)
+        # each row is printed as it arrives, in task order
+        for row in rows:
+            seconds = row.pop("_seconds")
+            if args.timings:
+                row["seconds"] = round(seconds, 3)
+            if not row.get("verified", False):
+                failures += 1
+            if args.human:
+                print("  ".join(f"{key}={value}" for key, value in row.items()))
+            else:
+                _emit(row, pretty=False)
+    print(f"sweep {args.suite}: {len(tasks)} instances, {failures} failures, "
           f"{time.perf_counter() - start:.1f}s", file=sys.stderr)
     return EXIT_OK if failures == 0 else EXIT_VERIFICATION
 

@@ -30,7 +30,7 @@ class VerificationError(RuntimeError):
 
 
 class ResourceCapError(RuntimeError):
-    """A size or enumeration cap was exceeded; the request was refused."""
+    """A size cap was exceeded; the request was refused."""
 
 
 class InputError(ValueError):

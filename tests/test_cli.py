@@ -2,8 +2,9 @@ import json
 
 import pytest
 
-from nutorbits import (CirculantSpec, circulant, complete_graph, read_graph6,
-                       is_nut, orbit_census, write_graph6)
+from nutorbits import (CirculantSpec, Graph, circulant, complete_graph,
+                       read_graph6, is_nut, orbit_census, write_graph6)
+from nutorbits import cli
 from nutorbits.cli import main
 
 
@@ -175,11 +176,54 @@ def test_sweep_empty_range_exits_3(capsys, suite, bound, value):
 
 @pytest.mark.parametrize("variable, argv", [
     ("NUTORBITS_SWEEP_CAP", ("sweep", "--suite", "prop1", "--kmax", "2")),
-    ("NUTORBITS_ENUM_CAP", ("check", "C~")),
-    ("NUTORBITS_ENUM_CAP", ("construct", "--variant", "fig3")),
 ])
 def test_non_integer_cap_exits_2(capsys, monkeypatch, variable, argv):
     monkeypatch.setenv(variable, "x")
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
     assert variable in err
+
+
+@pytest.mark.parametrize("argv, unread", [
+    (("--r", "3", "--k", "5", "--p", "7"), "--p"),
+    (("--r", "3", "--k", "5", "--t", "1", "--orbit", "0"), "--t, --orbit"),
+    (("--variant", "fig3", "--k", "9"), "--k"),
+    (("--variant", "prop3", "--n", "7", "--p", "11", "--t", "3"), "--p, --t"),
+    (("--variant", "prop1", "--k", "2", "--n", "5"), "--n"),
+    (("--variant", "prop2", "--k", "5", "--orbit", "1"), "--orbit"),
+    (("--variant", "subdiv", "--k", "2", "--t", "1", "--n", "5"), "--n"),
+])
+def test_construct_rejects_unread_flags(capsys, argv, unread):
+    code, out, err = run_cli(capsys, "construct", *argv)
+    assert code == 3 and out == ""
+    assert f"does not read {unread}" in err
+
+
+@pytest.mark.parametrize("g, aut_order", [
+    (complete_graph(10), 3628800),
+    (Graph(12, tuple((i, j) for i in range(6) for j in range(6, 12))), 1036800),
+])
+def test_check_answers_groups_above_a_million(capsys, g, aut_order):
+    code, out, _ = run_cli(capsys, "check", write_graph6(g))
+    assert code == 0
+    census = json.loads(out)["census"]
+    assert (census["o_v"], census["o_e"], census["o_a"]) == (1, 1, 1)
+    assert census["aut_order"] == aut_order
+
+
+def test_sweep_streams_rows_before_a_later_task_fails(capsys, monkeypatch):
+    task = cli._sweep_task
+    calls = []
+
+    def fail_on_second(t):
+        calls.append(t)
+        if len(calls) == 2:
+            raise RuntimeError("second task fails")
+        return task(t)
+
+    monkeypatch.setattr(cli, "_sweep_task", fail_on_second)
+    with pytest.raises(RuntimeError, match="second task fails"):
+        main(["sweep", "--suite", "prop3", "--nmax", "9"])
+    rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert len(rows) == 1
+    assert (rows[0]["suite"], rows[0]["n"], rows[0]["verified"]) == ("prop3", 5, True)
