@@ -1,12 +1,19 @@
 """Graph automorphism groups from scratch, plus orbit machinery.
 
-The search is a small canonical-labeling engine: iterated equitable
-refinement of an ordered partition (cells split by neighbor counts per
-cell), with backtracking over a target cell.  Every discrete leaf yields a
-labeling; any leaf whose relabeled edge set matches the first leaf's gives
-an automorphism.  Siblings already reachable from an explored branch via
-known automorphisms fixing the branching prefix are pruned, which is what
-keeps vertex-transitive instances cheap.
+The search is a small canonical-labeling engine: equitable refinement of an
+ordered partition, with backtracking over a target cell.  The partition is
+kept by position (vertices listed cell by cell, each cell named by its start)
+and refined with a queue of splitter cells: a splitter splits only the cells
+holding its neighbours, by their neighbour counts in it, so a split costs
+the degrees of the splitter's vertices rather than a pass over every cell
+(McKay 1981; nauty's refine).  Every choice depends on positions and counts,
+never on vertex labels, so the refinement commutes with automorphisms.  A
+child node individualizes one vertex of the target cell and refines from that
+singleton alone, since its parent is already equitable.  Every discrete leaf
+yields a labeling; any leaf whose relabeled edge set matches the first
+leaf's gives an automorphism.  Siblings already reachable from an explored
+branch via known automorphisms fixing the branching prefix are pruned, which
+is what keeps vertex-transitive instances cheap.
 
 No group element is ever listed.  The order is exact and comes from a
 stabilizer chain: at each level the orbit of a base point gives a
@@ -19,6 +26,7 @@ Seress, Permutation Group Algorithms, 2003).
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -185,42 +193,122 @@ class OrbitCensus:
 # Refinement + backtracking search
 # ---------------------------------------------------------------------------
 
-Cells = tuple[tuple[int, ...], ...]
+class _Partition:
+    """An ordered partition of range(n), indexed by position.
+
+    ``lab`` lists the vertices cell by cell and ``pos`` inverts it.  A cell
+    is named by its start position s: ``ends[s]`` is its end (exclusive;
+    entries at other positions are stale) and ``cell[v]`` is the start of
+    the cell holding v.  The order of vertices inside a cell carries no
+    meaning."""
+
+    __slots__ = ("lab", "pos", "cell", "ends")
+
+    def __init__(self, n: int):
+        self.lab = list(range(n))
+        self.pos = list(range(n))
+        self.cell = [0] * n
+        self.ends = [n] * n
+
+    def copy(self) -> "_Partition":
+        other = _Partition.__new__(_Partition)
+        other.lab = self.lab[:]
+        other.pos = self.pos[:]
+        other.cell = self.cell[:]
+        other.ends = self.ends[:]
+        return other
+
+    def cells(self) -> list[tuple[int, ...]]:
+        out = []
+        s = 0
+        while s < len(self.lab):
+            e = self.ends[s]
+            out.append(tuple(self.lab[s:e]))
+            s = e
+        return out
+
+    def individualize(self, v: int) -> int:
+        """Split v off as a singleton at the front of its cell and return
+        its position, which names the new singleton cell."""
+        lab, pos, cell = self.lab, self.pos, self.cell
+        s = cell[v]
+        e = self.ends[s]
+        u, p = lab[s], pos[v]
+        lab[s], lab[p] = v, u
+        pos[v], pos[u] = s, p
+        self.ends[s] = s + 1
+        self.ends[s + 1] = e
+        for i in range(s + 1, e):
+            cell[lab[i]] = s + 1
+        return s
 
 
-def _refine(adj: Sequence[frozenset[int]], cells: Cells) -> Cells:
-    """Equitable refinement: split cells by per-cell neighbor counts until
-    stable.  Sub-cells are ordered by their count signature, which depends
-    only on the ordered partition, never on vertex labels, so the refinement
-    commutes with graph automorphisms."""
-    n = len(adj)
-    cell_index = [0] * n
-    while True:
-        for ci, cell in enumerate(cells):
-            for v in cell:
-                cell_index[v] = ci
-        new_cells = []
-        changed = False
-        for cell in cells:
-            if len(cell) == 1:
-                new_cells.append(cell)
+def _refine(adj: Sequence[frozenset[int]], part: _Partition,
+            splitters: list[int]) -> None:
+    """Refine ``part`` in place to the coarsest equitable partition finer
+    than it, given that it is already equitable with respect to every cell
+    not named in ``splitters`` (McKay 1981; nauty's ``refine``).
+
+    Splitters are cell starts, popped first in, first out.  A splitter S
+    gives each vertex its number of neighbours in S; only the cells holding
+    a vertex with a nonzero count can split.  Such a cell is rearranged
+    into pieces of equal count, in increasing count, the count-0 piece
+    keeping the cell's start.  If the cell was queued every new piece is
+    queued; otherwise every piece but the first largest is (Hopcroft's
+    rule: stability under a cell and all but one of its pieces implies
+    stability under the last piece).  Touched cells are split in position
+    order.  Every choice depends on positions and counts only, never on
+    vertex labels, so the refinement commutes with automorphisms: mapping
+    the input by one maps the output cells likewise."""
+    lab, pos, cell, ends = part.lab, part.pos, part.cell, part.ends
+    queue = deque(splitters)
+    queued = set(splitters)
+    while queue:
+        s = queue.popleft()
+        queued.discard(s)
+        count: dict[int, int] = {}
+        for w in lab[s:ends[s]]:
+            for u in adj[w]:
+                count[u] = count.get(u, 0) + 1
+        touched: dict[int, list[int]] = {}
+        for u in count:
+            touched.setdefault(cell[u], []).append(u)
+        for c in sorted(touched):
+            e = ends[c]
+            vs = touched[c]
+            vs.sort(key=count.__getitem__)
+            t = e - len(vs)
+            if t == c and count[vs[0]] == count[vs[-1]]:
                 continue
-            buckets: dict[tuple, list[int]] = {}
-            for v in cell:
-                cnt: dict[int, int] = {}
-                for u in adj[v]:
-                    ci = cell_index[u]
-                    cnt[ci] = cnt.get(ci, 0) + 1
-                buckets.setdefault(tuple(sorted(cnt.items())), []).append(v)
-            if len(buckets) == 1:
-                new_cells.append(cell)
+            # The untouched vertices move to the front of the cell, the
+            # touched ones behind them in count order.
+            back = e
+            for u in vs:
+                back -= 1
+                p, x = pos[u], lab[back]
+                lab[p], pos[x] = x, p
+            lab[t:e] = vs
+            starts = [c] if t > c else []
+            last = 0
+            for i, u in enumerate(vs, t):
+                pos[u] = i
+                if count[u] != last:
+                    starts.append(i)
+                    last = count[u]
+            bounds = starts + [e]
+            ends[c] = bounds[1]
+            for j in range(1, len(starts)):
+                a, b = bounds[j], bounds[j + 1]
+                ends[a] = b
+                for i in range(a, b):
+                    cell[lab[i]] = a
+            if c in queued:
+                new = starts[1:]
             else:
-                changed = True
-                for key in sorted(buckets):
-                    new_cells.append(tuple(sorted(buckets[key])))
-        if not changed:
-            return cells
-        cells = tuple(new_cells)
+                big = max(range(len(starts)), key=lambda j: bounds[j + 1] - bounds[j])
+                new = starts[:big] + starts[big + 1:]
+            queue.extend(new)
+            queued.update(new)
 
 
 def _search_generators(g: Graph) -> list[Permutation]:
@@ -231,7 +319,8 @@ def _search_generators(g: Graph) -> list[Permutation]:
     the first non-singleton cell of smallest size, smallest vertex first,
     skipping vertices already reachable from an explored sibling under the
     group found so far (restricted to permutations fixing the branching
-    prefix)."""
+    prefix).  A child's refinement starts from the individualized singleton
+    alone, since the parent partition is already equitable."""
     n = g.n
     adj = g.neighbors
     edges = g.edges
@@ -240,22 +329,17 @@ def _search_generators(g: Graph) -> list[Permutation]:
     ref: dict = {}
     ident = identity(n)
 
-    def leaf(cells: Cells) -> None:
-        pos = [0] * n
-        for i, cell in enumerate(cells):
-            pos[cell[0]] = i
+    def leaf(part: _Partition) -> None:
+        pos = part.pos
         form = tuple(sorted(
             (pos[u], pos[v]) if pos[u] < pos[v] else (pos[v], pos[u])
             for u, v in edges))
         if not ref:
-            inv = [0] * n
-            for v in range(n):
-                inv[pos[v]] = v
             ref["form"] = form
-            ref["inv"] = inv
+            ref["lab"] = part.lab
         elif form == ref["form"]:
-            inv = ref["inv"]
-            perm = tuple(inv[pos[v]] for v in range(n))
+            lab = ref["lab"]
+            perm = tuple([lab[pos[v]] for v in range(n)])
             if perm != ident and perm not in gen_set:
                 gen_set.add(perm)
                 gens.append(perm)
@@ -273,28 +357,30 @@ def _search_generators(g: Graph) -> list[Permutation]:
                     frontier.append(b)
         return reach
 
-    def recurse(cells: Cells, fixed: tuple[int, ...]) -> None:
-        cells = _refine(adj, cells)
-        target = min(
-            ((len(c), i) for i, c in enumerate(cells) if len(c) > 1),
-            default=None)
-        if target is None:
-            leaf(cells)
+    def recurse(part: _Partition, splitters: list[int],
+                fixed: tuple[int, ...]) -> None:
+        _refine(adj, part, splitters)
+        ends = part.ends
+        target, size = -1, n + 1
+        s = 0
+        while s < n:
+            e = ends[s]
+            if 1 < e - s < size:
+                target, size = s, e - s
+            s = e
+        if target < 0:
+            leaf(part)
             return
-        idx = target[1]
-        cell = cells[idx]
-        rest = cells[idx + 1:]
-        head = cells[:idx]
         branched: list[int] = []
-        for v in cell:
+        for v in sorted(part.lab[target:target + size]):
             if branched and v in covered(branched, fixed):
                 continue
             branched.append(v)
-            child = head + ((v,), tuple(u for u in cell if u != v)) + rest
-            recurse(child, fixed + (v,))
+            child = part.copy()
+            recurse(child, [child.individualize(v)], fixed + (v,))
 
     if n:
-        recurse((tuple(range(n)),), ())
+        recurse(_Partition(n), [0], ())
     return gens
 
 

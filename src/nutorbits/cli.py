@@ -43,6 +43,10 @@ EXIT_INPUT = 2
 EXIT_HYPOTHESIS = 3
 EXIT_CAP = 4
 
+# check refuses larger orders: is_nut builds a dense n x n adjacency matrix,
+# about 128 MB of list references at 4096 vertices.
+CHECK_MAX_ORDER = 4096
+
 SWEEP_CAPS = {
     "prop1": ("kmax", 10),
     "prop2": ("kmax", 9),
@@ -168,6 +172,9 @@ def _cmd_check(args) -> int:
         if g.n == 0:
             raise InputError(f"graph {line.strip()!r} has order 0; "
                              "check needs at least one vertex")
+        if g.n > CHECK_MAX_ORDER:
+            raise ResourceCapError(f"graph of order {g.n} exceeds the check order "
+                                   f"cap of {CHECK_MAX_ORDER} vertices")
         verdict = is_nut(g)
         census = orbit_census(g)
         report = _report("check", {"input": line.strip()}, g, verdict, census,

@@ -8,6 +8,7 @@ they have the same order and the same normalized edge set.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations, product as _cartesian_tuples
@@ -229,6 +230,8 @@ def subdivide_edges(g: Graph, targets: Iterable[tuple[int, int]], s: int) -> Gra
 # ---------------------------------------------------------------------------
 
 _G6_HEADER = ">>graph6<<"
+_G6_OUTSIDE = re.compile(r"[^?-~]")     # outside chr(63)..chr(126)
+_G6_NONZERO = re.compile(r"[@-~]")      # a byte with at least one bit set
 
 
 def write_graph6(g: Graph) -> str:
@@ -241,18 +244,13 @@ def write_graph6(g: Graph) -> str:
         out.extend(((n >> shift) & 63) + 63 for shift in (12, 6, 0))
     else:
         raise ValueError(f"graph6 writer supports orders up to 258047, got {n}")
-    adj = g.neighbors
-    acc = 0
-    nbits = 0
-    for j in range(1, n):
-        for i in range(j):
-            acc = (acc << 1) | (1 if j in adj[i] else 0)
-            nbits += 1
-            if nbits == 6:
-                out.append(acc + 63)
-                acc, nbits = 0, 0
-    if nbits:
-        out.append((acc << (6 - nbits)) + 63)
+    # Edge (i, j), i < j, is bit i + j(j-1)/2 of the upper triangle in
+    # column order, six bits to a byte, most significant first.
+    body = bytearray((n * (n - 1) // 2 + 5) // 6)
+    for i, j in g.edges:
+        k = i + j * (j - 1) // 2
+        body[k // 6] |= 32 >> (k % 6)
+    out.extend(b + 63 for b in body)
     return out.decode("ascii")
 
 
@@ -302,19 +300,24 @@ def read_graph6(text: str) -> Graph:
         raise Graph6ParseError(
             f"expected {nbytes} edge bytes for order {n}, found {body_end - pos}",
             body_end if body_end - pos < nbytes else pos + nbytes)
-    bits = []
-    for off in range(nbytes):
-        v = value(pos + off)
-        bits.extend((v >> shift) & 1 for shift in (5, 4, 3, 2, 1, 0))
-    if any(bits[nbits:]):
-        raise Graph6ParseError("nonzero padding bits", pos + nbytes - 1)
+    bad = _G6_OUTSIDE.search(text, pos, body_end)
+    if bad:
+        raise Graph6ParseError(f"character {bad.group()!r} outside graph6 range", bad.start())
+    # Only bytes with a set bit are visited; bit k of the upper triangle in
+    # column order is edge (k - j(j-1)/2, j).
     edges = []
-    idx = 0
-    for j in range(1, n):
-        for i in range(j):
-            if bits[idx]:
-                edges.append((i, j))
-            idx += 1
+    j = 1
+    for m in _G6_NONZERO.finditer(text, pos, body_end):
+        base = (m.start() - pos) * 6
+        v = ord(m.group()) - 63
+        for b in range(6):
+            if v & (32 >> b):
+                k = base + b
+                if k >= nbits:
+                    raise Graph6ParseError("nonzero padding bits", pos + nbytes - 1)
+                while j * (j + 1) // 2 <= k:
+                    j += 1
+                edges.append((k - j * (j - 1) // 2, j))
     return Graph(n, tuple(sorted(edges)))
 
 

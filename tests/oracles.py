@@ -54,3 +54,27 @@ def root_zero_multiplicity(p: IntPoly) -> int:
             break
         mult += 1
     return mult
+
+
+def coarsest_equitable_partition(g: Graph, cells=None) -> set[frozenset[int]]:
+    """The coarsest equitable partition finer than ``cells`` (default: one
+    cell), as a set of cells.  Each pass names every vertex by its cell and
+    its neighbour count in every cell; passes repeat until no cell splits."""
+    n = g.n
+    adj = g.neighbors
+    label = [0] * n
+    for i, cell in enumerate(cells or [range(n)]):
+        for v in cell:
+            label[v] = i
+    while True:
+        sig = []
+        for v in range(n):
+            counts: dict[int, int] = {}
+            for u in adj[v]:
+                counts[label[u]] = counts.get(label[u], 0) + 1
+            sig.append((label[v], tuple(sorted(counts.items()))))
+        names = {s: i for i, s in enumerate(sorted(set(sig)))}
+        if len(names) == len(set(label)):
+            break
+        label = [names[s] for s in sig]
+    return {frozenset(v for v in range(n) if label[v] == c) for c in set(label)}

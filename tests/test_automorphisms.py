@@ -2,13 +2,15 @@ import random
 from itertools import combinations
 
 import pytest
-from oracles import exhaustive_automorphisms
+from oracles import coarsest_equitable_partition, exhaustive_automorphisms
 
 from nutorbits import (CirculantSpec, Graph, automorphism_group,
                        cartesian_product, circulant, complete_graph,
-                       is_vertex_transitive, orbit_census, stabilizer)
-from nutorbits.automorphisms import (PermutationGroup, compose, identity,
-                                     invert, is_automorphism, orbits_of)
+                       construct_with_orbits, is_vertex_transitive,
+                       orbit_census, stabilizer)
+from nutorbits.automorphisms import (PermutationGroup, _Partition, _refine,
+                                     compose, identity, invert,
+                                     is_automorphism, orbits_of)
 
 
 def test_permutation_helpers():
@@ -169,3 +171,58 @@ def test_orders_agree_with_networkx_vf2():
         assert automorphism_group(g).order == count
         orders.append(count)
     assert orders[:4] == [120, 24, 20, 384]
+
+
+def _refined(g: Graph) -> _Partition:
+    part = _Partition(g.n)
+    _refine(g.neighbors, part, [0])
+    return part
+
+
+def _refinement_cases() -> list[Graph]:
+    rng = random.Random(0xE0)
+    graphs = [PETERSEN, _hypercube(4), construct_with_orbits(5, 6).graph]
+    for _ in range(8):
+        n = rng.randint(9, 14)
+        p = rng.choice([0.2, 0.4, 0.6])
+        graphs.append(Graph(n, tuple(e for e in combinations(range(n), 2)
+                                     if rng.random() < p)))
+    return graphs
+
+
+def test_refinement_is_the_coarsest_equitable_partition():
+    for g in _refinement_cases():
+        cells = _refined(g).cells()
+        where = {v: i for i, cell in enumerate(cells) for v in cell}
+        for cell in cells:
+            profiles = {tuple(sum(1 for u in g.neighbors[v] if where[u] == j)
+                              for j in range(len(cells))) for v in cell}
+            assert len(profiles) == 1
+        assert set(map(frozenset, cells)) == coarsest_equitable_partition(g)
+
+
+def test_refinement_after_individualizing_needs_only_the_singleton():
+    rng = random.Random(0xE1)
+    for g in _refinement_cases():
+        part = _refined(g)
+        cells = part.cells()
+        while len(cells) < g.n:
+            cell = rng.choice([c for c in cells if len(c) > 1])
+            v = rng.choice(cell)
+            split = [c for c in cells if c != cell] + [(v,), tuple(u for u in cell if u != v)]
+            _refine(g.neighbors, part, [part.individualize(v)])
+            cells = part.cells()
+            assert set(map(frozenset, cells)) == coarsest_equitable_partition(g, split)
+
+
+def test_refinement_commutes_with_relabelling():
+    rng = random.Random(0xE2)
+    for g in _refinement_cases():
+        cells = _refined(g).cells()
+        for _ in range(5):
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            h = Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+            moved = _refined(h).cells()
+            assert [len(c) for c in moved] == [len(c) for c in cells]
+            assert [set(c) for c in moved] == [{perm[v] for v in c} for c in cells]

@@ -165,6 +165,15 @@ def test_check_order_zero_exits_2(capsys):
     assert "order 0" in err
 
 
+def test_check_refuses_orders_above_the_cap(capsys):
+    n = cli.CHECK_MAX_ORDER + 1
+    edgeless = "~" + "".join(chr(63 + ((n >> s) & 63)) for s in (12, 6, 0))
+    edgeless += "?" * ((n * (n - 1) // 2 + 5) // 6)
+    code, out, err = run_cli(capsys, "check", edgeless)
+    assert code == 4 and out == ""
+    assert f"cap of {cli.CHECK_MAX_ORDER}" in err
+
+
 @pytest.mark.parametrize("suite, bound, value", [
     ("prop1", "--kmax", "1"), ("prop2", "--kmax", "3"), ("prop3", "--nmax", "3"),
 ])

@@ -119,6 +119,16 @@ def test_construct_with_orbits_dispatch():
     assert built.provenance.base.variant == "prop3"
 
 
+def test_large_subdivision_is_certified():
+    # Circ(10, {1, 2}) with each edge of a 10-edge orbit subdivided 4t = 120
+    # times: n = 10 + 10 * 120 = 1210, mostly long induced paths
+    built = construct_with_orbits(61, 62)
+    assert built.graph.n == 1210
+    assert built.verdict.is_nut
+    assert built.census.counts == (61, 62, 122)
+    assert built.census.aut_order == cayley_nut(2).census.aut_order == 20
+
+
 def test_construct_with_orbits_rejections():
     with pytest.raises(NotRealizable):
         construct_with_orbits(3, 3)

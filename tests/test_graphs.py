@@ -1,3 +1,6 @@
+import random
+from itertools import combinations
+
 import pytest
 
 from nutorbits import (AbelianCayleySpec, CirculantSpec, Graph,
@@ -172,9 +175,52 @@ def test_graph6_errors_carry_byte_offset(bad, offset):
 
 
 def test_graph6_rejects_nonzero_padding():
-    # K2 with a nonzero padding bit: '_' is 100000; '`'+1 -> 100001
-    with pytest.raises(Graph6ParseError):
-        read_graph6("A" + chr(ord("_") + 1))
+    # K2 with a nonzero padding bit: '_' is 100000; '`'+1 -> 100001; 'o' is
+    # 110000, the first padding bit
+    for bad in ("A" + chr(ord("_") + 1), "Ao"):
+        with pytest.raises(Graph6ParseError):
+            read_graph6(bad)
+
+
+def test_graph6_agrees_with_networkx_both_ways():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(0x96)
+    for n in range(1, 81):
+        p = rng.choice([0.05, 0.3, 0.7])
+        g = Graph(n, tuple(e for e in combinations(range(n), 2) if rng.random() < p))
+        h = nx.Graph()
+        h.add_nodes_from(range(n))      # node order sets the graph6 labels
+        h.add_edges_from(g.edges)
+        expected = nx.to_graph6_bytes(h, header=False).decode("ascii").strip()
+        assert write_graph6(g) == expected
+        back = nx.from_graph6_bytes(expected.encode("ascii"))
+        assert read_graph6(expected) == Graph.from_edges(back.number_of_nodes(), back.edges)
+
+
+def test_graph6_fuzzed_round_trips_and_error_offsets():
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings, strategies as st
+
+    @st.composite
+    def cases(draw):
+        n = draw(st.integers(0, 70))
+        pairs = list(combinations(range(n), 2))
+        edges = draw(st.sets(st.sampled_from(pairs), max_size=80)) if pairs else set()
+        text = write_graph6(Graph.from_edges(n, edges))
+        at = draw(st.integers(0, len(text) - 1))
+        bad = draw(st.sampled_from('!"#$%&*+,-./0123456789:;<=>\x7f\xe9'))
+        return Graph.from_edges(n, edges), text, at, bad
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(cases())
+    def check(case):
+        g, text, at, bad = case
+        assert read_graph6(text) == g
+        with pytest.raises(Graph6ParseError) as err:
+            read_graph6(text[:at] + bad + text[at + 1:])
+        assert err.value.offset == at
+
+    check()
 
 
 def test_write_dot_with_and_without_orbits(c4):

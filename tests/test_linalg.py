@@ -1,4 +1,6 @@
+import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from oracles import charpoly_cofactor, root_zero_multiplicity
@@ -6,7 +8,7 @@ from oracles import charpoly_cofactor, root_zero_multiplicity
 from nutorbits import linalg
 from nutorbits import (CirculantSpec, Graph, IntPoly, ResourceCapError,
                        cartesian_product, char_poly, circulant, complete_graph,
-                       integer_scaled, is_nut, kernel_basis,
+                       construct_with_orbits, integer_scaled, is_nut, kernel_basis,
                        kernel_vector_from_factors, product_spectrum_check)
 from nutorbits.linalg import EigenvectorMismatch, matvec
 
@@ -165,6 +167,33 @@ def test_nut_check_stays_fast_at_desk_scale():
     start = time.perf_counter()
     is_nut(g)
     assert time.perf_counter() - start < 10.0
+
+
+_PAIRS = list(combinations(range(5), 2))
+
+
+@pytest.mark.parametrize("name, g, nullity", [
+    ("Petersen", Graph.from_edges(10, [(i, j) for i, j in combinations(range(10), 2)
+                                       if not set(_PAIRS[i]) & set(_PAIRS[j])]), 0),
+    ("C12", circulant(CirculantSpec(12, {1})), 2),
+    ("K34", Graph(7, tuple((i, j) for i in range(3) for j in range(3, 7))), 5),
+    ("construct(3,8)", construct_with_orbits(3, 8).graph, 1),
+])
+def test_nullity_and_kernel_follow_a_relabelling(name, g, nullity):
+    verdict = is_nut(g)
+    assert verdict.nullity == nullity
+    rng = random.Random(name)
+    for _ in range(5):
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        moved = is_nut(Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges]))
+        assert moved.nullity == nullity
+        if nullity == 1:
+            expected = [0] * g.n
+            for v, x in enumerate(integer_scaled(verdict.kernel_basis[0])):
+                expected[perm[v]] = x
+            got = list(integer_scaled(moved.kernel_basis[0]))
+            assert got in (expected, [-x for x in expected])
 
 
 # -- the modular certificate and its exact fallback ---------------------------
