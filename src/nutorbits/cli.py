@@ -19,15 +19,12 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
-from itertools import combinations, islice
 from typing import Optional
 
 from . import __version__
 from .automorphisms import OrbitCensus, orbit_census
-from .constructions import (ConstructionParams, VerifiedNut, cayley_nut,
-                            construct_with_orbits, fig3_graph, primes_from,
-                            prop1_graph, prop2_graph, prop3_graph,
-                            subdivided_nut)
+from .constructions import (FAMILIES, MAX_ORDER as CHECK_MAX_ORDER,
+                            ConstructionParams, VerifiedNut, build)
 from .errors import (HypothesisError, InputError, NotCoveredByThisPaper,
                      NotRealizable, ResourceCapError, SpecificationError,
                      VerificationError)
@@ -43,23 +40,11 @@ EXIT_INPUT = 2
 EXIT_HYPOTHESIS = 3
 EXIT_CAP = 4
 
-# check refuses larger orders: is_nut builds a dense n x n adjacency matrix,
-# about 128 MB of list references at 4096 vertices.
-CHECK_MAX_ORDER = 4096
-
-SWEEP_CAPS = {
-    "prop1": ("kmax", 10),
-    "prop2": ("kmax", 9),
-    "prop3": ("nmax", 13),
-    "subdiv": ("tmax", 4),
-    "circulant-cross": ("nmax", 24),
-}
-
 
 def _sweep_cap(suite: str) -> int:
     text = os.environ.get("NUTORBITS_SWEEP_CAP")
     if not text:
-        return SWEEP_CAPS[suite][1]
+        return FAMILIES[suite].sweep.cap
     try:
         return int(text)
     except ValueError:
@@ -191,59 +176,12 @@ def _cmd_check(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-# The parameter flags each construct form reads; any other one is rejected.
-FORM_FLAGS = {
-    "dispatch": ("r", "k"),
-    "prop1": ("k", "p"),
-    "prop2": ("k", "p"),
-    "prop3": ("n",),
-    "fig3": (),
-    "subdiv": ("k", "p", "t", "orbit"),
-}
-
-
 def _build_from_args(args) -> VerifiedNut:
-    if args.r is not None and args.variant is not None:
-        raise HypothesisError("--r/--k dispatch and --variant are mutually exclusive")
-    if args.r is None and args.variant is None:
-        raise HypothesisError("pass either --r/--k or --variant")
-    form = "dispatch" if args.r is not None else args.variant
-    unread = [f"--{key}" for key in ("r", "k", "p", "n", "t", "orbit")
-              if getattr(args, key) is not None and key not in FORM_FLAGS[form]]
-    if unread:
-        raise HypothesisError(f"{form} does not read {', '.join(unread)}")
-    if form == "dispatch":
-        if args.k is None:
-            raise HypothesisError("the dispatch form needs both --r and --k")
-        return construct_with_orbits(args.r, args.k)
-    variant = args.variant
-    if variant == "prop1":
-        if args.k is None:
-            raise HypothesisError("prop1 needs --k (even, >= 2)")
-        p = args.p if args.p is not None else next(primes_from(args.k + 2))
-        return prop1_graph(args.k, p)
-    if variant == "prop2":
-        if args.k is None:
-            raise HypothesisError("prop2 needs --k (odd, >= 5)")
-        p = args.p if args.p is not None else next(primes_from(2 * args.k + 1))
-        return prop2_graph(args.k, p)
-    if variant == "prop3":
-        if args.n is None:
-            raise HypothesisError("prop3 needs --n (odd, >= 5)")
-        return prop3_graph(args.n)
-    if variant == "fig3":
-        return fig3_graph()
-    if variant == "subdiv":
-        if args.k is None or args.t is None:
-            raise HypothesisError("subdiv needs --k (base orbit count) and --t")
-        base = cayley_nut(args.k, args.p)
-        if args.orbit is not None:
-            index = args.orbit
-        else:
-            sizes = [len(o) for o in base.census.edge_orbits]
-            index = sizes.index(min(sizes))
-        return subdivided_nut(base, index, args.t)
-    raise HypothesisError(f"unknown variant {variant!r}")
+    if (args.r is None) == (args.variant is None):
+        raise HypothesisError("pass either --r/--k or --variant, not both")
+    params = {key: getattr(args, key) for key in ("r", "k", "p", "n", "t", "orbit")
+              if getattr(args, key) is not None}
+    return build(args.variant or "dispatch", **params)
 
 
 def _cmd_construct(args) -> int:
@@ -274,86 +212,42 @@ def _cmd_construct(args) -> int:
 
 def _sweep_instances(args) -> list[tuple]:
     suite = args.suite
+    sweep = FAMILIES[suite].sweep
+    unread = [f"--{key}" for key in ("k", "kmax", "nmax", "tmax", "primes")
+              if getattr(args, key) is not None and key not in sweep.reads]
+    if unread:
+        raise HypothesisError(f"{suite} sweep does not read {', '.join(unread)}")
     cap = _sweep_cap(suite)
-    tasks: list[tuple] = []
-    if suite == "prop1":
-        ks = [args.k] if args.k else list(range(2, (args.kmax or 6) + 1, 2))
-        if max(ks, default=0) > cap:
-            raise ResourceCapError(f"prop1 sweep capped at kmax = {cap}")
-        for k in ks:
-            for p in islice(primes_from(k + 2), args.primes):
-                tasks.append(("prop1", k, p))
-    elif suite == "prop2":
-        ks = [args.k] if args.k else list(range(5, (args.kmax or 7) + 1, 2))
-        if max(ks, default=0) > cap:
-            raise ResourceCapError(f"prop2 sweep capped at kmax = {cap}")
-        for k in ks:
-            for p in islice(primes_from(2 * k + 1), args.primes):
-                tasks.append(("prop2", k, p))
-    elif suite == "prop3":
-        nmax = args.nmax or 9
-        if nmax > cap:
-            raise ResourceCapError(f"prop3 sweep capped at nmax = {cap}")
-        tasks = [("prop3", n) for n in range(5, nmax + 1, 2)]
-    elif suite == "subdiv":
-        tmax = args.tmax or 2
-        if tmax > cap:
-            raise ResourceCapError(f"subdiv sweep capped at tmax = {cap}")
-        tasks = [("subdiv", t) for t in range(1, tmax + 1)]
-    elif suite == "circulant-cross":
-        nmax = args.nmax or 12
-        if nmax > cap:
-            raise ResourceCapError(f"circulant-cross sweep capped at nmax = {cap}")
-        for n in range(2, nmax + 1, 2):
-            pool = range(1, n // 2 + 1)
-            for size in range(1, len(pool) + 1):
-                for subset in combinations(pool, size):
-                    tasks.append(("cross", n, subset))
+    flag = sweep.var + "max"
+    top = getattr(args, flag)
+    values = [args.k] if args.k is not None else range(
+        sweep.first, (sweep.default_max if top is None else top) + 1, sweep.step)
+    if max(values, default=0) > cap:
+        raise ResourceCapError(f"{suite} sweep capped at {flag} = {cap}")
+    primes = 2 if args.primes is None else max(args.primes, 0)
+    tasks = [(suite, params) for value in values for params in sweep.cases(value, primes)]
     if not tasks:
         raise HypothesisError(f"{suite} sweep: the parameter range is empty")
     return tasks
 
 
 def _sweep_task(task: tuple) -> dict:
-    kind = task[0]
+    suite, params = task
     start = time.perf_counter()
+    row = {"suite": suite, **params}
     try:
-        if kind == "prop1":
-            _, k, p = task
-            built = prop1_graph(k, p)
-            row = {"suite": "prop1", "k": k, "p": p}
-        elif kind == "prop2":
-            _, k, p = task
-            built = prop2_graph(k, p)
-            row = {"suite": "prop2", "k": k, "p": p}
-        elif kind == "prop3":
-            _, n = task
-            built = prop3_graph(n)
-            row = {"suite": "prop3", "n": n}
-        elif kind == "subdiv":
-            _, t = task
-            built = subdivided_nut(prop1_graph(2, 5), 0, t)
-            row = {"suite": "subdiv", "t": t}
+        if suite == "circulant-cross":
+            symbolic = circulant_is_nut_symbolic(params["n"], params["S"])
+            verdict = is_nut(circulant(CirculantSpec(params["n"], params["S"])))
+            row.update(symbolic=symbolic, nullspace=verdict.is_nut,
+                       verified=symbolic == verdict.is_nut)
         else:
-            _, n, subset = task
-            symbolic = circulant_is_nut_symbolic(n, subset)
-            verdict = is_nut(circulant(CirculantSpec(n, subset)))
-            row = {"suite": "circulant-cross", "n": n, "S": list(subset),
-                   "symbolic": symbolic, "nullspace": verdict.is_nut,
-                   "verified": symbolic == verdict.is_nut}
-            row["_seconds"] = time.perf_counter() - start
-            return row
+            built = build(suite, **FAMILIES[suite].sweep.fixed, **params)
+            row.update(order=built.graph.n, census=list(built.census.counts),
+                       aut_order=built.census.aut_order, verified=True)
     except VerificationError as exc:
-        row = {"suite": kind, "params": list(task[1:]), "verified": False,
+        row = {"suite": suite, "params": list(params.values()), "verified": False,
                "error": str(exc)}
-        row["_seconds"] = time.perf_counter() - start
-        return row
-    row.update({
-        "order": built.graph.n,
-        "census": list(built.census.counts),
-        "aut_order": built.census.aut_order,
-        "verified": True,
-    })
     row["_seconds"] = time.perf_counter() - start
     return row
 
@@ -411,7 +305,8 @@ def _parser() -> argparse.ArgumentParser:
     p_con.add_argument("--n", type=int, help="odd size parameter for the box-K4 family")
     p_con.add_argument("--t", type=int, help="subdivision parameter (4t subdivisions per edge)")
     p_con.add_argument("--orbit", type=int, help="edge orbit index to subdivide (default: smallest orbit)")
-    p_con.add_argument("--variant", choices=["prop1", "prop2", "prop3", "fig3", "subdiv"])
+    p_con.add_argument("--variant", choices=[form for form, family in FAMILIES.items()
+                                             if family.build and form != "dispatch"])
     p_con.add_argument("--out", metavar="BASE", help="write BASE.g6 and BASE.dot")
     p_con.add_argument("--human", action="store_true")
     p_con.add_argument("--pretty", action="store_true")
@@ -419,12 +314,12 @@ def _parser() -> argparse.ArgumentParser:
 
     p_sw = sub.add_parser("sweep", help="verify a parameter family; one JSON row per instance")
     p_sw.add_argument("--suite", required=True,
-                      choices=["prop1", "prop2", "prop3", "subdiv", "circulant-cross"])
+                      choices=[suite for suite, family in FAMILIES.items() if family.sweep])
     p_sw.add_argument("--k", type=int, help="single k instead of a range")
     p_sw.add_argument("--kmax", type=int)
     p_sw.add_argument("--nmax", type=int)
     p_sw.add_argument("--tmax", type=int)
-    p_sw.add_argument("--primes", type=int, default=2,
+    p_sw.add_argument("--primes", type=int,
                       help="primes sampled per parameter (default 2)")
     p_sw.add_argument("--jobs", type=int, default=1)
     p_sw.add_argument("--timings", action="store_true",

@@ -6,21 +6,32 @@ Every builder verifies its own output from scratch: the nut certificate is
 recomputed by exact nullspace, the orbit census by the automorphism search,
 and the group order is compared against the formula claimed for the family.
 A mismatch is an internal consistency failure and aborts loudly; it is never
-a valid outcome.
+a valid outcome.  Each builder refuses, before it builds anything, an order
+above ``MAX_ORDER``.
+
+``FAMILIES`` is the one table of construct forms and sweep suites: each row
+gives the builder, the prime floor of a prime family and the sweep range.
+``build(form, **params)`` checks the parameters against the builder's
+signature, whose names are the ``nutorbits construct`` flags, and calls it.
 """
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass
-from itertools import count
-from typing import Iterator, Optional
+from itertools import combinations, count, islice
+from typing import Callable, Iterator, NamedTuple, Optional
 
 from .automorphisms import OrbitCensus, orbit_census
 from .errors import (HypothesisError, NotCoveredByThisPaper, NotRealizable,
-                     VerificationError)
+                     ResourceCapError, VerificationError)
 from .graphs import (AbelianCayleySpec, CirculantSpec, Graph, cartesian_product,
                      cayley_abelian, circulant, complete_graph, subdivide_edges)
 from .linalg import NutVerdict, is_nut
+
+# Larger orders are refused: is_nut builds a dense n x n adjacency matrix,
+# about 128 MB of list references at 4096 vertices.
+MAX_ORDER = 4096
 
 FIG3_CONNECTION = frozenset(
     {(i, 0) for i in (1, 2, 4, 5)} | {(i, 1) for i in (0, 1, 3, 5)})
@@ -95,30 +106,52 @@ def _certify(graph: Graph, provenance: ConstructionParams,
     return VerifiedNut(graph, verdict, census, provenance)
 
 
-def prop1_graph(k: int, p: int) -> VerifiedNut:
-    """Circ(2p, {1..k}) for even k >= 2 and prime p >= k + 2: a Cayley nut
-    graph with k edge orbits, k arc orbits, and dihedral symmetry of order
-    4p."""
-    if k < 2 or k % 2:
-        raise HypothesisError(f"k must be even and >= 2, got {k}")
+def admissible_primes(family: str, k: int) -> Iterator[int]:
+    """Ascending primes p for which the prime family ``family`` (prop1 or
+    prop2) with parameter k is a nut graph."""
+    return primes_from(FAMILIES[family].prime_floor(k))
+
+
+def _check_order(n: int) -> None:
+    if n > MAX_ORDER:
+        raise ResourceCapError(f"a construction of order {n} exceeds the order "
+                               f"cap of {MAX_ORDER} vertices")
+
+
+def _prime_parameter(family: str, k: int, p: Optional[int], scale: int) -> int:
+    """p, by default the family's smallest admissible prime, checked against
+    the order cap on scale * p and against the family's hypotheses."""
+    floor = FAMILIES[family].prime_floor(k)
+    if p is None:
+        _check_order(scale * floor)  # no prime search past the cap
+        p = next(admissible_primes(family, k))
+    _check_order(scale * p)  # before trial division on a large p
     if not is_prime(p):
         raise HypothesisError(f"p must be prime, got {p}")
-    if p < k + 2:
-        raise HypothesisError(f"p must be at least k + 2 = {k + 2}, got {p}")
+    if p < floor:
+        raise HypothesisError(f"p must be at least {floor}, got {p}")
+    return p
+
+
+def prop1_graph(k: int, p: Optional[int] = None) -> VerifiedNut:
+    """Circ(2p, {1..k}) for even k >= 2 and prime p >= k + 2: a Cayley nut
+    graph with k edge orbits, k arc orbits, and dihedral symmetry of order
+    4p.  The default p is the smallest admissible prime."""
+    if k < 2 or k % 2:
+        raise HypothesisError(f"k must be even and >= 2, got {k}")
+    p = _prime_parameter("prop1", k, p, 2)
     graph = circulant(CirculantSpec(2 * p, frozenset(range(1, k + 1))))
     return _certify(graph, ConstructionParams("prop1", k=k, p=p),
                     (1, k, k), expected_aut_order=4 * p)
 
 
-def prop2_graph(k: int, p: int) -> VerifiedNut:
+def prop2_graph(k: int, p: Optional[int] = None) -> VerifiedNut:
     """Circ(2p, {2..k-1, p}) box K2 for odd k >= 5 and prime p >= 2k + 1: a
-    Cayley nut graph with k edge orbits, k arc orbits, |Aut| = 8p."""
+    Cayley nut graph with k edge orbits, k arc orbits, |Aut| = 8p.  The
+    default p is the smallest admissible prime."""
     if k < 5 or k % 2 == 0:
         raise HypothesisError(f"k must be odd and >= 5, got {k}")
-    if not is_prime(p):
-        raise HypothesisError(f"p must be prime, got {p}")
-    if p < 2 * k + 1:
-        raise HypothesisError(f"p must be at least 2k + 1 = {2 * k + 1}, got {p}")
+    p = _prime_parameter("prop2", k, p, 4)
     offsets = frozenset(range(2, k)) | {p}
     graph = cartesian_product(circulant(CirculantSpec(2 * p, offsets)),
                               complete_graph(2))
@@ -131,6 +164,7 @@ def prop3_graph(n: int) -> VerifiedNut:
     edge orbits, three arc orbits, |Aut| = 96n."""
     if n < 5 or n % 2 == 0:
         raise HypothesisError(f"n must be odd and >= 5, got {n}")
+    _check_order(8 * n)
     graph = cartesian_product(circulant(CirculantSpec(2 * n, frozenset({1, n}))),
                               complete_graph(4))
     return _certify(graph, ConstructionParams("prop3", n=n),
@@ -159,13 +193,13 @@ def cayley_nut(k: int, p: Optional[int] = None) -> VerifiedNut:
             f"no Cayley nut graph has {k} edge orbits: nut graphs satisfy "
             "o_e >= o_v + 1 >= 2, and k >= 2 is achievable")
     if k % 2 == 0:
-        return prop1_graph(k, next(primes_from(k + 2)) if p is None else p)
+        return prop1_graph(k, p)
     if k == 3:
         if p is not None:
             raise HypothesisError("k = 3 uses the box-K4 family; its size "
                                   "parameter is n, not a prime p")
         return prop3_graph(5)
-    return prop2_graph(k, next(primes_from(2 * k + 1)) if p is None else p)
+    return prop2_graph(k, p)
 
 
 def subdivided_nut(base: VerifiedNut, orbit_index: int, t: int) -> VerifiedNut:
@@ -189,13 +223,30 @@ def subdivided_nut(base: VerifiedNut, orbit_index: int, t: int) -> VerifiedNut:
     if not (0 <= orbit_index < census.o_e):
         raise HypothesisError(
             f"orbit index {orbit_index} out of range for {census.o_e} edge orbits")
+    orbit = census.edge_orbits[orbit_index]
+    _check_order(base.graph.n + 4 * t * len(orbit))
     k = census.o_e
-    graph = subdivide_edges(base.graph, census.edge_orbits[orbit_index], 4 * t)
+    graph = subdivide_edges(base.graph, orbit, 4 * t)
     provenance = ConstructionParams("subdivided", k=k, t=t,
                                     orbit_index=orbit_index,
                                     base=base.provenance)
     return _certify(graph, provenance, (2 * t + 1, 2 * t + k, 4 * t + k),
                     expected_aut_order=census.aut_order)
+
+
+def subdivided_cayley(k: int, t: int, p: Optional[int] = None,
+                      orbit: Optional[int] = None) -> VerifiedNut:
+    """``cayley_nut(k, p)`` with one edge orbit subdivided 4t times.
+
+    By default the smallest edge orbit is subdivided (ties broken by
+    lexicographically smallest edge), which keeps the output small; any
+    orbit would do.
+    """
+    base = cayley_nut(k, p)
+    if orbit is None:
+        sizes = [len(o) for o in base.census.edge_orbits]
+        orbit = sizes.index(min(sizes))
+    return subdivided_nut(base, orbit, t)
 
 
 def construct_with_orbits(r: int, k: int) -> VerifiedNut:
@@ -204,9 +255,7 @@ def construct_with_orbits(r: int, k: int) -> VerifiedNut:
 
     r = 1 is the Cayley case; odd r >= 3 subdivides one edge orbit of a
     Cayley nut graph with k - r + 1 edge orbits, 4t times with
-    t = (r - 1) / 2.  Among the base's edge orbits the smallest one is
-    subdivided (ties broken by lexicographically smallest edge), which keeps
-    the output small; any orbit would do.
+    t = (r - 1) / 2.
     """
     if r < 1:
         raise HypothesisError(f"vertex orbit count must be >= 1, got {r}")
@@ -221,10 +270,80 @@ def construct_with_orbits(r: int, k: int) -> VerifiedNut:
             "library does not implement")
     if r == 1:
         return cayley_nut(k)
-    base = cayley_nut(k - r + 1)
-    sizes = [len(orbit) for orbit in base.census.edge_orbits]
-    orbit_index = sizes.index(min(sizes))
-    return subdivided_nut(base, orbit_index, (r - 1) // 2)
+    return subdivided_cayley(k - r + 1, (r - 1) // 2)
+
+
+# ---------------------------------------------------------------------------
+# The family table
+# ---------------------------------------------------------------------------
+
+
+class Sweep(NamedTuple):
+    """A ``nutorbits sweep`` suite, which reads the flags ``reads``: ``var``
+    runs over first, first + step, ... up to ``--<var>max`` (default
+    ``default_max``, refused above ``cap``).  ``cases(value, primes)`` lists
+    the build parameters its rows report; ``fixed`` adds ones they omit."""
+
+    var: str
+    first: int
+    step: int
+    default_max: int
+    cap: int
+    reads: tuple[str, ...]
+    cases: Callable[[int, int], list[dict]]
+    fixed: dict = {}
+
+
+class Family(NamedTuple):
+    """A row of FAMILIES: a construct form's builder, whose parameters are
+    the flags the form reads (None if the suite only sweeps); a prime
+    family's least admissible prime as a function of k; the sweep suite."""
+
+    build: Optional[Callable[..., VerifiedNut]]
+    prime_floor: Optional[Callable[[int], int]] = None
+    sweep: Optional[Sweep] = None
+
+
+def _with_primes(family: str):
+    return lambda k, primes: [{"k": k, "p": p}
+                              for p in islice(admissible_primes(family, k), primes)]
+
+
+def _offset_sets(n: int, primes: int) -> list[dict]:
+    pool = range(1, n // 2 + 1)
+    return [{"n": n, "S": list(subset)} for size in range(1, len(pool) + 1)
+            for subset in combinations(pool, size)]
+
+
+FAMILIES = {
+    "dispatch": Family(construct_with_orbits),
+    "prop1": Family(prop1_graph, lambda k: k + 2, Sweep(
+        "k", 2, 2, 6, 10, ("k", "kmax", "primes"), _with_primes("prop1"))),
+    "prop2": Family(prop2_graph, lambda k: 2 * k + 1, Sweep(
+        "k", 5, 2, 7, 9, ("k", "kmax", "primes"), _with_primes("prop2"))),
+    "prop3": Family(prop3_graph, sweep=Sweep(
+        "n", 5, 2, 9, 13, ("nmax",), lambda n, primes: [{"n": n}])),
+    "fig3": Family(fig3_graph),
+    # the sweep subdivides Circ(10, {1, 2}), the smallest Cayley nut graph
+    "subdiv": Family(subdivided_cayley, sweep=Sweep(
+        "t", 1, 1, 2, 4, ("tmax",), lambda t, primes: [{"t": t}], {"k": 2})),
+    "circulant-cross": Family(None, sweep=Sweep("n", 2, 2, 12, 24, ("nmax",), _offset_sets)),
+}
+
+
+def build(form: str, **params) -> VerifiedNut:
+    """The verified graph of construct form ``form``.  ``params`` are named
+    as the builder's parameters, which are the ``nutorbits construct`` flags;
+    an unread one, or a missing one without a default, is rejected."""
+    builder = FAMILIES[form].build
+    signature = inspect.signature(builder).parameters
+    unread = [f"--{name}" for name in params if name not in signature]
+    missing = [f"--{name}" for name, parameter in signature.items()
+               if parameter.default is parameter.empty and name not in params]
+    if unread or missing:
+        raise HypothesisError(f"{form} does not read {', '.join(unread)}" if unread
+                              else f"{form} needs {', '.join(missing)}")
+    return builder(**params)
 
 
 # ---------------------------------------------------------------------------

@@ -151,6 +151,12 @@ def test_sweep_cap_refusal(capsys, monkeypatch):
     assert code == 4 and "capped" in err
 
 
+def test_sweep_cap_bounds_the_largest_value_swept(capsys):
+    code, out, _ = run_cli(capsys, "sweep", "--suite", "prop3", "--nmax", "14")
+    assert code == 0
+    assert [json.loads(line)["n"] for line in out.splitlines()] == [5, 7, 9, 11, 13]
+
+
 def test_check_human_output(capsys):
     g6 = write_graph6(circulant(CirculantSpec(10, {1, 2})))
     code, out, _ = run_cli(capsys, "check", g6, "--human")
@@ -176,11 +182,19 @@ def test_check_refuses_orders_above_the_cap(capsys):
 
 @pytest.mark.parametrize("suite, bound, value", [
     ("prop1", "--kmax", "1"), ("prop2", "--kmax", "3"), ("prop3", "--nmax", "3"),
+    ("prop1", "--kmax", "0"), ("prop3", "--nmax", "0"), ("subdiv", "--tmax", "0"),
+    ("prop1", "--primes", "0"), ("prop1", "--primes", "-1"),
 ])
 def test_sweep_empty_range_exits_3(capsys, suite, bound, value):
     code, out, err = run_cli(capsys, "sweep", "--suite", suite, bound, value)
     assert code == 3 and out == ""
     assert "empty" in err
+
+
+def test_sweep_k_zero_fails_the_family_hypothesis(capsys):
+    code, out, err = run_cli(capsys, "sweep", "--suite", "prop1", "--k", "0")
+    assert code == 3 and out == ""
+    assert "k must be even" in err
 
 
 @pytest.mark.parametrize("variable, argv", [
@@ -206,6 +220,57 @@ def test_construct_rejects_unread_flags(capsys, argv, unread):
     code, out, err = run_cli(capsys, "construct", *argv)
     assert code == 3 and out == ""
     assert f"does not read {unread}" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("--r", "3"), "dispatch needs --k"),
+    (("--variant", "prop3"), "prop3 needs --n"),
+    (("--variant", "subdiv", "--k", "2"), "subdiv needs --t"),
+    (("--variant", "subdiv"), "subdiv needs --k, --t"),
+])
+def test_construct_names_missing_flags(capsys, argv, message):
+    code, out, err = run_cli(capsys, "construct", *argv)
+    assert code == 3 and out == ""
+    assert message in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("--variant", "prop1", "--k", "2", "--p", "2053"),
+    ("--variant", "prop2", "--k", "5", "--p", "1031"),
+    ("--variant", "prop1", "--k", str(10 ** 20)),
+    ("--variant", "prop3", "--n", "513"),
+    ("--variant", "subdiv", "--k", "2", "--t", "200"),
+    ("--r", "207", "--k", "208"),
+])
+def test_construct_refuses_orders_above_the_cap(capsys, argv):
+    code, out, err = run_cli(capsys, "construct", *argv)
+    assert code == 4 and out == ""
+    assert f"cap of {cli.CHECK_MAX_ORDER}" in err
+
+
+@pytest.mark.parametrize("argv, unread", [
+    (("prop3", "--k", "5"), "--k"),
+    (("subdiv", "--k", "4"), "--k"),
+    (("prop1", "--nmax", "9"), "--nmax"),
+    (("subdiv", "--primes", "5"), "--primes"),
+    (("circulant-cross", "--kmax", "4", "--tmax", "2"), "--kmax, --tmax"),
+])
+def test_sweep_rejects_unread_flags(capsys, argv, unread):
+    code, out, err = run_cli(capsys, "sweep", "--suite", *argv)
+    assert code == 3 and out == ""
+    assert f"does not read {unread}" in err
+
+
+@pytest.mark.parametrize("k, t", [(k, t) for k in (2, 3, 4, 5) for t in (1, 2)])
+def test_subdiv_variant_agrees_with_the_dispatch(capsys, k, t):
+    _, variant, _ = run_cli(capsys, "construct", "--variant", "subdiv",
+                            "--k", str(k), "--t", str(t))
+    _, dispatch, _ = run_cli(capsys, "construct", "--r", str(2 * t + 1),
+                             "--k", str(k + 2 * t))
+    variant, dispatch = json.loads(variant), json.loads(dispatch)
+    for key in ("graph", "census", "provenance"):
+        assert variant[key] == dispatch[key]
+    assert variant["provenance"]["t"] == t
 
 
 @pytest.mark.parametrize("g, aut_order", [

@@ -7,7 +7,8 @@ from nutorbits import (HypothesisError, NotCoveredByThisPaper, NotRealizable,
                        cayley_nut_edge_orbits, construct_with_orbits,
                        fig3_graph, nut_realizable, primes_from, prop1_graph,
                        prop2_graph, prop3_graph, subdivided_nut)
-from nutorbits.constructions import is_prime
+from nutorbits.constructions import (FAMILIES, ConstructionParams, build,
+                                     is_prime)
 
 
 def test_primes_from():
@@ -83,6 +84,16 @@ def test_cayley_nut_dispatch():
         cayley_nut(1)
     with pytest.raises(NotRealizable):
         cayley_nut(0)
+
+
+def test_defaults_are_the_smallest_admissible_choices():
+    assert prop1_graph(4).provenance.p == 7
+    assert prop2_graph(5).provenance.p == 11
+    sweep = FAMILIES["subdiv"].sweep
+    built = build("subdiv", **sweep.fixed, **sweep.cases(1, 2)[0])
+    assert built.provenance.base == ConstructionParams("prop1", k=2, p=5)
+    assert built.provenance.orbit_index == 0
+    assert built.graph == subdivided_nut(prop1_graph(2, 5), 0, 1).graph
 
 
 def test_subdivided_nut_counts():
