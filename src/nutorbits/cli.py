@@ -33,6 +33,7 @@ from .linalg import NutVerdict, integer_scaled, is_nut
 from .polynomials import circulant_is_nut_symbolic
 
 SCHEMA = "nutorbits-report/1"
+SWEEP_CHUNK = 8  # sweep tasks handed to a worker at a time
 
 EXIT_OK = 0
 EXIT_VERIFICATION = 1
@@ -257,9 +258,11 @@ def _cmd_sweep(args) -> int:
     start = time.perf_counter()
     failures = 0
     with ExitStack() as stack:
-        if args.jobs > 1:
-            pool = stack.enter_context(ProcessPoolExecutor(max_workers=args.jobs))
-            rows = pool.map(_sweep_task, tasks, chunksize=8)
+        # no more workers than cores, nor than chunks of tasks to hand out
+        workers = min(args.jobs, os.cpu_count() or 1, -(-len(tasks) // SWEEP_CHUNK))
+        if workers > 1:
+            pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
+            rows = pool.map(_sweep_task, tasks, chunksize=SWEEP_CHUNK)
         else:
             rows = map(_sweep_task, tasks)
         # each row is printed as it arrives, in task order

@@ -29,8 +29,8 @@ from .graphs import (AbelianCayleySpec, CirculantSpec, Graph, cartesian_product,
                      cayley_abelian, circulant, complete_graph, subdivide_edges)
 from .linalg import NutVerdict, is_nut
 
-# Larger orders are refused: is_nut builds a dense n x n adjacency matrix,
-# about 128 MB of list references at 4096 vertices.
+# Larger orders are refused for time: the orbit census of Circ(4078, {1, 2})
+# alone takes about 12 s.
 MAX_ORDER = 4096
 
 FIG3_CONNECTION = frozenset(
@@ -118,14 +118,18 @@ def _check_order(n: int) -> None:
                                f"cap of {MAX_ORDER} vertices")
 
 
-def _prime_parameter(family: str, k: int, p: Optional[int], scale: int) -> int:
+def _check_prime_order(family: str, p: int) -> None:
+    _check_order(FAMILIES[family].order_scale * p)
+
+
+def _prime_parameter(family: str, k: int, p: Optional[int]) -> int:
     """p, by default the family's smallest admissible prime, checked against
-    the order cap on scale * p and against the family's hypotheses."""
+    the order cap and against the family's hypotheses."""
     floor = FAMILIES[family].prime_floor(k)
     if p is None:
-        _check_order(scale * floor)  # no prime search past the cap
+        _check_prime_order(family, floor)  # no prime search past the cap
         p = next(admissible_primes(family, k))
-    _check_order(scale * p)  # before trial division on a large p
+    _check_prime_order(family, p)  # before trial division on a large p
     if not is_prime(p):
         raise HypothesisError(f"p must be prime, got {p}")
     if p < floor:
@@ -139,7 +143,7 @@ def prop1_graph(k: int, p: Optional[int] = None) -> VerifiedNut:
     4p.  The default p is the smallest admissible prime."""
     if k < 2 or k % 2:
         raise HypothesisError(f"k must be even and >= 2, got {k}")
-    p = _prime_parameter("prop1", k, p, 2)
+    p = _prime_parameter("prop1", k, p)
     graph = circulant(CirculantSpec(2 * p, frozenset(range(1, k + 1))))
     return _certify(graph, ConstructionParams("prop1", k=k, p=p),
                     (1, k, k), expected_aut_order=4 * p)
@@ -151,7 +155,7 @@ def prop2_graph(k: int, p: Optional[int] = None) -> VerifiedNut:
     default p is the smallest admissible prime."""
     if k < 5 or k % 2 == 0:
         raise HypothesisError(f"k must be odd and >= 5, got {k}")
-    p = _prime_parameter("prop2", k, p, 4)
+    p = _prime_parameter("prop2", k, p)
     offsets = frozenset(range(2, k)) | {p}
     graph = cartesian_product(circulant(CirculantSpec(2 * p, offsets)),
                               complete_graph(2))
@@ -297,16 +301,23 @@ class Sweep(NamedTuple):
 class Family(NamedTuple):
     """A row of FAMILIES: a construct form's builder, whose parameters are
     the flags the form reads (None if the suite only sweeps); a prime
-    family's least admissible prime as a function of k; the sweep suite."""
+    family's least admissible prime as a function of k, and its order as a
+    multiple of p; the sweep suite."""
 
     build: Optional[Callable[..., VerifiedNut]]
     prime_floor: Optional[Callable[[int], int]] = None
+    order_scale: Optional[int] = None
     sweep: Optional[Sweep] = None
 
 
 def _with_primes(family: str):
-    return lambda k, primes: [{"k": k, "p": p}
-                              for p in islice(admissible_primes(family, k), primes)]
+    def cases(k: int, primes: int) -> list[dict]:
+        rows = []
+        for p in islice(admissible_primes(family, k), primes):
+            _check_prime_order(family, p)  # refused before anything is built
+            rows.append({"k": k, "p": p})
+        return rows
+    return cases
 
 
 def _offset_sets(n: int, primes: int) -> list[dict]:
@@ -317,9 +328,9 @@ def _offset_sets(n: int, primes: int) -> list[dict]:
 
 FAMILIES = {
     "dispatch": Family(construct_with_orbits),
-    "prop1": Family(prop1_graph, lambda k: k + 2, Sweep(
+    "prop1": Family(prop1_graph, lambda k: k + 2, 2, Sweep(
         "k", 2, 2, 6, 10, ("k", "kmax", "primes"), _with_primes("prop1"))),
-    "prop2": Family(prop2_graph, lambda k: 2 * k + 1, Sweep(
+    "prop2": Family(prop2_graph, lambda k: 2 * k + 1, 4, Sweep(
         "k", 5, 2, 7, 9, ("k", "kmax", "primes"), _with_primes("prop2"))),
     "prop3": Family(prop3_graph, sweep=Sweep(
         "n", 5, 2, 9, 13, ("nmax",), lambda n, primes: [{"n": n}])),

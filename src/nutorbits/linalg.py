@@ -1,16 +1,19 @@
 """Exact rational linear algebra on integer matrices.
 
-Kernels are certified modularly first: sparse elimination modulo the prime
-P = 2^61 - 1 with low-fill (Markowitz-style) pivoting gives the nullity
+Kernels are certified modularly: sparse elimination modulo a Mersenne prime
+P = 2^q - 1 with low-fill (Markowitz-style) pivoting gives the nullity
 d = n - rank_P and d kernel vectors, whose reduced echelon form is lifted
 entry by entry to rationals by rational reconstruction.  Every lifted
 vector, scaled to integers, is checked to satisfy A v = 0 over Z, which
 makes the answer exact: rank over Q is at least rank mod P, so the nullity
-is at most d, and d independent verified vectors give at least d.  When a
-reconstruction or a check fails (an unlucky prime, or entries past the
-reconstruction bound) the kernel comes from the exact path instead:
-fraction-free (Bareiss) elimination over the integers, back-substitution
-to reduced rationals and a zero-residual check.  No tolerances anywhere.
+is at most d, and d independent verified vectors give at least d.
+
+The first try is q = 61.  When a reconstruction or a check fails there (an
+unlucky prime, or entries past the reconstruction bound) the same
+elimination reruns at the first q whose prime passes the Hadamard bound:
+every minor of A is then nonzero modulo P unless it is zero, so rank_P is
+the rank over Q, and every reduced echelon kernel entry, a ratio of two
+minors, reconstructs uniquely.  No tolerances anywhere.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from typing import Sequence
 
 from .errors import ResourceCapError
@@ -30,10 +33,11 @@ RationalVector = tuple[Fraction, ...]
 
 PRODUCT_SPECTRUM_SIZE_CAP = 64
 
-MODULUS = (1 << 61) - 1  # a Mersenne prime
-# Reconstructed numerators and denominators stay below this bound B.  Since
-# 2 (B - 1)^2 < MODULUS, a residue has at most one such fraction.
-RECONSTRUCTION_BOUND = 1 << 30
+# Exponents q of Mersenne primes 2^q - 1, the moduli of the certificate.
+# The last one passes the squared Hadamard bound 4095^4096 of K_4096, the
+# densest graph of the largest order ``check`` accepts.
+MERSENNE_EXPONENTS = (61, 89, 107, 127, 521, 607, 1279, 2203, 2281, 3217, 4253,
+                      4423, 9689, 9941, 11213, 19937, 21701, 23209, 44497, 86243)
 
 
 @dataclass(frozen=True)
@@ -58,66 +62,9 @@ def matvec(a: IntMatrix, v: Sequence) -> list:
     return [sum(row[j] * v[j] for j in range(len(row)) if row[j]) for row in a]
 
 
-def _bareiss_echelon(rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
-    """Fraction-free row echelon form.  Mutates and returns the pivot rows
-    plus their pivot column indices.  Pivoting is deterministic: first
-    nonzero entry in column order."""
-    nrows = len(rows)
-    ncols = len(rows[0]) if rows else 0
-    piv_cols: list[int] = []
-    prev = 1
-    r = 0
-    for c in range(ncols):
-        p = next((i for i in range(r, nrows) if rows[i][c] != 0), None)
-        if p is None:
-            continue
-        rows[r], rows[p] = rows[p], rows[r]
-        piv = rows[r][c]
-        prow = rows[r]
-        for i in range(r + 1, nrows):
-            row = rows[i]
-            fac = row[c]
-            if fac:
-                row[c + 1:] = [(piv * x - fac * y) // prev
-                               for x, y in zip(row[c + 1:], prow[c + 1:])]
-            elif prev != 1 or piv != 1:
-                row[c + 1:] = [piv * x // prev for x in row[c + 1:]]
-            row[c] = 0
-        prev = piv
-        piv_cols.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return rows[:r], piv_cols
-
-
-def _rref(vectors: list[list[Fraction]]) -> tuple[RationalVector, ...]:
-    """Reduced row echelon form over the rationals; rows ordered by pivot
-    position, each leading entry 1.  This makes kernel bases canonical."""
-    rows = [list(v) for v in vectors]
-    if not rows:
-        return ()
-    ncols = len(rows[0])
-    r = 0
-    for c in range(ncols):
-        p = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-        if p is None:
-            continue
-        rows[r], rows[p] = rows[p], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        r += 1
-        if r == len(rows):
-            break
-    return tuple(tuple(row) for row in rows[:r])
-
-
-def _eliminate_mod_p(rows: list[dict[int, int]]) -> list[tuple[int, list]]:
-    """Forward elimination modulo MODULUS on sparse rows (column -> entry).
+def _eliminate_mod_p(rows: list[dict[int, int]], p: int) -> list[tuple[int, list]]:
+    """Forward elimination modulo the prime p on sparse rows (column ->
+    entry).
 
     Each step pivots on a sparsest remaining row and, in it, on the column
     with the fewest remaining entries: the least Markowitz count
@@ -125,7 +72,6 @@ def _eliminate_mod_p(rows: list[dict[int, int]]) -> list[tuple[int, list]]:
     Returns the pivots in elimination order as (pivot column, the row's
     other entries scaled so the pivot is 1).  A pivot row holds no column
     pivoted before it."""
-    p = MODULUS
     rows = [{j: x % p for j, x in row.items() if x % p} for row in rows]
     col_rows: dict[int, set[int]] = {}
     for i, row in enumerate(rows):
@@ -174,11 +120,10 @@ def _eliminate_mod_p(rows: list[dict[int, int]]) -> list[tuple[int, list]]:
     return pivots
 
 
-def _rref_mod_p(rows: list[list[int]]) -> list[list[int]]:
-    """Reduced row echelon form modulo MODULUS of linearly independent
+def _rref_mod_p(rows: list[list[int]], p: int) -> list[list[int]]:
+    """Reduced row echelon form modulo the prime p of linearly independent
     rows, ordered by pivot position, each leading entry 1.  Mutates and
     returns ``rows``."""
-    p = MODULUS
     ncols = len(rows[0]) if rows else 0
     r = 0
     for c in range(ncols):
@@ -198,26 +143,29 @@ def _rref_mod_p(rows: list[list[int]]) -> list[list[int]]:
     return rows
 
 
-def _reconstruct(x: int) -> tuple[int, int] | None:
-    """The fraction num/den congruent to x modulo MODULUS with |num| and den
-    below RECONSTRUCTION_BOUND, or None when there is none (Wang's
-    half-extended Euclidean algorithm)."""
-    bound = RECONSTRUCTION_BOUND
-    r0, r1, t0, t1 = MODULUS, x, 0, 1
+def _reconstruct(x: int, q: int) -> tuple[int, int] | None:
+    """The fraction num/den congruent to x modulo 2^q - 1 with |num| and
+    den below B = 2^(q // 2), or None when there is none (Wang's
+    half-extended Euclidean algorithm).  For odd q, 2 (B - 1)^2 < 2^q - 1,
+    so a residue has at most one such fraction."""
+    bound = 1 << (q // 2)
+    r0, r1, t0, t1 = (1 << q) - 1, x, 0, 1
     while r1 >= bound:
-        q = r0 // r1
-        r0, r1 = r1, r0 - q * r1
-        t0, t1 = t1, t0 - q * t1
+        k = r0 // r1
+        r0, r1 = r1, r0 - k * r1
+        t0, t1 = t1, t0 - k * t1
     if abs(t1) >= bound:
         return None
     return (r1, t1) if t1 > 0 else (-r1, -t1)
 
 
-def _modular_kernel(rows: list[dict[int, int]], n: int) -> list[RationalVector] | None:
+def _modular_kernel(rows: list[dict[int, int]], n: int,
+                    q: int) -> list[RationalVector] | None:
     """The reduced echelon kernel basis of the n-column sparse integer
-    matrix ``rows``, certified modulo MODULUS and verified over Z; None when
+    matrix ``rows``, certified modulo 2^q - 1 and verified over Z; None when
     rational reconstruction or the integer check fails."""
-    pivots = _eliminate_mod_p(rows)
+    p = (1 << q) - 1
+    pivots = _eliminate_mod_p(rows, p)
     pivoted = {c for c, _ in pivots}
     vectors = []
     for f in range(n):
@@ -226,11 +174,11 @@ def _modular_kernel(rows: list[dict[int, int]], n: int) -> list[RationalVector] 
         x = [0] * n
         x[f] = 1
         for c, tail in reversed(pivots):
-            x[c] = -sum(a * x[j] for j, a in tail) % MODULUS
+            x[c] = -sum(a * x[j] for j, a in tail) % p
         vectors.append(x)
     basis = []
-    for x in _rref_mod_p(vectors):
-        pairs = [_reconstruct(e) for e in x]
+    for x in _rref_mod_p(vectors, p):
+        pairs = [_reconstruct(e, q) for e in x]
         if None in pairs:
             return None
         denom = lcm(*(d for _, d in pairs))
@@ -241,30 +189,26 @@ def _modular_kernel(rows: list[dict[int, int]], n: int) -> list[RationalVector] 
     return basis
 
 
-def _exact_kernel(a: IntMatrix) -> list[RationalVector]:
-    """The reduced echelon kernel basis by fraction-free elimination over
-    the integers and back-substitution over the rationals."""
-    n = len(a)
-    echelon, piv_cols = _bareiss_echelon([list(row) for row in a])
-    piv_set = set(piv_cols)
-    free_cols = [c for c in range(n) if c not in piv_set]
-    basis = []
-    for fc in free_cols:
-        x = [Fraction(0)] * n
-        x[fc] = Fraction(1)
-        for i in range(len(echelon) - 1, -1, -1):
-            pc = piv_cols[i]
-            row = echelon[i]
-            s = sum((row[j] * x[j] for j in range(pc + 1, n) if row[j]), Fraction(0))
-            x[pc] = -s / row[pc]
-        basis.append(x)
-    canonical = list(_rref(basis))
-    for v in canonical:
-        residual = matvec(a, v)
-        if any(residual):
+def _kernel(rows: list[dict[int, int]], n: int) -> list[RationalVector]:
+    """The reduced echelon kernel basis of the n-column sparse integer
+    matrix ``rows``: certified modulo 2^61 - 1 or, should that fail, modulo
+    the next Mersenne prime past the Hadamard bound, where it cannot."""
+    basis = _modular_kernel(rows, n, MERSENNE_EXPONENTS[0])
+    if basis is None:
+        # h2 bounds the square of every minor of the matrix
+        h2 = prod(max(1, sum(x * x for x in row.values())) for row in rows)
+        q = next((q for q in MERSENNE_EXPONENTS[1:] if h2 < 1 << (q - 1)), None)
+        if q is None:
+            raise ResourceCapError(
+                f"matrix entries too large: the squared Hadamard bound has "
+                f"{h2.bit_length()} bits, past the largest modulus "
+                f"2^{MERSENNE_EXPONENTS[-1]} - 1")
+        basis = _modular_kernel(rows, n, q)
+        if basis is None:
             raise AssertionError(
-                f"internal error: kernel vector has nonzero residual {residual}")
-    return canonical
+                f"internal error: kernel certificate failed modulo 2^{q} - 1, "
+                f"past the Hadamard bound")
+    return basis
 
 
 def kernel_basis(a: IntMatrix) -> list[RationalVector]:
@@ -274,19 +218,20 @@ def kernel_basis(a: IntMatrix) -> list[RationalVector]:
 
     The basis is certified modulo the prime 2^61 - 1, lifted by rational
     reconstruction and verified to satisfy A v = 0 over Z.  Should any step
-    fail, it comes from exact fraction-free elimination instead, also
-    verified before returning.  Either way the result is exact and the
-    same."""
+    fail, the same elimination reruns modulo the first Mersenne prime past
+    the Hadamard bound of ``a``, where every step succeeds; entries so large
+    that the bound passes every listed prime raise ResourceCapError."""
     n = _check_square(a)
-    rows = [{j: x for j, x in enumerate(row) if x} for row in a]
-    basis = _modular_kernel(rows, n)
-    return basis if basis is not None else _exact_kernel(a)
+    return _kernel([{j: x for j, x in enumerate(row) if x} for row in a], n)
 
 
 def is_nut(g: Graph) -> NutVerdict:
     """Certify the nut property of a graph: adjacency nullity 1 with a full
     kernel vector, on at least two vertices."""
-    basis = kernel_basis(g.adjacency_matrix())
+    rows: list[dict[int, int]] = [{} for _ in range(g.n)]
+    for u, v in g.edges:  # sorted, so columns ascend and pivot ties break alike
+        rows[u][v] = rows[v][u] = 1
+    basis = _kernel(rows, g.n)
     nullity = len(basis)
     is_full = nullity == 1 and all(e != 0 for e in basis[0])
     return NutVerdict(

@@ -1,13 +1,16 @@
 """Independent oracles used by the test suite.
 
 These deliberately avoid the code paths they check: the automorphism oracle
-scans all n! permutations, and the characteristic polynomial oracle expands
-det(xI - A) by cofactors.
+scans all n! permutations, the characteristic polynomial oracle expands
+det(xI - A) by cofactors, and the kernel oracle eliminates fraction-free
+(Bareiss) over the integers instead of modulo a prime.
 """
 
+from fractions import Fraction
 from itertools import permutations
 
 from nutorbits import Graph, IntPoly
+from nutorbits.linalg import matvec
 
 
 def exhaustive_automorphisms(g: Graph) -> set[tuple[int, ...]]:
@@ -78,3 +81,87 @@ def coarsest_equitable_partition(g: Graph, cells=None) -> set[frozenset[int]]:
             break
         label = [names[s] for s in sig]
     return {frozenset(v for v in range(n) if label[v] == c) for c in set(label)}
+
+
+def bareiss_echelon(rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
+    """Fraction-free row echelon form.  Mutates and returns the pivot rows
+    plus their pivot column indices.  Pivoting is deterministic: first
+    nonzero entry in column order."""
+    nrows = len(rows)
+    ncols = len(rows[0]) if rows else 0
+    piv_cols: list[int] = []
+    prev = 1
+    r = 0
+    for c in range(ncols):
+        p = next((i for i in range(r, nrows) if rows[i][c] != 0), None)
+        if p is None:
+            continue
+        rows[r], rows[p] = rows[p], rows[r]
+        piv = rows[r][c]
+        prow = rows[r]
+        for i in range(r + 1, nrows):
+            row = rows[i]
+            fac = row[c]
+            if fac:
+                row[c + 1:] = [(piv * x - fac * y) // prev
+                               for x, y in zip(row[c + 1:], prow[c + 1:])]
+            elif prev != 1 or piv != 1:
+                row[c + 1:] = [piv * x // prev for x in row[c + 1:]]
+            row[c] = 0
+        prev = piv
+        piv_cols.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return rows[:r], piv_cols
+
+
+def rref(vectors: list[list[Fraction]]) -> tuple[tuple[Fraction, ...], ...]:
+    """Reduced row echelon form over the rationals; rows ordered by pivot
+    position, each leading entry 1.  This makes kernel bases canonical."""
+    rows = [list(v) for v in vectors]
+    if not rows:
+        return ()
+    ncols = len(rows[0])
+    r = 0
+    for c in range(ncols):
+        p = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if p is None:
+            continue
+        rows[r], rows[p] = rows[p], rows[r]
+        inv = 1 / rows[r][c]
+        rows[r] = [x * inv for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        r += 1
+        if r == len(rows):
+            break
+    return tuple(tuple(row) for row in rows[:r])
+
+
+def exact_kernel(a: list[list[int]]) -> list[tuple[Fraction, ...]]:
+    """The reduced echelon kernel basis by fraction-free elimination over
+    the integers and back-substitution over the rationals."""
+    n = len(a)
+    echelon, piv_cols = bareiss_echelon([list(row) for row in a])
+    piv_set = set(piv_cols)
+    free_cols = [c for c in range(n) if c not in piv_set]
+    basis = []
+    for fc in free_cols:
+        x = [Fraction(0)] * n
+        x[fc] = Fraction(1)
+        for i in range(len(echelon) - 1, -1, -1):
+            pc = piv_cols[i]
+            row = echelon[i]
+            s = sum((row[j] * x[j] for j in range(pc + 1, n) if row[j]), Fraction(0))
+            x[pc] = -s / row[pc]
+        basis.append(x)
+    canonical = list(rref(basis))
+    for v in canonical:
+        residual = matvec(a, v)
+        if any(residual):
+            raise AssertionError(
+                f"internal error: kernel vector has nonzero residual {residual}")
+    return canonical

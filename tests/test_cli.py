@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -142,6 +143,61 @@ def test_sweep_jobs_output_is_byte_identical(capsys):
     _, par, _ = run_cli(capsys, "sweep", "--suite", "circulant-cross", "--nmax", "8",
                         "--jobs", "3")
     assert seq == par
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """Replaces the sweep's process pool by one that maps in this process;
+    records each pool's max_workers."""
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    return sizes
+
+
+@pytest.mark.parametrize("jobs, cpus, workers", [
+    # circulant-cross up to n = 8 has 26 tasks, 4 chunks of 8
+    ("5000", 64, [4]), ("3", 64, [3]), ("5000", 2, [2]), ("5000", None, []),
+])
+def test_sweep_workers_bounded_by_cores_and_chunks(capsys, monkeypatch, pool_sizes,
+                                                   jobs, cpus, workers):
+    argv = ["sweep", "--suite", "circulant-cross", "--nmax", "8"]
+    _, seq, _ = run_cli(capsys, *argv)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+    code, par, _ = run_cli(capsys, *argv, "--jobs", jobs)
+    assert code == 0 and par == seq
+    assert pool_sizes == workers
+
+
+def test_sweep_of_one_chunk_starts_no_pool(capsys, pool_sizes):
+    code, out, _ = run_cli(capsys, "sweep", "--suite", "prop3", "--jobs", "5000")
+    assert code == 0 and len(out.splitlines()) == 3
+    assert pool_sizes == []
+
+
+@pytest.mark.parametrize("suite, k", [("prop1", "2"), ("prop2", "5")])
+def test_sweep_refuses_primes_past_the_order_cap_before_building(capsys, monkeypatch,
+                                                                 suite, k):
+    monkeypatch.setattr(cli, "_sweep_task", lambda task: pytest.fail("a build ran"))
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "sweep", "--suite", suite, "--k", k,
+                             "--primes", "400")
+    assert time.perf_counter() - start < 1.0
+    assert code == 4 and out == ""
+    assert f"order cap of {cli.CHECK_MAX_ORDER}" in err
 
 
 def test_sweep_cap_refusal(capsys, monkeypatch):

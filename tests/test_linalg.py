@@ -3,17 +3,18 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from oracles import charpoly_cofactor, root_zero_multiplicity
+from oracles import charpoly_cofactor, exact_kernel, root_zero_multiplicity
 
 from nutorbits import linalg
 from nutorbits import (CirculantSpec, Graph, IntPoly, ResourceCapError,
                        cartesian_product, char_poly, circulant, complete_graph,
                        construct_with_orbits, integer_scaled, is_nut, kernel_basis,
                        kernel_vector_from_factors, product_spectrum_check)
-from nutorbits.linalg import EigenvectorMismatch, matvec
+from nutorbits.constructions import MAX_ORDER
+from nutorbits.linalg import MERSENNE_EXPONENTS, EigenvectorMismatch, matvec
 
 X = IntPoly.x()
-EXACT_KERNEL = linalg._exact_kernel
+EXACT_KERNEL = exact_kernel
 
 
 def test_kernel_of_k2_is_trivial():
@@ -239,22 +240,38 @@ def test_kernel_basis_matches_sympy_on_every_small_circulant():
         assert kernel_basis(a) == _sympy_rref_kernel(a), a
 
 
-@pytest.fixture
-def exact_calls(monkeypatch):
-    """Records every matrix that kernel_basis hands to the exact path."""
+def _record_reruns(monkeypatch, fail_at_61):
     calls = []
+    certify = linalg._modular_kernel
 
-    def spy(a):
-        calls.append(a)
-        return EXACT_KERNEL(a)
+    def spy(rows, n, q):
+        if q != 61:
+            calls.append(q)
+        elif fail_at_61:
+            return None
+        return certify(rows, n, q)
 
-    monkeypatch.setattr(linalg, "_exact_kernel", spy)
+    monkeypatch.setattr(linalg, "_modular_kernel", spy)
     return calls
 
 
+@pytest.fixture
+def exact_calls(monkeypatch):
+    """Records every Mersenne exponent other than 61 that the certificate
+    reruns at."""
+    return _record_reruns(monkeypatch, fail_at_61=False)
+
+
+@pytest.fixture
+def fail_at_61(monkeypatch):
+    """As exact_calls, and makes the certificate modulo 2^61 - 1 fail on
+    every matrix."""
+    return _record_reruns(monkeypatch, fail_at_61=True)
+
+
 def test_certificate_answers_every_cross_oracle_circulant(exact_calls):
-    # every even n <= 18: the modular certificate holds and agrees with the
-    # exact path, which is never called
+    # every even n <= 18: the certificate modulo 2^61 - 1 holds, agrees with
+    # the Bareiss oracle and never reruns
     for a in _all_circulants(18, step=2):
         assert kernel_basis(a) == EXACT_KERNEL(a)
     assert exact_calls == []
@@ -262,26 +279,68 @@ def test_certificate_answers_every_cross_oracle_circulant(exact_calls):
 
 @pytest.mark.parametrize("a, expected", [
     # singular modulo 2^61 - 1 but not over Q
-    ([[2 ** 61 - 1]], []),
-    ([[1, 0], [0, 2 ** 61 - 1]], []),
+    ([[2 ** 61 - 1]], (127, [])),
+    ([[1, 0], [0, 2 ** 61 - 1]], (127, [])),
     # RREF entry 2^-40, past the reconstruction bound: it is congruent to
     # 2^21, which reconstructs but fails A v = 0 over Z
-    ([[1, -2 ** 40], [0, 0]], [(Fraction(1), Fraction(1, 2 ** 40))]),
+    ([[1, -2 ** 40], [0, 0]], (89, [(Fraction(1), Fraction(1, 2 ** 40))])),
     # RREF entry 5^17 / 3^25, a residue with no reconstruction in bounds
-    ([[3 ** 25, -5 ** 17], [0, 0]], [(Fraction(1), Fraction(3 ** 25, 5 ** 17))]),
+    ([[3 ** 25, -5 ** 17], [0, 0]], (89, [(Fraction(1), Fraction(3 ** 25, 5 ** 17))])),
 ])
 def test_failed_certificate_falls_back_to_exact_path(exact_calls, a, expected):
+    # expected: the exponent the Hadamard bound picks, and the basis
+    rerun, expected_basis = expected
     basis = kernel_basis(a)
-    assert exact_calls == [a]
-    assert basis == expected == EXACT_KERNEL(a)
+    assert exact_calls == [rerun]
+    assert basis == expected_basis == EXACT_KERNEL(a)
     for v in basis:
         assert all(x == 0 for x in matvec(a, v))
 
 
+def test_past_bound_certificate_agrees_on_every_cross_oracle_circulant(request):
+    # the answers modulo 2^61 - 1 match the Bareiss oracle (see above); a 0/1
+    # matrix of order <= 18 has squared Hadamard bound below 2^88
+    matrices = list(_all_circulants(18, step=2))
+    expected = [kernel_basis(a) for a in matrices]
+    reruns = request.getfixturevalue("fail_at_61")
+    assert [kernel_basis(a) for a in matrices] == expected
+    assert reruns == [89] * len(matrices)
+
+
+@pytest.mark.parametrize("r, k, rerun", [(5, 7, 521), (31, 32, 1279)])
+def test_past_bound_certificate_agrees_on_large_constructions(request, r, k, rerun):
+    g = construct_with_orbits(r, k).graph
+    expected = is_nut(g)
+    reruns = request.getfixturevalue("fail_at_61")
+    assert is_nut(g) == expected
+    assert reruns == [rerun]
+
+
+def test_is_nut_builds_no_dense_matrix(monkeypatch, circ_10_12):
+    def refuse(self):
+        raise AssertionError("dense adjacency matrix built")
+
+    monkeypatch.setattr(Graph, "adjacency_matrix", refuse)
+    verdict = is_nut(circ_10_12)
+    assert verdict.is_nut
+    assert verdict.kernel_basis[0] == tuple(Fraction((-1) ** i) for i in range(10))
+
+
+def test_largest_modulus_passes_the_hadamard_bound_of_every_checked_graph():
+    # K_MAX_ORDER has the largest bound of any graph of order <= MAX_ORDER
+    assert (MAX_ORDER - 1) ** MAX_ORDER < 1 << (MERSENNE_EXPONENTS[-1] - 1)
+
+
+def test_entries_past_every_modulus_are_refused():
+    with pytest.raises(ResourceCapError):
+        kernel_basis([[(2 ** 61 - 1) * 2 ** 200000]])
+
+
 def test_rational_reconstruction_round_trips_small_fractions():
-    p = linalg.MODULUS
-    bound = linalg.RECONSTRUCTION_BOUND
+    q = 61
+    p = (1 << q) - 1
+    bound = 1 << (q // 2)
     for num, den in [(0, 1), (1, 1), (-1, 1), (3, 7), (-5, 12),
                      (bound - 1, bound - 2), (-(bound - 1), bound - 3)]:
-        assert linalg._reconstruct(num * pow(den, -1, p) % p) == (num, den)
-    assert linalg._reconstruct(3 ** 25 * pow(5 ** 17, -1, p) % p) is None
+        assert linalg._reconstruct(num * pow(den, -1, p) % p, q) == (num, den)
+    assert linalg._reconstruct(3 ** 25 * pow(5 ** 17, -1, p) % p, q) is None
