@@ -4,7 +4,8 @@ vertex, edge and arc orbit counts.
 Everything runs in exact integer/rational arithmetic: nut certificates are
 rational nullspace bases with zero residual, symbolic circulant criteria use
 cyclotomic divisibility, and automorphism groups are searched from scratch,
-with exact orders from a Sims-filtered stabilizer chain.
+with exact orders read off the search's first path as products of orbit
+sizes.
 """
 
 __version__ = "0.1.0"

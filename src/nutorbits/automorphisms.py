@@ -9,19 +9,24 @@ the degrees of the splitter's vertices rather than a pass over every cell
 (McKay 1981; nauty's refine).  Every choice depends on positions and counts,
 never on vertex labels, so the refinement commutes with automorphisms.  A
 child node individualizes one vertex of the target cell and refines from that
-singleton alone, since its parent is already equitable.  Every discrete leaf
-yields a labeling; any leaf whose relabeled edge set matches the first
-leaf's gives an automorphism.  Siblings already reachable from an explored
-branch via known automorphisms fixing the branching prefix are pruned, which
-is what keeps vertex-transitive instances cheap.
+singleton alone, since its parent is already equitable.
 
-No group element is ever listed.  The order is exact and comes from a
-stabilizer chain: at each level the orbit of a base point gives a
-transversal, and the Schreier generators of the point stabilizer are passed
-through a Sims filter, which keeps at most one permutation per (first moved
-point i, image of i) and so at most n(n-1)/2 generators of the same group.
-The order is the product of the orbit sizes down the chain (Sims 1970;
-Seress, Permutation Group Algorithms, 2003).
+The tree is walked with first-path automorphism pruning (McKay 1981, section
+2; McKay and Piperno, Practical Graph Isomorphism II, 2014).  The first path
+individualizes the smallest vertex v_i of each target cell down to a
+discrete leaf.  Its levels are then revisited deepest first, so every
+automorphism found so far fixes v_0..v_{i-1} and one union-find of their
+orbits serves every level.  A sibling w of v_i is explored only if its class
+is neither v_i's nor that of a sibling already explored, and only through
+nodes shaped like the first path's.  The first one that maps onto the first
+path's node at its depth by an automorphism yields that automorphism, which
+sends w to v_i and joins two classes: at most n - 1 generators are kept.
+
+No group element is ever listed.  When level i ends, v_i's class in its
+target cell is its orbit under the stabilizer of v_0..v_{i-1}, since every
+sibling outside it was explored, or is equivalent to one that was, without
+yielding an automorphism.  By orbit-stabilizer, |Aut| is the product of
+these class sizes down the first path.
 """
 
 from __future__ import annotations
@@ -37,18 +42,6 @@ Permutation = tuple[int, ...]
 
 def identity(n: int) -> Permutation:
     return tuple(range(n))
-
-
-def compose(p: Permutation, q: Permutation) -> Permutation:
-    """(p o q)(i) = p[q[i]]: apply q first, then p."""
-    return tuple([p[i] for i in q])
-
-
-def invert(p: Permutation) -> Permutation:
-    inv = [0] * len(p)
-    for i, j in enumerate(p):
-        inv[j] = i
-    return tuple(inv)
 
 
 def is_automorphism(g: Graph, p: Permutation) -> bool:
@@ -69,58 +62,13 @@ class PermutationGroup:
     elements = None
 
     @classmethod
-    def from_generators(cls, degree: int,
-                        generators: Iterable[Permutation]) -> "PermutationGroup":
-        """The group generated by ``generators``, with its exact order from a
-        Sims-filtered stabilizer chain."""
+    def from_generators(cls, degree: int, generators: Iterable[Permutation],
+                        order: int) -> "PermutationGroup":
+        """The group of the given ``order`` generated by ``generators``,
+        with duplicates and the identity dropped."""
         ident = identity(degree)
         gens = tuple(dict.fromkeys(g for g in generators if g != ident))
-        order = 1
-        chain = gens
-        while chain:
-            base = min(_first_moved(g) for g in chain)
-            transversal, chain = _point_stabilizer(degree, chain, base)
-            order *= len(transversal)
         return cls(degree, gens, order)
-
-
-def _first_moved(p: Permutation) -> int:
-    return next(i for i, j in enumerate(p) if i != j)
-
-
-def _point_stabilizer(degree: int, gens: Sequence[Permutation], b: int
-                      ) -> tuple[dict[int, Permutation], tuple[Permutation, ...]]:
-    """The orbit transversal of ``b`` (orbit point -> element mapping b to
-    it) and generators of the stabilizer of ``b``: its Schreier generators
-    after a Sims filter.  The filter keeps one permutation per slot (first
-    moved point i, image of i).  Any other permutation in a taken slot is
-    multiplied by the inverse of the kept one, which fixes i, and tried
-    again until it lands in a free slot or becomes the identity.  What the
-    filter keeps generates the same group."""
-    ident = identity(degree)
-    transversal: dict[int, Permutation] = {b: ident}
-    frontier = [b]
-    while frontier:
-        a = frontier.pop()
-        for g in gens:
-            c = g[a]
-            if c not in transversal:
-                transversal[c] = compose(g, transversal[a])
-                frontier.append(c)
-    inverse = {c: invert(u) for c, u in transversal.items()}
-    kept: dict[tuple[int, int], tuple[Permutation, Permutation]] = {}
-    for a, u in transversal.items():
-        for g in gens:
-            w = inverse[g[a]]
-            s = tuple([w[g[j]] for j in u])     # w o g o u, which fixes b
-            while s != ident:
-                i = _first_moved(s)
-                slot = kept.get((i, s[i]))
-                if slot is None:
-                    kept[i, s[i]] = (s, invert(s))
-                    break
-                s = compose(slot[1], s)
-    return transversal, tuple(p for p, _ in kept.values())
 
 
 def orbits_of(gens: Sequence[Permutation], items: Iterable, act) -> list[tuple]:
@@ -257,10 +205,12 @@ def _refine(adj: Sequence[frozenset[int]], part: _Partition,
     queued; otherwise every piece but the first largest is (Hopcroft's
     rule: stability under a cell and all but one of its pieces implies
     stability under the last piece).  Touched cells are split in position
-    order.  Every choice depends on positions and counts only, never on
-    vertex labels, so the refinement commutes with automorphisms: mapping
-    the input by one maps the output cells likewise."""
+    order, and refinement stops once every cell is a singleton.  Every
+    choice depends on positions and counts only, never on vertex labels, so
+    the refinement commutes with automorphisms: mapping the input by one
+    maps the output cells likewise."""
     lab, pos, cell, ends = part.lab, part.pos, part.cell, part.ends
+    n, cells = len(lab), len(_cell_starts(part))
     queue = deque(splitters)
     queued = set(splitters)
     while queue:
@@ -302,6 +252,9 @@ def _refine(adj: Sequence[frozenset[int]], part: _Partition,
                 ends[a] = b
                 for i in range(a, b):
                     cell[lab[i]] = a
+            cells += len(starts) - 1
+            if cells == n:
+                return
             if c in queued:
                 new = starts[1:]
             else:
@@ -311,96 +264,133 @@ def _refine(adj: Sequence[frozenset[int]], part: _Partition,
             queued.update(new)
 
 
-def _search_generators(g: Graph) -> list[Permutation]:
-    """Collect automorphism generators by exploring the refinement tree.
+def _cell_starts(part: _Partition) -> list[int]:
+    """The shape of a partition: the start of every cell, in order."""
+    ends, n = part.ends, len(part.lab)
+    starts = [0]
+    while ends[starts[-1]] < n:
+        starts.append(ends[starts[-1]])
+    return starts
 
-    The first discrete leaf is the reference; every later leaf with the same
-    relabeled edge set yields one automorphism.  At each node we branch over
-    the first non-singleton cell of smallest size, smallest vertex first,
-    skipping vertices already reachable from an explored sibling under the
-    group found so far (restricted to permutations fixing the branching
-    prefix).  A child's refinement starts from the individualized singleton
-    alone, since the parent partition is already equitable."""
+
+def _sorted_cells(part: _Partition, starts: list[int]) -> list[int]:
+    """The vertices cell by cell, each cell in increasing order."""
+    lab, ends = part.lab, part.ends
+    out: list[int] = []
+    for s in starts:
+        out += sorted(lab[s:ends[s]]) if ends[s] > s + 1 else (lab[s],)
+    return out
+
+
+def _search(g: Graph, fixed: Optional[int] = None) -> tuple[list[Permutation], int]:
+    """Generators and order of the automorphisms of g, or of those fixing
+    the vertex ``fixed``, by first-path automorphism pruning (see the module
+    docstring).  The target cell of a node is its first non-singleton cell
+    of smallest size."""
     n = g.n
+    if n == 0:
+        return [], 1
     adj = g.neighbors
-    edges = g.edges
-    gens: list[Permutation] = []
-    gen_set: set[Permutation] = set()
-    ref: dict = {}
-    ident = identity(n)
+    part = _Partition(n)
+    if fixed is None or n == 1:
+        _refine(adj, part, [0])
+    else:   # cells {fixed} and the rest, at positions 0 and 1
+        _refine(adj, part, [part.individualize(fixed), 1])
 
-    def leaf(part: _Partition) -> None:
-        pos = part.pos
-        form = tuple(sorted(
-            (pos[u], pos[v]) if pos[u] < pos[v] else (pos[v], pos[u])
-            for u, v in edges))
-        if not ref:
-            ref["form"] = form
-            ref["lab"] = part.lab
-        elif form == ref["form"]:
-            lab = ref["lab"]
-            perm = tuple([lab[pos[v]] for v in range(n)])
-            if perm != ident and perm not in gen_set:
-                gen_set.add(perm)
-                gens.append(perm)
-
-    def covered(vertices: list[int], fixed: tuple[int, ...]) -> set[int]:
-        sub = [p for p in gens if all(p[x] == x for x in fixed)]
-        reach = set(vertices)
-        frontier = list(vertices)
-        while frontier:
-            a = frontier.pop()
-            for p in sub:
-                b = p[a]
-                if b not in reach:
-                    reach.add(b)
-                    frontier.append(b)
-        return reach
-
-    def recurse(part: _Partition, splitters: list[int],
-                fixed: tuple[int, ...]) -> None:
-        _refine(adj, part, splitters)
+    # the first path: each node's partition, shape and sorted cells, and
+    # the target cell start and chosen vertex of each node above the leaf
+    nodes, shapes, first_cells = [part], [], []
+    choices: list[tuple[int, int]] = []
+    while True:
+        starts = _cell_starts(part)
+        shapes.append(starts)
+        first_cells.append(_sorted_cells(part, starts))
+        if len(starts) == n:
+            break
         ends = part.ends
-        target, size = -1, n + 1
-        s = 0
-        while s < n:
-            e = ends[s]
-            if 1 < e - s < size:
-                target, size = s, e - s
-            s = e
-        if target < 0:
-            leaf(part)
-            return
-        branched: list[int] = []
-        for v in sorted(part.lab[target:target + size]):
-            if branched and v in covered(branched, fixed):
-                continue
-            branched.append(v)
-            child = part.copy()
-            recurse(child, [child.individualize(v)], fixed + (v,))
+        target = min((s for s in starts if ends[s] > s + 1), key=lambda s: ends[s] - s)
+        v = min(part.lab[target:ends[target]])
+        choices.append((target, v))
+        part = part.copy()
+        _refine(adj, part, [part.individualize(v)])
+        nodes.append(part)
 
-    if n:
-        recurse(_Partition(n), [0], ())
-    return gens
+    def explore(node: _Partition, w: int, depth: int) -> Optional[Permutation]:
+        """An automorphism fixing the first ``depth`` chosen vertices and
+        mapping w to the next, or None.  The subtree below ``node`` with w
+        individualized is searched depth first, through nodes shaped like
+        the first path's at the same depth only.  Each such node is mapped
+        onto that first-path node cell by cell, in increasing order within
+        a cell, and the map is kept if it preserves adjacency; at a leaf
+        this tests the relabeled edge set."""
+        stack = [(node, iter((w,)))]
+        while stack:
+            parent, todo = stack[-1]
+            u = next(todo, None)
+            if u is None:
+                stack.pop()
+                continue
+            child = parent.copy()
+            _refine(adj, child, [child.individualize(u)])
+            d = depth + len(stack)
+            starts = _cell_starts(child)
+            if starts != shapes[d]:
+                continue
+            image = [0] * n
+            for a, b in zip(_sorted_cells(child, starts), first_cells[d]):
+                image[a] = b
+            p = tuple(image)
+            if is_automorphism(g, p):
+                return p
+            if d < len(choices):
+                t = choices[d][0]
+                stack.append((child, iter(sorted(child.lab[t:child.ends[t]]))))
+        return None
+
+    root = list(range(n))
+
+    def find(x: int) -> int:
+        while root[x] != x:
+            root[x] = x = root[root[x]]
+        return x
+
+    gens: list[Permutation] = []
+    order = 1
+    for level in reversed(range(len(choices))):
+        node = nodes[level]
+        target, v = choices[level]
+        cell = sorted(node.lab[target:node.ends[target]])
+        tried = {find(v)}
+        for w in cell:
+            if find(w) in tried:
+                continue
+            p = explore(node, w, level)
+            if p is None:
+                tried.add(find(w))
+                continue
+            gens.append(p)
+            for x in range(n):
+                a, b = find(x), find(p[x])
+                if a != b:
+                    root[a] = b
+            tried = {find(x) for x in tried}
+        rv = find(v)
+        order *= sum(1 for w in cell if find(w) == rv)
+    return gens, order
 
 
 def automorphism_group(g: Graph) -> PermutationGroup:
-    """Compute Aut(G).  Every emitted generator is checked to preserve
-    adjacency; the exact order comes from the stabilizer chain."""
+    """Compute Aut(G): checked generators and the exact order, both from
+    the search."""
     if g.n < 1:
         raise ValueError("automorphism group needs at least one vertex")
-    gens = _search_generators(g)
-    for p in gens:
-        if not is_automorphism(g, p):
-            raise AssertionError(
-                f"internal error: search produced a non-automorphism {p}")
-    return PermutationGroup.from_generators(g.n, gens)
+    gens, order = _search(g)
+    return PermutationGroup.from_generators(g.n, gens, order)
 
 
-def orbit_census(g: Graph, group: Optional[PermutationGroup] = None) -> OrbitCensus:
+def orbit_census(g: Graph) -> OrbitCensus:
     """Vertex, edge and arc orbit partitions under Aut(G)."""
-    if group is None:
-        group = automorphism_group(g)
+    group = automorphism_group(g)
     gens = group.generators
     census = OrbitCensus(
         vertex_orbits=tuple(orbits_of(gens, range(g.n), _act_point)),
@@ -414,11 +404,11 @@ def orbit_census(g: Graph, group: Optional[PermutationGroup] = None) -> OrbitCen
     return census
 
 
-def stabilizer(group: PermutationGroup, x: int) -> PermutationGroup:
-    """Subgroup fixing the point x, generated by the Sims-filtered Schreier
-    generators of its stabilizer."""
-    _, gens = _point_stabilizer(group.degree, group.generators, x)
-    return PermutationGroup.from_generators(group.degree, gens)
+def stabilizer(g: Graph, x: int) -> PermutationGroup:
+    """The subgroup of Aut(g) fixing the vertex x: the same search with x
+    individualized at the root."""
+    gens, order = _search(g, x)
+    return PermutationGroup.from_generators(g.n, gens, order)
 
 
 def is_vertex_transitive(g: Graph) -> bool:

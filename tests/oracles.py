@@ -1,9 +1,10 @@
 """Independent oracles used by the test suite.
 
 These deliberately avoid the code paths they check: the automorphism oracle
-scans all n! permutations, the characteristic polynomial oracle expands
-det(xI - A) by cofactors, and the kernel oracle eliminates fraction-free
-(Bareiss) over the integers instead of modulo a prime.
+scans all n! permutations, the group order oracle builds a Sims-filtered
+stabilizer chain from a generating set, the characteristic polynomial oracle
+expands det(xI - A) by cofactors, and the kernel oracle eliminates
+fraction-free (Bareiss) over the integers instead of modulo a prime.
 """
 
 from fractions import Fraction
@@ -23,6 +24,74 @@ def exhaustive_automorphisms(g: Graph) -> set[tuple[int, ...]]:
         if all(p[v] in adj[p[u]] for u, v in edges):
             found.add(p)
     return found
+
+
+Permutation = tuple[int, ...]
+
+
+def compose(p: Permutation, q: Permutation) -> Permutation:
+    """(p o q)(i) = p[q[i]]: apply q first, then p."""
+    return tuple([p[i] for i in q])
+
+
+def invert(p: Permutation) -> Permutation:
+    inv = [0] * len(p)
+    for i, j in enumerate(p):
+        inv[j] = i
+    return tuple(inv)
+
+
+def _first_moved(p: Permutation) -> int:
+    return next(i for i, j in enumerate(p) if i != j)
+
+
+def _point_stabilizer(degree: int, gens, b: int
+                      ) -> tuple[dict[int, Permutation], tuple[Permutation, ...]]:
+    """The orbit transversal of ``b`` (orbit point -> element mapping b to
+    it) and generators of the stabilizer of ``b``: its Schreier generators
+    after a Sims filter.  The filter keeps one permutation per slot (first
+    moved point i, image of i).  Any other permutation in a taken slot is
+    multiplied by the inverse of the kept one, which fixes i, and tried
+    again until it lands in a free slot or becomes the identity.  What the
+    filter keeps generates the same group."""
+    ident = tuple(range(degree))
+    transversal: dict[int, Permutation] = {b: ident}
+    frontier = [b]
+    while frontier:
+        a = frontier.pop()
+        for g in gens:
+            c = g[a]
+            if c not in transversal:
+                transversal[c] = compose(g, transversal[a])
+                frontier.append(c)
+    inverse = {c: invert(u) for c, u in transversal.items()}
+    kept: dict[tuple[int, int], tuple[Permutation, Permutation]] = {}
+    for a, u in transversal.items():
+        for g in gens:
+            w = inverse[g[a]]
+            s = tuple([w[g[j]] for j in u])     # w o g o u, which fixes b
+            while s != ident:
+                i = _first_moved(s)
+                slot = kept.get((i, s[i]))
+                if slot is None:
+                    kept[i, s[i]] = (s, invert(s))
+                    break
+                s = compose(slot[1], s)
+    return transversal, tuple(p for p, _ in kept.values())
+
+
+def chain_order(degree: int, gens) -> int:
+    """The order of the group that ``gens`` generate: the product of the
+    orbit sizes down a Sims-filtered stabilizer chain (Sims 1970; Seress,
+    Permutation Group Algorithms, 2003)."""
+    ident = tuple(range(degree))
+    chain = tuple(g for g in gens if g != ident)
+    order = 1
+    while chain:
+        base = min(_first_moved(g) for g in chain)
+        transversal, chain = _point_stabilizer(degree, chain, base)
+        order *= len(transversal)
+    return order
 
 
 def charpoly_cofactor(a: list[list[int]]) -> IntPoly:

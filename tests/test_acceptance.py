@@ -235,7 +235,7 @@ def test_criterion_10_orbit_stabilizer_everywhere():
             for v in orbit:
                 orbit_of[v] = len(orbit)
         for x in range(g.n):
-            st = stabilizer(grp, x)
+            st = stabilizer(g, x)
             assert st.order * orbit_of[x] == grp.order, (label, x)
             vertices += 1
         groups += 1
@@ -266,7 +266,7 @@ def test_criterion_11_brute_force_equivalence():
         assert grp.order == len(expected), label
         assert all(p in expected for p in grp.generators), label
         for x in range(g.n):
-            assert (stabilizer(grp, x).order
+            assert (stabilizer(g, x).order
                     == sum(p[x] == x for p in expected)), (label, x)
     elapsed = time.perf_counter() - start
     _pass(11, f"search equals n!-enumeration on {len(graphs)} graphs "

@@ -1,15 +1,16 @@
 import random
 from itertools import combinations
+from math import factorial
 
 import pytest
-from oracles import coarsest_equitable_partition, exhaustive_automorphisms
+from oracles import (chain_order, coarsest_equitable_partition, compose,
+                     exhaustive_automorphisms, invert)
 
 from nutorbits import (CirculantSpec, Graph, automorphism_group,
                        cartesian_product, circulant, complete_graph,
                        construct_with_orbits, is_vertex_transitive,
                        orbit_census, stabilizer)
-from nutorbits.automorphisms import (PermutationGroup, _Partition, _refine,
-                                     compose, identity, invert,
+from nutorbits.automorphisms import (_Partition, _refine, identity,
                                      is_automorphism, orbits_of)
 
 
@@ -20,8 +21,18 @@ def test_permutation_helpers():
     assert compose(p, p) == (2, 0, 1)
 
 
+# Regular graphs whose one equitable cell holds several orbits, so the search
+# explores siblings that yield no automorphism: the Frucht graph (cubic,
+# |Aut| = 1; LCF [-5,-2,-4,2,5,-2,2,5,-2,-5,4,2]) and C6 + 2 C3.
+_FRUCHT_LCF = (-5, -2, -4, 2, 5, -2, 2, 5, -2, -5, 4, 2)
+FRUCHT = Graph.from_edges(12, [(i, (i + 1) % 12) for i in range(12)]
+                          + [(i, (i + d) % 12) for i, d in enumerate(_FRUCHT_LCF)])
+C6_2C3 = Graph.from_edges(12, [(i, (i + 1) % 6) for i in range(6)]
+                          + [(6, 7), (7, 8), (6, 8), (9, 10), (10, 11), (9, 11)])
+
+
 def test_generators_preserve_adjacency(circ_10_12, k4):
-    for g in (circ_10_12, k4, Graph(3, ((0, 1), (1, 2)))):
+    for g in (circ_10_12, k4, Graph(3, ((0, 1), (1, 2))), FRUCHT, C6_2C3):
         grp = automorphism_group(g)
         assert all(is_automorphism(g, p) for p in grp.generators)
 
@@ -33,6 +44,7 @@ def test_generators_preserve_adjacency(circ_10_12, k4):
     (lambda: Graph(1, ()), 1),
     (lambda: Graph(4, ()), 24),                        # edgeless
     (lambda: circulant(CirculantSpec(10, {1, 2})), 20),
+    (lambda: C6_2C3, 12 * 72),                        # D6 x (S3 wr S2)
 ])
 def test_known_group_orders(build, order):
     assert automorphism_group(build()).order == order
@@ -51,7 +63,7 @@ def test_agrees_with_exhaustive_search_on_random_graphs():
         assert grp.order == len(expected)
         assert all(p in expected for p in grp.generators)
         for x in range(n):
-            assert stabilizer(grp, x).order == sum(p[x] == x for p in expected)
+            assert stabilizer(g, x).order == sum(p[x] == x for p in expected)
 
 
 def test_dihedral_orders_for_consecutive_circulants():
@@ -92,18 +104,17 @@ def test_orbit_stabilizer_identity(circ_10_12, k4):
     for g in (circ_10_12, k4, Graph(3, ((0, 1), (1, 2)))):
         grp = automorphism_group(g)
         for x in range(g.n):
-            st = stabilizer(grp, x)
+            st = stabilizer(g, x)
             orbit = next(o for o in orbits_of(grp.generators, range(g.n),
                                               lambda p, v: p[v]) if x in o)
             assert st.order * len(orbit) == grp.order
 
 
 def test_stabilizer_examples(circ_10_12, k4):
-    dih10 = automorphism_group(circ_10_12)
-    assert stabilizer(dih10, 0).order == 2
-    sym4 = automorphism_group(k4)
-    assert stabilizer(sym4, 2).order == 6
-    trivial = PermutationGroup.from_generators(3, [])
+    assert stabilizer(circ_10_12, 0).order == 2
+    assert stabilizer(k4, 2).order == 6
+    # the smallest asymmetric graphs have six vertices; this is one of them
+    trivial = Graph.from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 4), (2, 5), (3, 5)])
     assert stabilizer(trivial, 1).order == 1
 
 
@@ -131,6 +142,12 @@ def _hypercube(d: int) -> Graph:
     return g
 
 
+def _relabelled(g: Graph, rng: random.Random) -> Graph:
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+
+
 # Petersen as the Kneser graph K(5, 2): 2-subsets of {0..4}, adjacent if disjoint
 _PAIRS = list(combinations(range(5), 2))
 PETERSEN = Graph.from_edges(10, [(i, j) for i, j in combinations(range(10), 2)
@@ -145,10 +162,39 @@ PETERSEN = Graph.from_edges(10, [(i, j) for i, j in combinations(range(10), 2)
 def test_census_invariant_under_relabelling(name, g, aut_order):
     rng = random.Random(name)
     for _ in range(5):
-        perm = list(range(g.n))
-        rng.shuffle(perm)
-        cen = orbit_census(Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges]))
+        cen = orbit_census(_relabelled(g, rng))
         assert (cen.counts, cen.aut_order) == ((1, 1, 1), aut_order)
+
+
+K66 = Graph.from_edges(12, [(i, 6 + j) for i in range(6) for j in range(6)])
+
+
+@pytest.mark.parametrize("name, g, aut_order", [
+    ("Q6", _hypercube(6), 2 ** 6 * factorial(6)),
+    ("K5xK5", cartesian_product(complete_graph(5), complete_graph(5)), 2 * factorial(5) ** 2),
+    ("K6,6", K66, 2 * factorial(6) ** 2),
+    ("K10", complete_graph(10), factorial(10)),
+    ("Petersen", PETERSEN, 120),
+    # Circ(10, {1, 5}) box K4 has |Aut| = 96 * 5; subdividing keeps it
+    ("dispatch(5, 7)", construct_with_orbits(5, 7).graph, 96 * 5),
+])
+def test_search_order_agrees_with_stabilizer_chain(name, g, aut_order):
+    rng = random.Random(name)
+    for _ in range(2):
+        h = _relabelled(g, rng)
+        grp = automorphism_group(h)
+        assert grp.order == chain_order(h.n, grp.generators) == aut_order
+        assert len(grp.generators) <= h.n - 1
+
+
+def test_census_of_complete_graph_k25():
+    cen = orbit_census(complete_graph(25))
+    assert (cen.counts, cen.aut_order) == ((1, 1, 1), factorial(25))
+
+
+def test_census_of_long_circulant():
+    cen = orbit_census(circulant(CirculantSpec(4078, {1, 2})))
+    assert (cen.counts, cen.aut_order) == ((1, 2, 2), 8156)
 
 
 def test_orders_agree_with_networkx_vf2():
@@ -156,7 +202,7 @@ def test_orders_agree_with_networkx_vf2():
     from networkx.algorithms.isomorphism import GraphMatcher
 
     graphs = [PETERSEN, circulant(CirculantSpec(12, {1})),
-              circulant(CirculantSpec(10, {1, 2})), _hypercube(4)]
+              circulant(CirculantSpec(10, {1, 2})), _hypercube(4), FRUCHT]
     rng = random.Random(0xB0B)
     for _ in range(10):
         n = rng.randint(9, 11)
