@@ -1,11 +1,11 @@
 """Exact construction and certification of nut graphs with prescribed
 vertex, edge and arc orbit counts.
 
-Everything runs in exact integer/rational arithmetic: nut certificates are
-rational nullspace bases with zero residual, symbolic circulant criteria use
-cyclotomic divisibility, and automorphism groups are searched from scratch,
-with exact orders read off the search's first path as products of orbit
-sizes.
+Everything runs in exact integer arithmetic: nut certificates are integer
+kernel vectors with zero residual, symbolic circulant criteria use
+cyclotomic divisibility, spectra are compared through power traces, and
+automorphism groups are searched from scratch, with exact orders read off
+the search's first path as products of orbit sizes.
 """
 
 __version__ = "0.1.0"
@@ -25,13 +25,11 @@ from .graphs import (AbelianCayleySpec, CirculantSpec, Graph,
                      cartesian_product, cayley_abelian, circulant,
                      complete_graph, read_graph6, subdivide_edges, write_dot,
                      write_graph6)
-from .linalg import (NutVerdict, char_poly, integer_scaled, is_nut,
-                     kernel_basis, kernel_vector_from_factors,
-                     product_spectrum_check)
+from .linalg import (NutVerdict, char_poly, is_nut, kernel_basis,
+                     kernel_vector_from_factors, product_spectrum_check)
 from .polynomials import (IntPoly, VanishingReport, circulant_is_nut_symbolic,
                           circulant_symbol, cyclotomic, exact_divide,
-                          gcd_criterion, remainder_mod, resultant,
-                          vanishing_orders)
+                          gcd_criterion, remainder_mod, vanishing_orders)
 
 __all__ = [
     "AbelianCayleySpec", "CirculantSpec", "ConstructionParams", "Graph",
@@ -44,10 +42,10 @@ __all__ = [
     "cayley_nut_edge_orbits", "char_poly", "circulant",
     "circulant_is_nut_symbolic", "circulant_symbol", "complete_graph",
     "construct_with_orbits", "cyclotomic", "exact_divide", "fig3_graph",
-    "gcd_criterion", "integer_scaled", "is_nut", "is_vertex_transitive",
+    "gcd_criterion", "is_nut", "is_vertex_transitive",
     "kernel_basis", "kernel_vector_from_factors", "nut_realizable",
     "orbit_census", "primes_from", "product_spectrum_check", "prop1_graph",
-    "prop2_graph", "prop3_graph", "read_graph6", "remainder_mod", "resultant",
+    "prop2_graph", "prop3_graph", "read_graph6", "remainder_mod",
     "stabilizer", "subdivide_edges", "subdivided_nut", "vanishing_orders",
     "write_dot", "write_graph6",
 ]

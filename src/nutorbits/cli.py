@@ -24,16 +24,18 @@ from typing import Optional
 from . import __version__
 from .automorphisms import OrbitCensus, orbit_census
 from .constructions import (FAMILIES, MAX_ORDER as CHECK_MAX_ORDER,
-                            ConstructionParams, VerifiedNut, build)
+                            ConstructionParams, build)
 from .errors import (HypothesisError, InputError, NotCoveredByThisPaper,
                      NotRealizable, ResourceCapError, SpecificationError,
                      VerificationError)
 from .graphs import CirculantSpec, Graph, circulant, read_graph6, write_dot, write_graph6
-from .linalg import NutVerdict, integer_scaled, is_nut
+from .linalg import NutVerdict, is_nut
 from .polynomials import circulant_is_nut_symbolic
 
 SCHEMA = "nutorbits-report/1"
 SWEEP_CHUNK = 8  # sweep tasks handed to a worker at a time
+# the construct flags, in the order a report's params lists them
+CONSTRUCT_FLAGS = ("r", "k", "p", "n", "t", "variant", "orbit")
 
 EXIT_OK = 0
 EXIT_VERIFICATION = 1
@@ -71,7 +73,7 @@ def _verdict_payload(v: NutVerdict) -> dict:
         "is_nut": v.is_nut,
         "nullity": v.nullity,
         "is_full": v.is_full,
-        "kernel": [list(integer_scaled(vec)) for vec in v.kernel_basis],
+        "kernel": [list(vec) for vec in v.kernel_basis],
     }
 
 
@@ -177,19 +179,14 @@ def _cmd_check(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _build_from_args(args) -> VerifiedNut:
-    if (args.r is None) == (args.variant is None):
-        raise HypothesisError("pass either --r/--k or --variant, not both")
-    params = {key: getattr(args, key) for key in ("r", "k", "p", "n", "t", "orbit")
-              if getattr(args, key) is not None}
-    return build(args.variant or "dispatch", **params)
-
-
 def _cmd_construct(args) -> int:
     start = time.perf_counter()
-    built = _build_from_args(args)
-    params = {key: getattr(args, key) for key in ("r", "k", "p", "n", "t", "variant", "orbit")
+    params = {key: getattr(args, key) for key in CONSTRUCT_FLAGS
               if getattr(args, key) is not None}
+    if ("r" in params) == ("variant" in params):
+        raise HypothesisError("pass exactly one of --r (with --k) and --variant")
+    built = build(params.get("variant", "dispatch"),
+                  **{key: value for key, value in params.items() if key != "variant"})
     report = _report("construct", params, built.graph, built.verdict,
                      built.census, built.provenance,
                      time.perf_counter() - start)
@@ -214,8 +211,10 @@ def _cmd_construct(args) -> int:
 def _sweep_instances(args) -> list[tuple]:
     suite = args.suite
     sweep = FAMILIES[suite].sweep
+    # a single --k replaces the range of k, so --kmax goes unread
+    reads = set(sweep.reads) - ({"kmax"} if args.k is not None else set())
     unread = [f"--{key}" for key in ("k", "kmax", "nmax", "tmax", "primes")
-              if getattr(args, key) is not None and key not in sweep.reads]
+              if getattr(args, key) is not None and key not in reads]
     if unread:
         raise HypothesisError(f"{suite} sweep does not read {', '.join(unread)}")
     cap = _sweep_cap(suite)

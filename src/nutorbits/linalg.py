@@ -1,12 +1,13 @@
-"""Exact rational linear algebra on integer matrices.
+"""Exact linear algebra on integer matrices, over Z.
 
 Kernels are certified modularly: sparse elimination modulo a Mersenne prime
 P = 2^q - 1 with low-fill (Markowitz-style) pivoting gives the nullity
 d = n - rank_P and d kernel vectors, whose reduced echelon form is lifted
 entry by entry to rationals by rational reconstruction.  Every lifted
-vector, scaled to integers, is checked to satisfy A v = 0 over Z, which
-makes the answer exact: rank over Q is at least rank mod P, so the nullity
-is at most d, and d independent verified vectors give at least d.
+vector, scaled to its primitive integer multiple, is checked to satisfy
+A v = 0 over Z, which makes the answer exact: rank over Q is at least rank
+mod P, so the nullity is at most d, and d independent verified vectors give
+at least d.
 
 The first try is q = 61.  When a reconstruction or a check fails there (an
 unlucky prime, or entries past the reconstruction bound) the same
@@ -14,22 +15,24 @@ elimination reruns at the first q whose prime passes the Hadamard bound:
 every minor of A is then nonzero modulo P unless it is zero, so rank_P is
 the rank over Q, and every reduced echelon kernel entry, a ratio of two
 minors, reconstructs uniquely.  No tolerances anywhere.
+
+Spectra are compared through power sums tr(A^k), which fix the
+characteristic polynomial by Newton's identities.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from fractions import Fraction
-from math import gcd, lcm, prod
+from math import comb, gcd, lcm, prod
 from typing import Sequence
 
 from .errors import ResourceCapError
 from .graphs import Graph, cartesian_product
-from .polynomials import IntPoly, resultant
+from .polynomials import IntPoly
 
 IntMatrix = Sequence[Sequence[int]]
-RationalVector = tuple[Fraction, ...]
+IntVector = tuple[int, ...]
 
 PRODUCT_SPECTRUM_SIZE_CAP = 64
 
@@ -46,7 +49,7 @@ class NutVerdict:
     fullness flag.  ``is_full`` is meaningful when the nullity is 1."""
 
     nullity: int
-    kernel_basis: tuple[RationalVector, ...]
+    kernel_basis: tuple[IntVector, ...]
     is_full: bool
     is_nut: bool
 
@@ -160,10 +163,11 @@ def _reconstruct(x: int, q: int) -> tuple[int, int] | None:
 
 
 def _modular_kernel(rows: list[dict[int, int]], n: int,
-                    q: int) -> list[RationalVector] | None:
+                    q: int) -> list[IntVector] | None:
     """The reduced echelon kernel basis of the n-column sparse integer
-    matrix ``rows``, certified modulo 2^q - 1 and verified over Z; None when
-    rational reconstruction or the integer check fails."""
+    matrix ``rows``, each vector scaled to its primitive integer multiple,
+    certified modulo 2^q - 1 and verified over Z; None when rational
+    reconstruction or the integer check fails."""
     p = (1 << q) - 1
     pivots = _eliminate_mod_p(rows, p)
     pivoted = {c for c, _ in pivots}
@@ -185,14 +189,16 @@ def _modular_kernel(rows: list[dict[int, int]], n: int,
         ints = [num * (denom // d) for num, d in pairs]
         if any(sum(a * ints[j] for j, a in row.items()) for row in rows):
             return None
-        basis.append(tuple(Fraction(num, d) for num, d in pairs))
+        divisor = gcd(*ints)  # positive: the leading entry is denom
+        basis.append(tuple(e // divisor for e in ints))
     return basis
 
 
-def _kernel(rows: list[dict[int, int]], n: int) -> list[RationalVector]:
-    """The reduced echelon kernel basis of the n-column sparse integer
-    matrix ``rows``: certified modulo 2^61 - 1 or, should that fail, modulo
-    the next Mersenne prime past the Hadamard bound, where it cannot."""
+def _kernel(rows: list[dict[int, int]], n: int) -> list[IntVector]:
+    """The primitive reduced echelon kernel basis of the n-column sparse
+    integer matrix ``rows``: certified modulo 2^61 - 1 or, should that fail,
+    modulo the next Mersenne prime past the Hadamard bound, where it
+    cannot."""
     basis = _modular_kernel(rows, n, MERSENNE_EXPONENTS[0])
     if basis is None:
         # h2 bounds the square of every minor of the matrix
@@ -211,10 +217,11 @@ def _kernel(rows: list[dict[int, int]], n: int) -> list[RationalVector]:
     return basis
 
 
-def kernel_basis(a: IntMatrix) -> list[RationalVector]:
-    """Basis of the right kernel of a square integer matrix, in reduced
-    echelon form with first nonzero entry 1; the form is unique, so the
-    basis is canonical.
+def kernel_basis(a: IntMatrix) -> list[IntVector]:
+    """Basis of the right kernel of a square integer matrix: the reduced
+    echelon basis, each vector scaled to its primitive integer multiple
+    (coprime entries, first nonzero entry positive).  The reduced echelon
+    form is unique, so the basis is canonical.
 
     The basis is certified modulo the prime 2^61 - 1, lifted by rational
     reconstruction and verified to satisfy A v = 0 over Z.  Should any step
@@ -242,58 +249,55 @@ def is_nut(g: Graph) -> NutVerdict:
     )
 
 
-def integer_scaled(v: Sequence[Fraction]) -> tuple[int, ...]:
-    """Scale a rational vector to the primitive integer vector with the same
-    direction (positive multiple)."""
-    denom = lcm(*(e.denominator for e in v)) if v else 1
-    ints = [int(e * denom) for e in v]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
-    return tuple(x // g for x in ints) if g > 1 else tuple(ints)
+def _power_traces(a: IntMatrix, m: int) -> list[int]:
+    """tr(A^k) for k = 0..m, multiplying A^(k-1) by the sparse rows of A."""
+    n = len(a)
+    rows = [[(j, x) for j, x in enumerate(row) if x] for row in a]
+    power = [[int(i == j) for j in range(n)] for i in range(n)]
+    traces = [n]
+    for _ in range(m):
+        nxt = []
+        for prow in power:
+            out = [0] * n
+            for t, c in enumerate(prow):
+                if c:
+                    for j, x in rows[t]:
+                        out[j] += c * x
+            nxt.append(out)
+        power = nxt
+        traces.append(sum(power[i][i] for i in range(n)))
+    return traces
 
 
 def char_poly(a: IntMatrix) -> IntPoly:
-    """Characteristic polynomial det(xI - A), monic of degree n, via the
-    fraction-free Faddeev-LeVerrier recurrence."""
+    """Characteristic polynomial det(xI - A), monic of degree n, from the
+    power sums tr(A^k) by Newton's identities."""
     n = _check_square(a)
-    coeffs = [0] * (n + 1)
-    coeffs[n] = 1
-    m = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    traces = _power_traces(a, n)
+    coeffs = [1]  # c_0..c_n of x^n + c_1 x^(n-1) + ... + c_n
     for k in range(1, n + 1):
-        am = [[sum(a[i][t] * m[t][j] for t in range(n) if a[i][t]) for j in range(n)]
-              for i in range(n)]
-        trace = sum(am[i][i] for i in range(n))
-        q, rem = divmod(-trace, k)
+        q, rem = divmod(-sum(c * traces[k - i] for i, c in enumerate(coeffs)), k)
         if rem:
-            raise AssertionError("internal error: Faddeev-LeVerrier division inexact")
-        coeffs[n - k] = q
-        for i in range(n):
-            am[i][i] += q
-        m = am
-    return IntPoly(coeffs)
+            raise AssertionError("internal error: Newton's identity division inexact")
+        coeffs.append(q)
+    return IntPoly(reversed(coeffs))
 
 
 def product_spectrum_check(g: Graph, h: Graph) -> bool:
-    """Verify the cartesian-product spectrum identity as an exact polynomial
-    equation: char(G box H)(x) = +-Res_y(char(G)(y), char(H)(x - y)),
-    equivalent to the product spectrum being all sums lambda + mu."""
+    """Verify the cartesian-product spectrum identity, that the spectrum of
+    G box H is all sums lambda + mu, as exact power-sum equations:
+    tr(A_P^k) = sum_j C(k, j) tr(A_G^j) tr(A_H^(k - j)) for every k up to
+    the product's order, which by Newton's identities fixes its spectrum."""
     n = g.n * h.n
     if n > PRODUCT_SPECTRUM_SIZE_CAP:
         raise ResourceCapError(
             f"product order {n} exceeds the spectrum-check cap "
             f"{PRODUCT_SPECTRUM_SIZE_CAP}")
-    f = char_poly(g.adjacency_matrix())
-    q = char_poly(h.adjacency_matrix())
-    direct = char_poly(cartesian_product(g, h).adjacency_matrix())
-    x_minus_y = IntPoly((IntPoly((0, 1)), -1))  # x - y, as a polynomial in y
-    shifted = q.evaluate(x_minus_y)
-    if isinstance(shifted, int):
-        shifted = IntPoly((shifted,))
-    res = resultant(f, shifted)
-    if isinstance(res, int):
-        res = IntPoly((res,))
-    return res == direct or res == -direct
+    tg = _power_traces(g.adjacency_matrix(), n)
+    th = _power_traces(h.adjacency_matrix(), n)
+    direct = _power_traces(cartesian_product(g, h).adjacency_matrix(), n)
+    return all(direct[k] == sum(comb(k, j) * tg[j] * th[k - j] for j in range(k + 1))
+               for k in range(n + 1))
 
 
 class EigenvectorMismatch(ValueError):
@@ -305,7 +309,7 @@ class EigenvectorMismatch(ValueError):
         self.row = row
 
 
-def _eigenvalue_of(a: IntMatrix, v: Sequence[Fraction], name: str) -> Fraction:
+def _eigenvalue_of(a: IntMatrix, v: Sequence[int], name: str) -> int:
     n = len(a)
     if len(v) != n:
         raise ValueError(f"{name} has length {len(v)}, expected {n}")
@@ -313,27 +317,25 @@ def _eigenvalue_of(a: IntMatrix, v: Sequence[Fraction], name: str) -> Fraction:
     if pivot is None:
         raise ValueError(f"{name} must be nonzero")
     av = matvec(a, v)
-    lam = Fraction(av[pivot], 1) / v[pivot]
     for i in range(n):
-        if av[i] != lam * v[i]:
+        if av[i] * v[pivot] != av[pivot] * v[i]:
             raise EigenvectorMismatch(name, i)
-    return lam
+    # a rational eigenvalue of an integer matrix is an integer
+    return av[pivot] // v[pivot]
 
 
-def kernel_vector_from_factors(u: Sequence, v: Sequence,
-                               g: Graph, h: Graph) -> RationalVector:
-    """Combine factor eigenvectors with cancelling eigenvalues into a kernel
-    vector of the cartesian product: w_(a,b) = u_a v_b under the row-major
-    product labeling.  The result is verified to satisfy A w = 0 exactly and
-    is full iff both inputs are full."""
-    uf = tuple(Fraction(e) for e in u)
-    vf = tuple(Fraction(e) for e in v)
-    lam = _eigenvalue_of(g.adjacency_matrix(), uf, "first factor vector")
-    mu = _eigenvalue_of(h.adjacency_matrix(), vf, "second factor vector")
+def kernel_vector_from_factors(u: Sequence[int], v: Sequence[int],
+                               g: Graph, h: Graph) -> IntVector:
+    """Combine integer factor eigenvectors with cancelling eigenvalues into
+    a kernel vector of the cartesian product: w_(a,b) = u_a v_b under the
+    row-major product labeling.  The result is verified to satisfy A w = 0
+    exactly and is full iff both inputs are full."""
+    lam = _eigenvalue_of(g.adjacency_matrix(), u, "first factor vector")
+    mu = _eigenvalue_of(h.adjacency_matrix(), v, "second factor vector")
     if lam + mu != 0:
         raise ValueError(
             f"factor eigenvalues must cancel, got {lam} + {mu} != 0")
-    w = tuple(uf[a] * vf[b] for a in range(g.n) for b in range(h.n))
+    w = tuple(u[a] * v[b] for a in range(g.n) for b in range(h.n))
     residual = matvec(cartesian_product(g, h).adjacency_matrix(), w)
     if any(residual):
         raise AssertionError("internal error: product kernel vector residual nonzero")

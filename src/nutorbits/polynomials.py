@@ -1,33 +1,29 @@
-"""Exact dense polynomial arithmetic, cyclotomic polynomials, and the
-symbolic singularity criteria for circulant graphs.
+"""Exact dense polynomial arithmetic over Z, cyclotomic polynomials, and
+the symbolic singularity criteria for circulant graphs.
 
-Coefficients are normally Python ints, lowest degree first, with trailing
-zeros trimmed (the zero polynomial has an empty coefficient tuple).
-Coefficients may themselves be IntPoly values; that is how the resultant
-handles polynomials like g(x - y), whose coefficients in y live in Z[x].
+Coefficients are Python ints, lowest degree first, with trailing zeros
+trimmed (the zero polynomial has an empty coefficient tuple).
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from math import gcd
-from typing import Iterable, Union
+from typing import Iterable
 
 from .graphs import CirculantSpec
 
-Coeff = Union[int, "IntPoly"]
-
 
 class IntPoly:
-    """Dense polynomial over the integers (or over Z[x], for nested use)."""
+    """Dense polynomial over the integers."""
 
     __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs: Iterable[Coeff] = ()):
+    def __init__(self, coeffs: Iterable[int] = ()):
         cs = list(coeffs)
         while cs and cs[-1] == 0:
             cs.pop()
-        self.coeffs: tuple[Coeff, ...] = tuple(cs)
+        self.coeffs: tuple[int, ...] = tuple(cs)
 
     # -- construction helpers ------------------------------------------------
 
@@ -36,7 +32,7 @@ class IntPoly:
         return IntPoly((0, 1))
 
     @staticmethod
-    def monomial(c: Coeff, k: int) -> "IntPoly":
+    def monomial(c: int, k: int) -> "IntPoly":
         return IntPoly((0,) * k + (c,))
 
     # -- structure -----------------------------------------------------------
@@ -51,7 +47,7 @@ class IntPoly:
         return not self.coeffs
 
     @property
-    def leading(self) -> Coeff:
+    def leading(self) -> int:
         if not self.coeffs:
             raise ValueError("zero polynomial has no leading coefficient")
         return self.coeffs[-1]
@@ -108,7 +104,7 @@ class IntPoly:
             return NotImplemented
         if self.is_zero or o.is_zero:
             return IntPoly()
-        out: list[Coeff] = [0] * (len(self.coeffs) + len(o.coeffs) - 1)
+        out: list[int] = [0] * (len(self.coeffs) + len(o.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a == 0:
                 continue
@@ -131,8 +127,8 @@ class IntPoly:
         return result
 
     def evaluate(self, point):
-        """Horner evaluation; works for any ring element (ints, Fractions,
-        other IntPoly values)."""
+        """Horner evaluation; works for any ring element (ints, IntPoly
+        values)."""
         acc = 0
         for c in reversed(self.coeffs):
             acc = acc * point + c
@@ -148,12 +144,8 @@ class IntPoly:
             c = self.coeffs[i]
             if c == 0:
                 continue
-            if isinstance(c, IntPoly):
-                body = f"({c!r})"
-                sign = " + " if parts else ""
-            else:
-                sign = (" + " if c > 0 else " - ") if parts else ("" if c > 0 else "-")
-                body = "" if (abs(c) == 1 and i > 0) else str(abs(c))
+            sign = (" + " if c > 0 else " - ") if parts else ("" if c > 0 else "-")
+            body = "" if (abs(c) == 1 and i > 0) else str(abs(c))
             term = "" if i == 0 else ("x" if i == 1 else f"x^{i}")
             if i == 0 and not body:
                 body = "1"
@@ -169,35 +161,20 @@ def _as_poly(v) -> IntPoly | None:
     return None
 
 
-def _coeff_quotient(a: Coeff, b: Coeff) -> Coeff:
-    """Exact division in the coefficient domain; raises ValueError when the
-    division does not come out exact."""
-    if isinstance(a, IntPoly) or isinstance(b, IntPoly):
-        pa = _as_poly(a)
-        pb = _as_poly(b)
-        if pb.degree == 0 and isinstance(pb.coeffs[0], int) and pb.coeffs[0] in (1, -1):
-            return pa if pb.coeffs[0] == 1 else -pa
-        return exact_divide(pa, pb)
-    if b == 1:
-        return a
-    q, r = divmod(a, b)
-    if r:
-        raise ValueError(f"inexact coefficient division {a} / {b}")
-    return q
-
-
 def polydivmod(f: IntPoly, g: IntPoly) -> tuple[IntPoly, IntPoly]:
-    """Long division f = q*g + r with deg r < deg g, performed over the
-    coefficient ring.  Each leading-coefficient division must be exact (always
-    true for monic g); otherwise ValueError is raised.
+    """Long division f = q*g + r with deg r < deg g, over the integers.
+    Each leading-coefficient division must be exact (always true for monic
+    g); otherwise ValueError is raised.
     """
     if g.is_zero:
         raise ZeroDivisionError("polynomial division by zero")
-    q: list[Coeff] = [0] * max(0, f.degree - g.degree + 1)
+    q = [0] * max(0, f.degree - g.degree + 1)
     r = f
     glead = g.leading
     while not r.is_zero and r.degree >= g.degree:
-        t = _coeff_quotient(r.leading, glead)
+        t, rem = divmod(r.leading, glead)
+        if rem:
+            raise ValueError(f"inexact coefficient division {r.leading} / {glead}")
         shift = r.degree - g.degree
         q[shift] = t
         r = r - IntPoly.monomial(t, shift) * g
@@ -217,57 +194,6 @@ def remainder_mod(f: IntPoly, g: IntPoly) -> IntPoly:
     """Remainder of f modulo g (g must have an invertible leading
     coefficient, e.g. be monic)."""
     return polydivmod(f, g)[1]
-
-
-def resultant(f: IntPoly, g: IntPoly) -> Coeff:
-    """Resultant via the Sylvester matrix with fraction-free (Bareiss)
-    elimination.  Exact for integer coefficients and for coefficients that
-    are themselves IntPoly values (integral-domain entries)."""
-    m, n = f.degree, g.degree
-    if m < 0 or n < 0:
-        return 0
-    if m == 0 and n == 0:
-        return 1
-    if m == 0:
-        return f.coeffs[0] ** n
-    if n == 0:
-        return g.coeffs[0] ** m
-    size = m + n
-    fc = list(reversed(f.coeffs))
-    gc = list(reversed(g.coeffs))
-    rows = [[0] * i + fc + [0] * (size - m - 1 - i) for i in range(n)]
-    rows += [[0] * i + gc + [0] * (size - n - 1 - i) for i in range(m)]
-    return _bareiss_determinant(rows)
-
-
-def _bareiss_determinant(rows: list[list[Coeff]]) -> Coeff:
-    """Fraction-free determinant; mutates ``rows``.  Entries may be ints or
-    IntPoly values; all intermediate divisions are exact by Sylvester's
-    identity."""
-    size = len(rows)
-    sign = 1
-    prev: Coeff = 1
-    for c in range(size):
-        p = next((r for r in range(c, size) if rows[r][c] != 0), None)
-        if p is None:
-            return 0
-        if p != c:
-            rows[c], rows[p] = rows[p], rows[c]
-            sign = -sign
-        pivot = rows[c][c]
-        prow = rows[c]
-        for r in range(c + 1, size):
-            row = rows[r]
-            fac = row[c]
-            if fac == 0:
-                row[c + 1:] = [_coeff_quotient(pivot * x, prev) for x in row[c + 1:]]
-            else:
-                row[c + 1:] = [_coeff_quotient(pivot * x - fac * y, prev)
-                               for x, y in zip(row[c + 1:], prow[c + 1:])]
-            row[c] = 0
-        prev = pivot
-    det = rows[-1][-1]
-    return det if sign == 1 else -det
 
 
 # ---------------------------------------------------------------------------

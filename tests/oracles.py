@@ -9,6 +9,7 @@ fraction-free (Bareiss) over the integers instead of modulo a prime.
 
 from fractions import Fraction
 from itertools import permutations
+from math import gcd, lcm
 
 from nutorbits import Graph, IntPoly
 from nutorbits.linalg import matvec
@@ -234,3 +235,13 @@ def exact_kernel(a: list[list[int]]) -> list[tuple[Fraction, ...]]:
             raise AssertionError(
                 f"internal error: kernel vector has nonzero residual {residual}")
     return canonical
+
+
+def primitive(v) -> tuple[int, ...]:
+    """The primitive integer multiple of a nonzero rational vector: the
+    positive multiple whose entries are coprime integers."""
+    entries = [Fraction(e) for e in v]
+    denom = lcm(*(e.denominator for e in entries))
+    ints = [int(e * denom) for e in entries]
+    divisor = gcd(*ints)
+    return tuple(x // divisor for x in ints)

@@ -1,4 +1,4 @@
-"""Acceptance suite: every check is an exact integer/rational identity.
+"""Acceptance suite: every check is an exact integer identity.
 
 Each criterion prints one PASS line (run with ``pytest -v -s`` to see them);
 a failing criterion shows up as a failed test.  Criteria verify against
@@ -11,7 +11,6 @@ orbit-stabilizer identity) can sweep the entire suite with zero exceptions.
 
 import random
 import time
-from fractions import Fraction
 from itertools import combinations, islice
 
 import pytest

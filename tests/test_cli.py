@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import time
 
 import pytest
@@ -283,6 +286,8 @@ def test_construct_rejects_unread_flags(capsys, argv, unread):
     (("--variant", "prop3"), "prop3 needs --n"),
     (("--variant", "subdiv", "--k", "2"), "subdiv needs --t"),
     (("--variant", "subdiv"), "subdiv needs --k, --t"),
+    (("--k", "5"), "exactly one of --r (with --k) and --variant"),
+    (("--r", "3", "--k", "5", "--variant", "fig3"), "exactly one of --r (with --k) and --variant"),
 ])
 def test_construct_names_missing_flags(capsys, argv, message):
     code, out, err = run_cli(capsys, "construct", *argv)
@@ -310,6 +315,7 @@ def test_construct_refuses_orders_above_the_cap(capsys, argv):
     (("prop1", "--nmax", "9"), "--nmax"),
     (("subdiv", "--primes", "5"), "--primes"),
     (("circulant-cross", "--kmax", "4", "--tmax", "2"), "--kmax, --tmax"),
+    (("prop1", "--k", "2", "--kmax", "8"), "--kmax"),
 ])
 def test_sweep_rejects_unread_flags(capsys, argv, unread):
     code, out, err = run_cli(capsys, "sweep", "--suite", *argv)
@@ -357,3 +363,13 @@ def test_sweep_streams_rows_before_a_later_task_fails(capsys, monkeypatch):
     rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
     assert len(rows) == 1
     assert (rows[0]["suite"], rows[0]["n"], rows[0]["verified"]) == ("prop3", 5, True)
+
+
+def test_importing_the_cli_loads_no_fractions():
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, nutorbits.cli; print('fractions' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "False"

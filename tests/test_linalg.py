@@ -3,12 +3,12 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from oracles import charpoly_cofactor, exact_kernel, root_zero_multiplicity
+from oracles import charpoly_cofactor, exact_kernel, primitive, root_zero_multiplicity
 
 from nutorbits import linalg
 from nutorbits import (CirculantSpec, Graph, IntPoly, ResourceCapError,
                        cartesian_product, char_poly, circulant, complete_graph,
-                       construct_with_orbits, integer_scaled, is_nut, kernel_basis,
+                       construct_with_orbits, is_nut, kernel_basis,
                        kernel_vector_from_factors, product_spectrum_check)
 from nutorbits.constructions import MAX_ORDER
 from nutorbits.linalg import MERSENNE_EXPONENTS, EigenvectorMismatch, matvec
@@ -25,16 +25,13 @@ def test_kernel_of_c4_frozen(c4):
     # char poly x^4 - 4x^2 has a double root at 0; the canonical reduced
     # basis pairs opposite vertices
     basis = kernel_basis(c4.adjacency_matrix())
-    assert basis == [
-        (Fraction(1), Fraction(0), Fraction(-1), Fraction(0)),
-        (Fraction(0), Fraction(1), Fraction(0), Fraction(-1)),
-    ]
+    assert basis == [(1, 0, -1, 0), (0, 1, 0, -1)]
 
 
 def test_kernel_of_circ_10_12_is_alternating(circ_10_12):
     basis = kernel_basis(circ_10_12.adjacency_matrix())
     assert len(basis) == 1
-    assert basis[0] == tuple(Fraction((-1) ** i) for i in range(10))
+    assert basis[0] == tuple((-1) ** i for i in range(10))
 
 
 def test_kernel_vectors_are_exact_on_random_matrices():
@@ -69,12 +66,6 @@ def test_is_nut_verdicts(circ_10_12, c4):
     # K1 has nullity 1 with a full vector but is never a nut graph
     v = is_nut(complete_graph(1))
     assert v.nullity == 1 and v.is_full and not v.is_nut
-
-
-def test_integer_scaled():
-    assert integer_scaled((Fraction(1, 2), Fraction(-1, 3))) == (3, -2)
-    assert integer_scaled((Fraction(2), Fraction(4))) == (1, 2)
-    assert integer_scaled(()) == ()
 
 
 def test_char_poly_frozen_values(c4, k4):
@@ -116,6 +107,26 @@ def test_product_spectrum_check_named_pairs(c4, k4):
             assert product_spectrum_check(g, h)
 
 
+def test_product_spectrum_check_fails_on_a_broken_product(monkeypatch, c4, k4):
+    # the true product less its first edge has a different spectrum
+    true_product = linalg.cartesian_product
+
+    def broken(g, h):
+        p = true_product(g, h)
+        return Graph(p.n, p.edges[1:])
+
+    monkeypatch.setattr(linalg, "cartesian_product", broken)
+    family = [complete_graph(1), complete_graph(2), k4, c4,
+              circulant(CirculantSpec(6, {1}))]
+    checked = 0
+    for g in family:
+        for h in family:
+            if true_product(g, h).edges:
+                assert not product_spectrum_check(g, h), (g.n, h.n)
+                checked += 1
+    assert checked == 24
+
+
 def test_product_spectrum_check_cap():
     big = circulant(CirculantSpec(10, {1}))
     with pytest.raises(ResourceCapError):
@@ -142,7 +153,7 @@ def test_kernel_vector_from_factors_prop2_style():
 def test_kernel_vector_from_factors_edgeless():
     e3, e2 = Graph(3, ()), Graph(2, ())
     w = kernel_vector_from_factors([1, 1, 1], [1, 1], e3, e2)
-    assert w == tuple(Fraction(1) for _ in range(6))
+    assert w == (1,) * 6
 
 
 def test_kernel_vector_from_factors_fullness_tracks_inputs(k4):
@@ -191,9 +202,9 @@ def test_nullity_and_kernel_follow_a_relabelling(name, g, nullity):
         assert moved.nullity == nullity
         if nullity == 1:
             expected = [0] * g.n
-            for v, x in enumerate(integer_scaled(verdict.kernel_basis[0])):
+            for v, x in enumerate(verdict.kernel_basis[0]):
                 expected[perm[v]] = x
-            got = list(integer_scaled(moved.kernel_basis[0]))
+            got = list(moved.kernel_basis[0])
             assert got in (expected, [-x for x in expected])
 
 
@@ -205,7 +216,7 @@ def _sympy_rref_kernel(a):
     if not null:
         return []
     reduced = sympy.Matrix.hstack(*null).T.rref()[0]
-    return [tuple(Fraction(int(e.p), int(e.q)) for e in reduced.row(i))
+    return [primitive(Fraction(int(e.p), int(e.q)) for e in reduced.row(i))
             for i in range(reduced.rows)]
 
 
@@ -273,7 +284,7 @@ def test_certificate_answers_every_cross_oracle_circulant(exact_calls):
     # every even n <= 18: the certificate modulo 2^61 - 1 holds, agrees with
     # the Bareiss oracle and never reruns
     for a in _all_circulants(18, step=2):
-        assert kernel_basis(a) == EXACT_KERNEL(a)
+        assert kernel_basis(a) == [primitive(v) for v in EXACT_KERNEL(a)]
     assert exact_calls == []
 
 
@@ -283,16 +294,16 @@ def test_certificate_answers_every_cross_oracle_circulant(exact_calls):
     ([[1, 0], [0, 2 ** 61 - 1]], (127, [])),
     # RREF entry 2^-40, past the reconstruction bound: it is congruent to
     # 2^21, which reconstructs but fails A v = 0 over Z
-    ([[1, -2 ** 40], [0, 0]], (89, [(Fraction(1), Fraction(1, 2 ** 40))])),
-    # RREF entry 5^17 / 3^25, a residue with no reconstruction in bounds
-    ([[3 ** 25, -5 ** 17], [0, 0]], (89, [(Fraction(1), Fraction(3 ** 25, 5 ** 17))])),
+    ([[1, -2 ** 40], [0, 0]], (89, [(2 ** 40, 1)])),
+    # RREF entry 3^25 / 5^17, a residue with no reconstruction in bounds
+    ([[3 ** 25, -5 ** 17], [0, 0]], (89, [(5 ** 17, 3 ** 25)])),
 ])
 def test_failed_certificate_falls_back_to_exact_path(exact_calls, a, expected):
     # expected: the exponent the Hadamard bound picks, and the basis
     rerun, expected_basis = expected
     basis = kernel_basis(a)
     assert exact_calls == [rerun]
-    assert basis == expected_basis == EXACT_KERNEL(a)
+    assert basis == expected_basis == [primitive(v) for v in EXACT_KERNEL(a)]
     for v in basis:
         assert all(x == 0 for x in matvec(a, v))
 
@@ -323,7 +334,7 @@ def test_is_nut_builds_no_dense_matrix(monkeypatch, circ_10_12):
     monkeypatch.setattr(Graph, "adjacency_matrix", refuse)
     verdict = is_nut(circ_10_12)
     assert verdict.is_nut
-    assert verdict.kernel_basis[0] == tuple(Fraction((-1) ** i) for i in range(10))
+    assert verdict.kernel_basis[0] == tuple((-1) ** i for i in range(10))
 
 
 def test_largest_modulus_passes_the_hadamard_bound_of_every_checked_graph():

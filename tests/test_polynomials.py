@@ -5,7 +5,7 @@ import pytest
 from nutorbits import (CirculantSpec, IntPoly, SpecificationError, circulant,
                        circulant_is_nut_symbolic, circulant_symbol, cyclotomic,
                        exact_divide, gcd_criterion, is_nut, remainder_mod,
-                       resultant, vanishing_orders)
+                       vanishing_orders)
 from nutorbits.polynomials import polydivmod
 
 X = IntPoly.x()
@@ -30,25 +30,6 @@ def test_exact_divide_and_remainder():
         exact_divide(X ** 2 - 1, X + 2)
     with pytest.raises(ZeroDivisionError):
         polydivmod(X, IntPoly())
-
-
-def test_resultant_integer_cases():
-    # Sylvester determinant of monic f, g is the product of g over f's roots
-    assert resultant(X - 2, X - 3) == -1          # g(2)
-    assert resultant(X - 2, X - 2) == 0           # common root
-    assert resultant(X ** 2 - 1, X - 1) == 0
-    assert resultant(X ** 2 - 1, X - 3) == 8      # g(1) * g(-1)
-    assert resultant(IntPoly((2,)), X ** 2 + 1) == 4  # constant: c^{deg g}
-    assert resultant(IntPoly(), X) == 0
-
-
-def test_resultant_with_polynomial_coefficients():
-    # Res_y(y^2 - 1, (x - y)^2 - 1) worked out by hand: the roots of the
-    # first factor are +-1, so the product (x-1)^2-1 times (x+1)^2-1
-    # expands to x^4 - 4x^2.
-    x_minus_y = IntPoly((IntPoly((0, 1)), -1))
-    shifted = (X ** 2 - 1).evaluate(x_minus_y)
-    assert resultant(X ** 2 - 1, shifted) == X ** 4 - 4 * X ** 2
 
 
 def test_cyclotomic_small_and_degrees():
