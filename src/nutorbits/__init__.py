@@ -27,25 +27,24 @@ from .graphs import (AbelianCayleySpec, CirculantSpec, Graph,
                      write_graph6)
 from .linalg import (NutVerdict, char_poly, is_nut, kernel_basis,
                      kernel_vector_from_factors, product_spectrum_check)
-from .polynomials import (IntPoly, VanishingReport, circulant_is_nut_symbolic,
-                          circulant_symbol, cyclotomic, exact_divide,
-                          gcd_criterion, remainder_mod, vanishing_orders)
+from .polynomials import (circulant_is_nut_symbolic, circulant_symbol,
+                          cyclotomic, gcd_criterion, vanishing_orders)
 
 __all__ = [
     "AbelianCayleySpec", "CirculantSpec", "ConstructionParams", "Graph",
-    "Graph6ParseError", "HypothesisError", "InputError", "IntPoly",
+    "Graph6ParseError", "HypothesisError", "InputError",
     "NotCoveredByThisPaper", "NotRealizable", "NutVerdict", "OrbitCensus",
     "Permutation", "PermutationGroup", "ResourceCapError", "SpecificationError",
-    "VanishingReport", "VerificationError", "VerifiedNut",
+    "VerificationError", "VerifiedNut",
     "automorphism_group", "buset_connected", "buset_general",
     "cartesian_product", "cayley_abelian", "cayley_nut",
     "cayley_nut_edge_orbits", "char_poly", "circulant",
     "circulant_is_nut_symbolic", "circulant_symbol", "complete_graph",
-    "construct_with_orbits", "cyclotomic", "exact_divide", "fig3_graph",
+    "construct_with_orbits", "cyclotomic", "fig3_graph",
     "gcd_criterion", "is_nut", "is_vertex_transitive",
     "kernel_basis", "kernel_vector_from_factors", "nut_realizable",
     "orbit_census", "primes_from", "product_spectrum_check", "prop1_graph",
-    "prop2_graph", "prop3_graph", "read_graph6", "remainder_mod",
+    "prop2_graph", "prop3_graph", "read_graph6",
     "stabilizer", "subdivide_edges", "subdivided_nut", "vanishing_orders",
     "write_dot", "write_graph6",
 ]

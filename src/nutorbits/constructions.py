@@ -7,7 +7,7 @@ recomputed by exact nullspace, the orbit census by the automorphism search,
 and the group order is compared against the formula claimed for the family.
 A mismatch is an internal consistency failure and aborts loudly; it is never
 a valid outcome.  Each builder refuses, before it builds anything, an order
-above ``MAX_ORDER``.
+above ``graphs.MAX_ORDER``.
 
 ``FAMILIES`` is the one table of construct forms and sweep suites: each row
 gives the builder, the prime floor of a prime family and the sweep range.
@@ -25,15 +25,10 @@ from typing import Callable, Iterator, NamedTuple, Optional
 from .automorphisms import OrbitCensus, orbit_census
 from .errors import (HypothesisError, NotCoveredByThisPaper, NotRealizable,
                      ResourceCapError, VerificationError)
-from .graphs import (AbelianCayleySpec, CirculantSpec, Graph, cartesian_product,
-                     cayley_abelian, circulant, complete_graph, subdivide_edges)
+from .graphs import (MAX_ORDER, AbelianCayleySpec, CirculantSpec, Graph,
+                     cartesian_product, cayley_abelian, circulant,
+                     complete_graph, subdivide_edges)
 from .linalg import NutVerdict, is_nut
-
-# Larger orders are refused for time.  On Python 3.11 and one Xeon core the
-# orbit census of Circ(4078, {1, 2}) takes about 0.2 s and its nut
-# certificate 0.1 s; graphs with a deep first search path cost more (the
-# edgeless graph of order 1200: 1.5 s and 85 MB).
-MAX_ORDER = 4096
 
 FIG3_CONNECTION = frozenset(
     {(i, 0) for i in (1, 2, 4, 5)} | {(i, 1) for i in (0, 1, 3, 5)})

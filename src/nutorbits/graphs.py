@@ -14,7 +14,13 @@ from functools import cached_property
 from itertools import combinations, product as _cartesian_tuples
 from typing import Iterable, Optional, Sequence
 
-from .errors import Graph6ParseError, SpecificationError
+from .errors import Graph6ParseError, ResourceCapError, SpecificationError
+
+# Larger orders are refused for time.  On Python 3.11 and one Xeon core the
+# orbit census of Circ(4078, {1, 2}) takes about 0.2 s and its nut
+# certificate 0.1 s; graphs with a deep first search path cost more (the
+# edgeless graph of order 1200: 1.5 s and 85 MB).
+MAX_ORDER = 4096
 
 
 @dataclass(frozen=True)
@@ -258,7 +264,8 @@ def read_graph6(text: str) -> Graph:
     """Parse a single graph6 string (optional '>>graph6<<' header allowed).
 
     Raises Graph6ParseError with the byte offset of the offending character
-    on malformed input.
+    on malformed input, and ResourceCapError, before any edge is decoded,
+    when the header gives an order above ``MAX_ORDER``.
     """
     pos = 0
     end = len(text)
@@ -294,6 +301,9 @@ def read_graph6(text: str) -> Graph:
             raise Graph6ParseError("orders above 258047 are not supported", pos)
         n = (value(pos + 1) << 12) | (value(pos + 2) << 6) | value(pos + 3)
         pos += 4
+    if n > MAX_ORDER:
+        raise ResourceCapError(f"a graph of order {n} exceeds the order cap "
+                               f"of {MAX_ORDER} vertices")
     nbits = n * (n - 1) // 2
     nbytes = (nbits + 5) // 6
     if body_end - pos != nbytes:

@@ -29,7 +29,6 @@ from typing import Sequence
 
 from .errors import ResourceCapError
 from .graphs import Graph, cartesian_product
-from .polynomials import IntPoly
 
 IntMatrix = Sequence[Sequence[int]]
 IntVector = tuple[int, ...]
@@ -269,9 +268,10 @@ def _power_traces(a: IntMatrix, m: int) -> list[int]:
     return traces
 
 
-def char_poly(a: IntMatrix) -> IntPoly:
+def char_poly(a: IntMatrix) -> tuple[int, ...]:
     """Characteristic polynomial det(xI - A), monic of degree n, from the
-    power sums tr(A^k) by Newton's identities."""
+    power sums tr(A^k) by Newton's identities; its coefficients lowest
+    degree first."""
     n = _check_square(a)
     traces = _power_traces(a, n)
     coeffs = [1]  # c_0..c_n of x^n + c_1 x^(n-1) + ... + c_n
@@ -280,7 +280,7 @@ def char_poly(a: IntMatrix) -> IntPoly:
         if rem:
             raise AssertionError("internal error: Newton's identity division inexact")
         coeffs.append(q)
-    return IntPoly(reversed(coeffs))
+    return tuple(reversed(coeffs))
 
 
 def product_spectrum_check(g: Graph, h: Graph) -> bool:

@@ -11,8 +11,7 @@ from fractions import Fraction
 from itertools import permutations
 from math import gcd, lcm
 
-from nutorbits import Graph, IntPoly
-from nutorbits.linalg import matvec
+from nutorbits import Graph
 
 
 def exhaustive_automorphisms(g: Graph) -> set[tuple[int, ...]]:
@@ -95,34 +94,57 @@ def chain_order(degree: int, gens) -> int:
     return order
 
 
-def charpoly_cofactor(a: list[list[int]]) -> IntPoly:
-    """det(xI - A) by recursive cofactor expansion along the first row.
-    Exponential; intended for n <= 6."""
+def _trim(coeffs) -> tuple[int, ...]:
+    coeffs = list(coeffs)
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    return tuple(coeffs)
+
+
+def poly_add(a, b) -> tuple[int, ...]:
+    """Sum of two coefficient sequences, lowest degree first."""
+    if len(a) < len(b):
+        a, b = b, a
+    return _trim([c + (b[i] if i < len(b) else 0) for i, c in enumerate(a)])
+
+
+def poly_mul(a, b) -> tuple[int, ...]:
+    """Product of two coefficient sequences, lowest degree first, by the
+    schoolbook convolution."""
+    if not a or not b:
+        return ()
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return _trim(out)
+
+
+def charpoly_cofactor(a: list[list[int]]) -> tuple[int, ...]:
+    """det(xI - A) by recursive cofactor expansion along the first row, as
+    coefficients lowest degree first.  Exponential; intended for n <= 6."""
     n = len(a)
-    x = IntPoly.x()
-    m = [[(x - a[i][j]) if i == j else IntPoly((-a[i][j],)) for j in range(n)]
+    m = [[_trim((-a[i][j], 1) if i == j else (-a[i][j],)) for j in range(n)]
          for i in range(n)]
 
     def det(rows):
         if not rows:
-            return IntPoly((1,))
-        if len(rows) == 1:
-            return rows[0][0]
-        total = IntPoly()
+            return (1,)
+        total = ()
         for j, cell in enumerate(rows[0]):
-            if cell == 0:
+            if not cell:
                 continue
             minor = [row[:j] + row[j + 1:] for row in rows[1:]]
-            term = cell * det(minor)
-            total = total + term if j % 2 == 0 else total - term
+            term = poly_mul(cell, det(minor))
+            total = poly_add(total, term if j % 2 == 0 else [-c for c in term])
         return total
 
     return det(m)
 
 
-def root_zero_multiplicity(p: IntPoly) -> int:
+def root_zero_multiplicity(p) -> int:
     mult = 0
-    for c in p.coeffs:
+    for c in p:
         if c != 0:
             break
         mult += 1
@@ -230,7 +252,7 @@ def exact_kernel(a: list[list[int]]) -> list[tuple[Fraction, ...]]:
         basis.append(x)
     canonical = list(rref(basis))
     for v in canonical:
-        residual = matvec(a, v)
+        residual = [sum(x * y for x, y in zip(row, v)) for row in a]
         if any(residual):
             raise AssertionError(
                 f"internal error: kernel vector has nonzero residual {residual}")

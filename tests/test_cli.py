@@ -10,6 +10,7 @@ from nutorbits import (CirculantSpec, Graph, circulant, complete_graph,
                        read_graph6, is_nut, orbit_census, write_graph6)
 from nutorbits import cli
 from nutorbits.cli import main
+from nutorbits.graphs import MAX_ORDER
 
 
 def run_cli(capsys, *argv):
@@ -200,7 +201,15 @@ def test_sweep_refuses_primes_past_the_order_cap_before_building(capsys, monkeyp
                              "--primes", "400")
     assert time.perf_counter() - start < 1.0
     assert code == 4 and out == ""
-    assert f"order cap of {cli.CHECK_MAX_ORDER}" in err
+    assert f"order cap of {MAX_ORDER}" in err
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_sweep_rejects_jobs_below_one(capsys, monkeypatch, jobs):
+    monkeypatch.setattr(cli, "_sweep_task", lambda task: pytest.fail("a build ran"))
+    code, out, err = run_cli(capsys, "sweep", "--suite", "prop3", "--jobs", jobs)
+    assert code == 3 and out == ""
+    assert "--jobs" in err
 
 
 def test_sweep_cap_refusal(capsys, monkeypatch):
@@ -231,12 +240,20 @@ def test_check_order_zero_exits_2(capsys):
 
 
 def test_check_refuses_orders_above_the_cap(capsys):
-    n = cli.CHECK_MAX_ORDER + 1
-    edgeless = "~" + "".join(chr(63 + ((n >> s) & 63)) for s in (12, 6, 0))
-    edgeless += "?" * ((n * (n - 1) // 2 + 5) // 6)
-    code, out, err = run_cli(capsys, "check", edgeless)
-    assert code == 4 and out == ""
-    assert f"cap of {cli.CHECK_MAX_ORDER}" in err
+    n = MAX_ORDER + 1
+    header = "~" + "".join(chr(63 + ((n >> s) & 63)) for s in (12, 6, 0))
+    nbits = n * (n - 1) // 2
+    edgeless = header + "?" * ((nbits + 5) // 6)
+    # every bit set, then the padding bits of the last byte left clear
+    complete = header + "~" * (nbits // 6)
+    if nbits % 6:
+        complete += chr(63 + (63 ^ (63 >> nbits % 6)))
+    for text in (edgeless, complete):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "check", text)
+        assert time.perf_counter() - start < 1.0
+        assert code == 4 and out == ""
+        assert f"cap of {MAX_ORDER}" in err
 
 
 @pytest.mark.parametrize("suite, bound, value", [
@@ -306,7 +323,7 @@ def test_construct_names_missing_flags(capsys, argv, message):
 def test_construct_refuses_orders_above_the_cap(capsys, argv):
     code, out, err = run_cli(capsys, "construct", *argv)
     assert code == 4 and out == ""
-    assert f"cap of {cli.CHECK_MAX_ORDER}" in err
+    assert f"cap of {MAX_ORDER}" in err
 
 
 @pytest.mark.parametrize("argv, unread", [

@@ -198,9 +198,10 @@ def test_prop2_spectral_endpoints_from_symbol():
     for k in (5, 7, 9):
         p = next(primes_from(2 * k + 1))
         symbol = circulant_symbol(2 * p, set(range(2, k)) | {p})
-        lam = lambda x: symbol.evaluate(x) + 1   # K2 eigenvalue +1 branch
-        mu = lambda x: symbol.evaluate(x) - 1    # K2 eigenvalue -1 branch
-        assert lam(1) == 2 * k - 2
-        assert mu(1) == 2 * k - 4
-        assert lam(-1) == 2
-        assert mu(-1) == 0
+        at_one = sum(symbol)
+        at_minus_one = sum(c if i % 2 == 0 else -c for i, c in enumerate(symbol))
+        # K2 eigenvalue +1 branch, then -1 branch
+        assert at_one + 1 == 2 * k - 2
+        assert at_one - 1 == 2 * k - 4
+        assert at_minus_one + 1 == 2
+        assert at_minus_one - 1 == 0
