@@ -1,15 +1,15 @@
 """Immutable graphs and the constructions used throughout the package.
 
-Vertices are dense integer labels 0..n-1.  Construction coordinates (group
-elements for Cayley graphs, factor pairs for cartesian products) are kept as
-side annotations and never take part in equality: two graphs are equal iff
-they have the same order and the same normalized edge set.
+A graph is its order n and its normalized edge set on the dense labels
+0..n-1; two graphs are equal iff both agree.  Builders that start from
+coordinates (group elements for Cayley graphs, factor pairs for cartesian
+products) label them in row-major order, so a label gives its coordinates.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, product as _cartesian_tuples
 from typing import Iterable, Optional, Sequence
@@ -34,7 +34,6 @@ class Graph:
 
     n: int
     edges: tuple[tuple[int, int], ...]
-    coords: Optional[tuple] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if self.n < 0:
@@ -47,12 +46,9 @@ class Graph:
             if prev is not None and e <= prev:
                 raise ValueError("edges must be strictly sorted")
             prev = e
-        if self.coords is not None and len(self.coords) != self.n:
-            raise ValueError("coords must annotate every vertex")
 
     @classmethod
-    def from_edges(cls, n: int, edges: Iterable[tuple[int, int]],
-                   coords: Optional[Sequence] = None) -> "Graph":
+    def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
         """Build a graph from an arbitrary edge iterable, normalizing order
         and dropping duplicates.  Self-loops are rejected."""
         norm = set()
@@ -60,8 +56,7 @@ class Graph:
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
             norm.add((u, v) if u < v else (v, u))
-        return cls(n, tuple(sorted(norm)),
-                   tuple(coords) if coords is not None else None)
+        return cls(n, tuple(sorted(norm)))
 
     @cached_property
     def neighbors(self) -> tuple[frozenset[int], ...]:
@@ -169,8 +164,7 @@ def cartesian_product(g: Graph, h: Graph) -> Graph:
     """Cartesian product: (a, b) ~ (a', b') iff the pair agrees in exactly
     one coordinate and is adjacent in the other.
 
-    Product vertex (a, b) maps to label a * |V(h)| + b (row-major), and the
-    coords annotation records the coordinate pair.
+    Product vertex (a, b) has label a * |V(h)| + b (row-major).
     """
     nh = h.n
     edges = []
@@ -181,8 +175,7 @@ def cartesian_product(g: Graph, h: Graph) -> Graph:
     for a, a2 in g.edges:
         for b in range(nh):
             edges.append((a * nh + b, a2 * nh + b))
-    coords = tuple((a, b) for a in range(g.n) for b in range(nh))
-    return Graph.from_edges(g.n * nh, edges, coords)
+    return Graph.from_edges(g.n * nh, edges)
 
 
 def cayley_abelian(spec: AbelianCayleySpec) -> Graph:
@@ -190,7 +183,7 @@ def cayley_abelian(spec: AbelianCayleySpec) -> Graph:
     u ~ v iff u - v lies in the connection set.
 
     Vertices are the group elements in row-major order (last coordinate
-    fastest), annotated as coords.
+    fastest): (x_1, ..., x_d) has label sum of x_i * m_(i+1) * ... * m_d.
     """
     elements = list(_cartesian_tuples(*(range(m) for m in spec.orders)))
     index = {e: i for i, e in enumerate(elements)}
@@ -199,7 +192,7 @@ def cayley_abelian(spec: AbelianCayleySpec) -> Graph:
         for c in spec.connection:
             v = tuple((x + y) % m for x, y, m in zip(u, c, spec.orders))
             edges.append((i, index[v]))
-    return Graph.from_edges(len(elements), edges, tuple(elements))
+    return Graph.from_edges(len(elements), edges)
 
 
 def subdivide_edges(g: Graph, targets: Iterable[tuple[int, int]], s: int) -> Graph:
@@ -235,19 +228,18 @@ def subdivide_edges(g: Graph, targets: Iterable[tuple[int, int]], s: int) -> Gra
 # packing of the upper triangle in column order)
 # ---------------------------------------------------------------------------
 
-_G6_HEADER = ">>graph6<<"
+_G6_PAYLOAD = re.compile(r"[ \t\r\n]*(?:>>graph6<<)?([^ \t\r\n]*)[ \t\r\n]*")
 _G6_OUTSIDE = re.compile(r"[^?-~]")     # outside chr(63)..chr(126)
 _G6_NONZERO = re.compile(r"[@-~]")      # a byte with at least one bit set
+_G6_ADD63 = bytes((b + 63) % 256 for b in range(256))
 
 
 def write_graph6(g: Graph) -> str:
     n = g.n
-    out = bytearray()
     if n <= 62:
-        out.append(n + 63)
+        head = bytes([n])
     elif n <= 258047:
-        out.append(126)
-        out.extend(((n >> shift) & 63) + 63 for shift in (12, 6, 0))
+        head = bytes([63, n >> 12, n >> 6 & 63, n & 63])
     else:
         raise ValueError(f"graph6 writer supports orders up to 258047, got {n}")
     # Edge (i, j), i < j, is bit i + j(j-1)/2 of the upper triangle in
@@ -256,8 +248,7 @@ def write_graph6(g: Graph) -> str:
     for i, j in g.edges:
         k = i + j * (j - 1) // 2
         body[k // 6] |= 32 >> (k % 6)
-    out.extend(b + 63 for b in body)
-    return out.decode("ascii")
+    return (head + body).translate(_G6_ADD63).decode("ascii")
 
 
 def read_graph6(text: str) -> Graph:
@@ -267,64 +258,49 @@ def read_graph6(text: str) -> Graph:
     on malformed input, and ResourceCapError, before any edge is decoded,
     when the header gives an order above ``MAX_ORDER``.
     """
-    pos = 0
-    end = len(text)
-    while pos < end and text[pos] in " \t\r\n":
-        pos += 1
-    if text.startswith(_G6_HEADER, pos):
-        pos += len(_G6_HEADER)
-    body_end = pos
-    while body_end < end and text[body_end] not in " \t\r\n":
-        body_end += 1
-    tail = body_end
-    while tail < end and text[tail] in " \t\r\n":
-        tail += 1
-    if tail < end:
-        raise Graph6ParseError("trailing data after graph6 payload", tail)
-    if pos == body_end:
+    match = _G6_PAYLOAD.match(text)
+    if match.end() < len(text):
+        raise Graph6ParseError("trailing data after graph6 payload", match.end())
+    pos, end = match.span(1)
+    if pos == end:
         raise Graph6ParseError("empty graph6 payload", pos)
-
-    def value(at: int) -> int:
-        if at >= body_end:
-            raise Graph6ParseError("truncated graph6 payload", body_end)
-        c = ord(text[at])
-        if not 63 <= c <= 126:
-            raise Graph6ParseError(f"character {text[at]!r} outside graph6 range", at)
-        return c - 63
-
-    first = value(pos)
-    if first < 63:
-        n = first
-        pos += 1
-    else:
-        if value(pos + 1) == 63:
-            raise Graph6ParseError("orders above 258047 are not supported", pos)
-        n = (value(pos + 1) << 12) | (value(pos + 2) << 6) | value(pos + 3)
-        pos += 4
+    if text.startswith("~~", pos):
+        raise Graph6ParseError("orders above 258047 are not supported", pos)
+    # The order takes one byte, or '~' and three more.
+    head = pos + 4 if text[pos] == "~" else pos + 1
+    bad = _G6_OUTSIDE.search(text, pos, min(head, end))
+    if bad:
+        raise Graph6ParseError(f"character {bad.group()!r} outside graph6 range", bad.start())
+    if head > end:
+        raise Graph6ParseError("truncated graph6 payload", end)
+    n = ord(text[pos]) - 63
+    if n == 63:
+        n = ((ord(text[pos + 1]) - 63) << 12 | (ord(text[pos + 2]) - 63) << 6
+             | ord(text[pos + 3]) - 63)
     if n > MAX_ORDER:
         raise ResourceCapError(f"a graph of order {n} exceeds the order cap "
                                f"of {MAX_ORDER} vertices")
     nbits = n * (n - 1) // 2
     nbytes = (nbits + 5) // 6
-    if body_end - pos != nbytes:
+    if end - head != nbytes:
         raise Graph6ParseError(
-            f"expected {nbytes} edge bytes for order {n}, found {body_end - pos}",
-            body_end if body_end - pos < nbytes else pos + nbytes)
-    bad = _G6_OUTSIDE.search(text, pos, body_end)
+            f"expected {nbytes} edge bytes for order {n}, found {end - head}",
+            min(end, head + nbytes))
+    bad = _G6_OUTSIDE.search(text, head, end)
     if bad:
         raise Graph6ParseError(f"character {bad.group()!r} outside graph6 range", bad.start())
     # Only bytes with a set bit are visited; bit k of the upper triangle in
     # column order is edge (k - j(j-1)/2, j).
     edges = []
     j = 1
-    for m in _G6_NONZERO.finditer(text, pos, body_end):
-        base = (m.start() - pos) * 6
+    for m in _G6_NONZERO.finditer(text, head, end):
+        base = (m.start() - head) * 6
         v = ord(m.group()) - 63
         for b in range(6):
             if v & (32 >> b):
                 k = base + b
                 if k >= nbits:
-                    raise Graph6ParseError("nonzero padding bits", pos + nbytes - 1)
+                    raise Graph6ParseError("nonzero padding bits", head + nbytes - 1)
                 while j * (j + 1) // 2 <= k:
                     j += 1
                 edges.append((k - j * (j - 1) // 2, j))

@@ -3,8 +3,10 @@
 These deliberately avoid the code paths they check: the automorphism oracle
 scans all n! permutations, the group order oracle builds a Sims-filtered
 stabilizer chain from a generating set, the characteristic polynomial oracle
-expands det(xI - A) by cofactors, and the kernel oracle eliminates
-fraction-free (Bareiss) over the integers instead of modulo a prime.
+expands det(xI - A) by cofactors, the kernel oracle eliminates
+fraction-free (Bareiss) over the integers instead of modulo a prime, the
+residual multiplies a matrix by a vector in plain sums, and the graph6
+oracle walks its input one character at a time.
 """
 
 from fractions import Fraction
@@ -252,11 +254,15 @@ def exact_kernel(a: list[list[int]]) -> list[tuple[Fraction, ...]]:
         basis.append(x)
     canonical = list(rref(basis))
     for v in canonical:
-        residual = [sum(x * y for x, y in zip(row, v)) for row in a]
-        if any(residual):
-            raise AssertionError(
-                f"internal error: kernel vector has nonzero residual {residual}")
+        r = residual(a, v)
+        if any(r):
+            raise AssertionError(f"internal error: kernel vector has nonzero residual {r}")
     return canonical
+
+
+def residual(a, v) -> list:
+    """A v, one row sum at a time; v must have one entry per column."""
+    return [sum(x * y for x, y in zip(row, v, strict=True)) for row in a]
 
 
 def primitive(v) -> tuple[int, ...]:
@@ -267,3 +273,82 @@ def primitive(v) -> tuple[int, ...]:
     ints = [int(e * denom) for e in entries]
     divisor = gcd(*ints)
     return tuple(x // divisor for x in ints)
+
+
+class _Refusal(Exception):
+    pass
+
+
+def reference_read_graph6(text: str, max_order: int):
+    """Parse one graph6 string (optional '>>graph6<<' header, whitespace
+    around it) by walking it a character at a time.
+
+    Returns the graph, or the refusal as (kind, message, offset): kind
+    "Graph6ParseError" with the byte offset of the offending character, or
+    "ResourceCapError" with offset None when the header gives an order above
+    ``max_order``, found before any edge byte is looked at."""
+    try:
+        return _reference_read_graph6(text, max_order)
+    except _Refusal as refusal:
+        return refusal.args
+
+
+def _parse_error(message: str, offset: int) -> _Refusal:
+    return _Refusal("Graph6ParseError", message, offset)
+
+
+def _reference_read_graph6(text: str, max_order: int) -> Graph:
+    pos = 0
+    end = len(text)
+    while pos < end and text[pos] in " \t\r\n":
+        pos += 1
+    if text.startswith(">>graph6<<", pos):
+        pos += len(">>graph6<<")
+    body_end = pos
+    while body_end < end and text[body_end] not in " \t\r\n":
+        body_end += 1
+    tail = body_end
+    while tail < end and text[tail] in " \t\r\n":
+        tail += 1
+    if tail < end:
+        raise _parse_error("trailing data after graph6 payload", tail)
+    if pos == body_end:
+        raise _parse_error("empty graph6 payload", pos)
+
+    def value(at: int) -> int:
+        if at >= body_end:
+            raise _parse_error("truncated graph6 payload", body_end)
+        c = ord(text[at])
+        if not 63 <= c <= 126:
+            raise _parse_error(f"character {text[at]!r} outside graph6 range", at)
+        return c - 63
+
+    first = value(pos)
+    if first < 63:
+        n = first
+        pos += 1
+    else:
+        if value(pos + 1) == 63:
+            raise _parse_error("orders above 258047 are not supported", pos)
+        n = (value(pos + 1) << 12) | (value(pos + 2) << 6) | value(pos + 3)
+        pos += 4
+    if n > max_order:
+        raise _Refusal("ResourceCapError", f"a graph of order {n} exceeds the "
+                       f"order cap of {max_order} vertices", None)
+    nbits = n * (n - 1) // 2
+    nbytes = (nbits + 5) // 6
+    if body_end - pos != nbytes:
+        raise _parse_error(
+            f"expected {nbytes} edge bytes for order {n}, found {body_end - pos}",
+            body_end if body_end - pos < nbytes else pos + nbytes)
+    bits = [(value(at) >> (5 - b)) & 1 for at in range(pos, body_end) for b in range(6)]
+    if any(bits[nbits:]):
+        raise _parse_error("nonzero padding bits", pos + nbytes - 1)
+    k = 0
+    edges = []
+    for j in range(1, n):
+        for i in range(j):
+            if bits[k]:
+                edges.append((i, j))
+            k += 1
+    return Graph(n, tuple(sorted(edges)))

@@ -2,11 +2,14 @@ import random
 from itertools import combinations
 
 import pytest
+from oracles import reference_read_graph6
 
 from nutorbits import (AbelianCayleySpec, CirculantSpec, Graph,
-                       Graph6ParseError, SpecificationError, cartesian_product,
-                       cayley_abelian, circulant, complete_graph, read_graph6,
-                       subdivide_edges, write_dot, write_graph6)
+                       Graph6ParseError, ResourceCapError, SpecificationError,
+                       cartesian_product, cayley_abelian, circulant,
+                       complete_graph, read_graph6, subdivide_edges, write_dot,
+                       write_graph6)
+from nutorbits.graphs import MAX_ORDER
 
 
 def test_graph_normalization_and_queries():
@@ -68,7 +71,13 @@ def test_cartesian_product_basics(k4):
     # the 4-cycle 0-1-3-2-0 under row-major labels
     assert q2.edges == ((0, 1), (0, 2), (1, 3), (2, 3))
     assert set(q2.degree_sequence()) == {2}
-    assert q2.coords == ((0, 0), (0, 1), (1, 0), (1, 1))
+
+    # (a, b) has label 2a + b: it is adjacent to (a, b') for b ~ b' in K2
+    # and to (a', b) for a ~ a' in P3
+    p3 = Graph.from_edges(3, [(0, 1), (1, 2)])
+    expected = {(2 * a + b, 2 * a + b2) for a in range(3) for b, b2 in k2.edges}
+    expected |= {(2 * a + b, 2 * a2 + b) for a, a2 in p3.edges for b in range(2)}
+    assert set(cartesian_product(p3, k2).edges) == expected
 
     prod = cartesian_product(circulant(CirculantSpec(10, {1, 5})), k4)
     assert prod.n == 40 and set(prod.degree_sequence()) == {6}
@@ -88,9 +97,14 @@ def test_cartesian_product_degree_additivity():
 
 
 def test_cayley_abelian_fig3_and_cycles():
-    fig3 = cayley_abelian(AbelianCayleySpec(
-        (6, 2), {(i, 0) for i in (1, 2, 4, 5)} | {(i, 1) for i in (0, 1, 3, 5)}))
+    connection = {(i, 0) for i in (1, 2, 4, 5)} | {(i, 1) for i in (0, 1, 3, 5)}
+    fig3 = cayley_abelian(AbelianCayleySpec((6, 2), connection))
     assert fig3.n == 12 and set(fig3.degree_sequence()) == {8}
+    # (x, y) has label 2x + y, and u ~ v iff u - v is in the connection set
+    elements = [(x, y) for x in range(6) for y in range(2)]
+    assert set(fig3.edges) == {
+        (2 * u[0] + u[1], 2 * v[0] + v[1]) for u, v in combinations(elements, 2)
+        if ((u[0] - v[0]) % 6, (u[1] - v[1]) % 2) in connection}
 
     cycle = cayley_abelian(AbelianCayleySpec((7,), {(1,), (6,)}))
     assert Graph(cycle.n, cycle.edges) == circulant(CirculantSpec(7, {1}))
@@ -161,17 +175,26 @@ def test_graph6_long_form_orders():
     assert read_graph6(s) == g
 
 
-@pytest.mark.parametrize("bad,offset", [
-    ("A", 1),        # truncated payload
-    ("A_?", 2),      # extra edge byte
-    ("A!", 1),       # character out of range
-    ("", 0),         # empty
-    ("A_ A_", 3),    # trailing data
-])
-def test_graph6_errors_carry_byte_offset(bad, offset):
+G6_ERRORS = [
+    ("A", 1, "expected 1 edge bytes for order 2, found 0"),
+    ("A_?", 2, "expected 1 edge bytes for order 2, found 2"),
+    ("A!", 1, "character '!' outside graph6 range"),
+    ("", 0, "empty graph6 payload"),
+    ("A_ A_", 3, "trailing data after graph6 payload"),
+    ("~~", 0, "orders above 258047 are not supported"),
+    ("~?", 2, "truncated graph6 payload"),
+    ("~?!", 2, "character '!' outside graph6 range"),
+    ("A_?!", 2, "expected 1 edge bytes for order 2, found 3"),
+]
+
+
+@pytest.mark.parametrize("bad,offset,message", G6_ERRORS,
+                         ids=[f"{bad}-{offset}" for bad, offset, _ in G6_ERRORS])
+def test_graph6_errors_carry_byte_offset(bad, offset, message):
     with pytest.raises(Graph6ParseError) as err:
         read_graph6(bad)
     assert err.value.offset == offset
+    assert str(err.value) == f"{message} (byte offset {offset})"
 
 
 def test_graph6_rejects_nonzero_padding():
@@ -221,6 +244,69 @@ def test_graph6_fuzzed_round_trips_and_error_offsets():
         assert err.value.offset == at
 
     check()
+
+
+def test_graph6_reader_agrees_with_reference_on_mutated_strings():
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings, strategies as st
+
+    chars = "?@A_`o}~" * 2 + " \t" + "!>\x00\x7f\xe9"
+    errors = {"Graph6ParseError": Graph6ParseError, "ResourceCapError": ResourceCapError}
+
+    @st.composite
+    def texts(draw):
+        n = draw(st.one_of(st.integers(0, 70), st.integers(63, 300)))
+        vertex = st.integers(0, max(n - 1, 0))
+        pairs = draw(st.lists(st.tuples(vertex, vertex), max_size=60))
+        payload = write_graph6(Graph.from_edges(n, [(u, v) for u, v in pairs if u != v]))
+        if n > 1 and draw(st.booleans()):
+            # more bits in the last byte, which may hold padding
+            bits = draw(st.integers(1, 63))
+            payload = payload[:-1] + chr(63 + ((ord(payload[-1]) - 63) | bits))
+        if draw(st.booleans()):
+            # another order, in the long form or cut inside it
+            head = 1 if n < 63 else 4
+            payload = "~" + draw(st.text("?@A_}~~~", max_size=3)) + payload[head:]
+        if draw(st.booleans()):
+            cut = draw(st.one_of(st.integers(0, 5), st.integers(0, len(payload))))
+            payload = payload[:cut]
+        prefix = draw(st.sampled_from(["", " ", "\n\t", ">>graph6<<", " >>graph6<<",
+                                       ">>graph6<< ", ">>graph6", ">>graph6<<>>graph6<<"]))
+        suffix = draw(st.sampled_from(["", "", "", "\n", " \r\n", " A", "\t>>graph6<<"]))
+        text = prefix + payload + suffix
+        for _ in range(draw(st.integers(0, 2))):
+            # half the edits fall in or next to the order bytes
+            at = draw(st.one_of(st.integers(0, len(text)),
+                                st.integers(len(prefix), len(prefix) + 5)))
+            at = max(0, min(at, len(text)))
+            edit = draw(st.sampled_from(["substitute", "delete", "insert"]))
+            ch = draw(st.sampled_from(chars))
+            if edit == "insert":
+                text = text[:at] + ch + text[at:]
+            elif at < len(text):
+                text = text[:at] + ("" if edit == "delete" else ch) + text[at + 1:]
+        return text
+
+    def agree(text):
+        expected = reference_read_graph6(text, MAX_ORDER)
+        if isinstance(expected, Graph):
+            assert read_graph6(text) == expected
+            return
+        kind, message, offset = expected
+        with pytest.raises(errors[kind]) as err:
+            read_graph6(text)
+        assert type(err.value) is errors[kind]
+        assert getattr(err.value, "offset", None) == offset
+        assert str(err.value) == (message if offset is None
+                                  else f"{message} (byte offset {offset})")
+
+    # the order cap comes before the count and the range of the edge bytes
+    n = MAX_ORDER + 1
+    over_cap = "~" + chr(63 + (n >> 12)) + chr(63 + (n >> 6 & 63)) + chr(63 + (n & 63))
+    for text in ("~~?", ">>graph6<<~~ ", "~@?", "~?~~", over_cap, over_cap + "!"):
+        agree(text)
+    settings(max_examples=600, deadline=None, derandomize=True,
+             database=None)(given(texts())(agree))()
 
 
 def test_write_dot_with_and_without_orbits(c4):
