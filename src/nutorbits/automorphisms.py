@@ -1,4 +1,7 @@
-"""Graph automorphism groups from scratch, plus orbit machinery.
+"""Graph automorphism groups from scratch.  The orbit census is one
+union-find over the vertices and arcs, fed by each generator only at the
+points it moves and the arcs there; the search keeps its orbits in the same
+union-find.
 
 The search is a small canonical-labeling engine: equitable refinement of an
 ordered partition, with backtracking over a target cell.  The partition is
@@ -69,42 +72,6 @@ class PermutationGroup:
         ident = identity(degree)
         gens = tuple(dict.fromkeys(g for g in generators if g != ident))
         return cls(degree, gens, order)
-
-
-def orbits_of(gens: Sequence[Permutation], items: Iterable, act) -> list[tuple]:
-    """Orbit partition of ``items`` under the generator action ``act``; each
-    orbit is sorted, orbits ordered by smallest member."""
-    items = sorted(items)
-    seen = set()
-    orbits = []
-    for x in items:
-        if x in seen:
-            continue
-        orbit = {x}
-        frontier = [x]
-        while frontier:
-            y = frontier.pop()
-            for g in gens:
-                z = act(g, y)
-                if z not in orbit:
-                    orbit.add(z)
-                    frontier.append(z)
-        seen |= orbit
-        orbits.append(tuple(sorted(orbit)))
-    return orbits
-
-
-def _act_point(p: Permutation, v: int) -> int:
-    return p[v]
-
-
-def _act_edge(p: Permutation, e: tuple[int, int]) -> tuple[int, int]:
-    a, b = p[e[0]], p[e[1]]
-    return (a, b) if a < b else (b, a)
-
-
-def _act_arc(p: Permutation, e: tuple[int, int]) -> tuple[int, int]:
-    return (p[e[0]], p[e[1]])
 
 
 @dataclass(frozen=True)
@@ -282,6 +249,33 @@ def _sorted_cells(part: _Partition, starts: list[int]) -> list[int]:
     return out
 
 
+def _find(root: list[int], x: int) -> int:
+    """The root of x's class, halving the path on the way."""
+    while root[x] != x:
+        root[x] = x = root[root[x]]
+    return x
+
+
+def _join(root: list[int], pairs: Iterable[tuple[int, int]]) -> None:
+    """Merge the classes of a and b for every pair (a, b), under the smaller
+    root, so every root is its class's smallest member.  The find is
+    inlined: this loop carries every merge of the search and the census."""
+    for a, b in pairs:
+        while root[a] != a:
+            root[a] = a = root[root[a]]
+        while root[b] != b:
+            root[b] = b = root[root[b]]
+        if a < b:
+            root[b] = a
+        elif b < a:
+            root[a] = b
+
+
+def _moved(p: Permutation) -> list[tuple[int, int]]:
+    """The pairs (u, p[u]) at the points p moves."""
+    return [(u, pu) for u, pu in enumerate(p) if u != pu]
+
+
 def _search(g: Graph, fixed: Optional[int] = None) -> tuple[list[Permutation], int]:
     """Generators and order of the automorphisms of g, or of those fixing
     the vertex ``fixed``, by first-path automorphism pruning (see the module
@@ -348,34 +342,25 @@ def _search(g: Graph, fixed: Optional[int] = None) -> tuple[list[Permutation], i
         return None
 
     root = list(range(n))
-
-    def find(x: int) -> int:
-        while root[x] != x:
-            root[x] = x = root[root[x]]
-        return x
-
     gens: list[Permutation] = []
     order = 1
     for level in reversed(range(len(choices))):
         node = nodes[level]
         target, v = choices[level]
         cell = sorted(node.lab[target:node.ends[target]])
-        tried = {find(v)}
+        tried = {_find(root, v)}
         for w in cell:
-            if find(w) in tried:
+            if _find(root, w) in tried:
                 continue
             p = explore(node, w, level)
             if p is None:
-                tried.add(find(w))
+                tried.add(_find(root, w))
                 continue
             gens.append(p)
-            for x in range(n):
-                a, b = find(x), find(p[x])
-                if a != b:
-                    root[a] = b
-            tried = {find(x) for x in tried}
-        rv = find(v)
-        order *= sum(1 for w in cell if find(w) == rv)
+            _join(root, _moved(p))
+            tried = {_find(root, x) for x in tried}
+        rv = _find(root, v)
+        order *= sum(1 for w in cell if _find(root, w) == rv)
     return gens, order
 
 
@@ -388,16 +373,55 @@ def automorphism_group(g: Graph) -> PermutationGroup:
     return PermutationGroup.from_generators(g.n, gens, order)
 
 
+def orbits_of(g: Graph, gens: Sequence[Permutation]
+              ) -> tuple[tuple[tuple, ...], tuple[tuple, ...], tuple[tuple, ...]]:
+    """The vertex, edge and arc orbits of g under the group generated by
+    ``gens``, from one union-find over the vertices 0..n-1 and the arcs
+    n..n+2m-1 (in ``g.arcs()`` order).  Each generator p visits only the
+    points u it moves: u joins p[u], each arc (u, v) joins (p[u], p[v]),
+    and if p fixes v, (v, u) joins (v, p[u]); an arc between fixed points
+    is its own image.  An edge orbit is the union of the classes of (u, v)
+    and (v, u).  Items are read out in sorted order, so each orbit is
+    sorted and the orbits are ordered by smallest member."""
+    n, adj = g.n, g.neighbors
+    arcs = g.arcs()
+    slot: list[dict[int, int]] = [{} for _ in range(n)]
+    for i, (u, v) in enumerate(arcs, n):
+        slot[u][v] = i
+    root = list(range(n + len(arcs)))
+    for p in gens:
+        moved = _moved(p)
+        pairs = moved[:]
+        for u, pu in moved:
+            su, spu = slot[u], slot[pu]
+            for v in adj[u]:
+                pv = p[v]
+                pairs.append((su[v], spu[pv]))
+                if v == pv:
+                    sv = slot[v]
+                    pairs.append((sv[u], sv[pu]))
+        _join(root, pairs)
+    # each root is its class's smallest member, so one increasing pass
+    # points every item at it
+    for x in range(len(root)):
+        root[x] = root[root[x]]
+    edge_keys = [min(root[slot[u][v]], root[slot[v][u]]) for u, v in g.edges]
+    return (_classes(root[:n], range(n)), _classes(edge_keys, g.edges),
+            _classes(root[n:], arcs))
+
+
+def _classes(keys: Iterable[int], items: Iterable) -> tuple[tuple, ...]:
+    """The items grouped by key, groups in order of first appearance."""
+    out: dict[int, list] = {}
+    for key, item in zip(keys, items):
+        out.setdefault(key, []).append(item)
+    return tuple(map(tuple, out.values()))
+
+
 def orbit_census(g: Graph) -> OrbitCensus:
     """Vertex, edge and arc orbit partitions under Aut(G)."""
     group = automorphism_group(g)
-    gens = group.generators
-    census = OrbitCensus(
-        vertex_orbits=tuple(orbits_of(gens, range(g.n), _act_point)),
-        edge_orbits=tuple(orbits_of(gens, g.edges, _act_edge)),
-        arc_orbits=tuple(orbits_of(gens, g.arcs(), _act_arc)),
-        aut_order=group.order,
-    )
+    census = OrbitCensus(*orbits_of(g, group.generators), group.order)
     if not census.o_e <= census.o_a <= 2 * census.o_e:
         raise AssertionError(f"internal error: orbit counts violate "
                              f"o_e <= o_a <= 2 o_e: {census.counts}")
@@ -412,5 +436,4 @@ def stabilizer(g: Graph, x: int) -> PermutationGroup:
 
 
 def is_vertex_transitive(g: Graph) -> bool:
-    group = automorphism_group(g)
-    return len(orbits_of(group.generators, range(g.n), _act_point)) == 1
+    return orbit_census(g).o_v == 1

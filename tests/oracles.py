@@ -2,7 +2,8 @@
 
 These deliberately avoid the code paths they check: the automorphism oracle
 scans all n! permutations, the group order oracle builds a Sims-filtered
-stabilizer chain from a generating set, the characteristic polynomial oracle
+stabilizer chain from a generating set, the orbit oracle closes each item
+under the generators one image at a time, the characteristic polynomial oracle
 expands det(xI - A) by cofactors, the kernel oracle eliminates
 fraction-free (Bareiss) over the integers instead of modulo a prime, the
 residual multiplies a matrix by a vector in plain sums, and the graph6
@@ -94,6 +95,29 @@ def chain_order(degree: int, gens) -> int:
         transversal, chain = _point_stabilizer(degree, chain, base)
         order *= len(transversal)
     return order
+
+
+def orbit_partition(gens, items, act) -> list[tuple]:
+    """The orbits of ``items`` under the group that ``gens`` generate, where
+    ``act(p, x)`` is the image of x under p: a closure from each item not yet
+    seen.  Each orbit is sorted, orbits ordered by smallest member."""
+    seen = set()
+    orbits = []
+    for x in sorted(items):
+        if x in seen:
+            continue
+        orbit = {x}
+        frontier = [x]
+        while frontier:
+            y = frontier.pop()
+            for p in gens:
+                z = act(p, y)
+                if z not in orbit:
+                    orbit.add(z)
+                    frontier.append(z)
+        seen |= orbit
+        orbits.append(tuple(sorted(orbit)))
+    return orbits
 
 
 def _trim(coeffs) -> tuple[int, ...]:

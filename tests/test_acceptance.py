@@ -14,7 +14,7 @@ import time
 from itertools import combinations, islice
 
 import pytest
-from oracles import exhaustive_automorphisms, residual
+from oracles import exhaustive_automorphisms, orbit_partition, residual
 
 from nutorbits import (CirculantSpec, Graph, NotCoveredByThisPaper,
                        NotRealizable, automorphism_group, cartesian_product,
@@ -24,7 +24,6 @@ from nutorbits import (CirculantSpec, Graph, NotCoveredByThisPaper,
                        orbit_census, primes_from, product_spectrum_check,
                        prop1_graph, prop2_graph, prop3_graph, stabilizer,
                        subdivided_nut)
-from nutorbits.automorphisms import orbits_of
 
 # filled by earlier criteria, swept by criteria 8 and 10
 CERTIFIED = []          # (label, VerifiedNut)
@@ -227,7 +226,7 @@ def test_criterion_10_orbit_stabilizer_everywhere():
     vertices = 0
     for label, g in CENSUSED + small_named:
         grp = automorphism_group(g)
-        vertex_orbits = orbits_of(grp.generators, range(g.n), lambda p, v: p[v])
+        vertex_orbits = orbit_partition(grp.generators, range(g.n), lambda p, v: p[v])
         orbit_of = {}
         for orbit in vertex_orbits:
             for v in orbit:

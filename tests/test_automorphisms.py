@@ -4,14 +4,15 @@ from math import factorial
 
 import pytest
 from oracles import (chain_order, coarsest_equitable_partition, compose,
-                     exhaustive_automorphisms, invert)
+                     exhaustive_automorphisms, invert, orbit_partition)
 
 from nutorbits import (CirculantSpec, Graph, automorphism_group,
                        cartesian_product, circulant, complete_graph,
                        construct_with_orbits, is_vertex_transitive,
                        orbit_census, stabilizer)
+from nutorbits import automorphisms
 from nutorbits.automorphisms import (_Partition, _refine, identity,
-                                     is_automorphism, orbits_of)
+                                     is_automorphism)
 
 
 def test_permutation_helpers():
@@ -105,8 +106,8 @@ def test_orbit_stabilizer_identity(circ_10_12, k4):
         grp = automorphism_group(g)
         for x in range(g.n):
             st = stabilizer(g, x)
-            orbit = next(o for o in orbits_of(grp.generators, range(g.n),
-                                              lambda p, v: p[v]) if x in o)
+            orbit = next(o for o in orbit_partition(grp.generators, range(g.n),
+                                                    lambda p, v: p[v]) if x in o)
             assert st.order * len(orbit) == grp.order
 
 
@@ -124,6 +125,80 @@ def test_is_vertex_transitive(circ_10_12):
     assert not is_vertex_transitive(Graph(3, ((0, 1), (1, 2))))
     prod = cartesian_product(circulant(CirculantSpec(10, {1, 5})), complete_graph(4))
     assert is_vertex_transitive(prod)
+    # vertices with no arcs
+    assert is_vertex_transitive(Graph(5, ()))
+    assert not is_vertex_transitive(Graph(3, ((1, 2),)))                # K1 + K2
+    assert not is_vertex_transitive(Graph(4, ((0, 1), (0, 2), (0, 3))))  # K_{1,3}
+
+
+def _complete_bipartite(a: int, b: int) -> Graph:
+    return Graph.from_edges(a + b, [(i, a + j) for i in range(a) for j in range(b)])
+
+
+def _random_graphs() -> list[Graph]:
+    rng = random.Random(0x0B17)
+    graphs = []
+    for _ in range(40):
+        n = rng.randint(1, 14)
+        p = rng.choice([0.1, 0.2, 0.35, 0.5, 0.8])
+        graphs.append(Graph(n, tuple(e for e in combinations(range(n), 2)
+                                     if rng.random() < p)))
+    for _ in range(15):   # two random parts side by side, some vertices isolated
+        a, b = rng.randint(1, 7), rng.randint(1, 7)
+        edges = [e for e in combinations(range(a), 2) if rng.random() < 0.5]
+        edges += [(a + u, a + v) for u, v in combinations(range(b - 1), 2)
+                  if rng.random() < 0.5]
+        graphs.append(Graph.from_edges(a + b, edges))
+    return graphs
+
+
+ORBIT_FAMILIES = {
+    "random": _random_graphs,
+    "circulants": lambda: [circulant(CirculantSpec(n, s)) for n in range(2, 30)
+                           for k in (1, 2)
+                           for s in combinations(range(1, n // 2 + 1), k)],
+    "edgeless-stars-matchings": lambda: (
+        [Graph(n, ()) for n in range(1, 9)]
+        + [Graph(s + 1, tuple((0, i) for i in range(1, s + 1))) for s in range(1, 9)]
+        + [Graph(2 * m, tuple((2 * i, 2 * i + 1) for i in range(m))) for m in range(1, 9)]),
+    "complete": lambda: [complete_graph(n) for n in range(1, 41, 3)]
+                        + [_complete_bipartite(a, b) for a in range(1, 21, 3)
+                           for b in range(a, 41 - a, 4)],
+}
+
+
+def _point(p, v):
+    return p[v]
+
+
+def _edge(p, e):
+    a, b = p[e[0]], p[e[1]]
+    return (a, b) if a < b else (b, a)
+
+
+def _arc(p, e):
+    return (p[e[0]], p[e[1]])
+
+
+@pytest.mark.parametrize("family", ORBIT_FAMILIES)
+def test_census_orbits_agree_with_closure_oracle(family, monkeypatch):
+    # the oracle closes the orbits under the generators the census's own
+    # search returned
+    searched = []
+
+    def recording(g):
+        searched.append(automorphism_group(g))
+        return searched[-1]
+
+    monkeypatch.setattr(automorphisms, "automorphism_group", recording)
+    rng = random.Random(family)
+    for built in ORBIT_FAMILIES[family]():
+        for g in (built, _relabelled(built, rng)):
+            cen = orbit_census(g)
+            gens = searched.pop().generators
+            assert list(cen.vertex_orbits) == orbit_partition(gens, range(g.n), _point), g
+            assert list(cen.edge_orbits) == orbit_partition(gens, g.edges, _edge), g
+            assert list(cen.arc_orbits) == orbit_partition(gens, g.arcs(), _arc), g
 
 
 def test_group_closure_properties(circ_10_12):

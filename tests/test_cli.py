@@ -1,8 +1,12 @@
+import hashlib
 import json
 import os
+import random
+import re
 import subprocess
 import sys
 import time
+from itertools import combinations
 
 import pytest
 
@@ -390,3 +394,54 @@ def test_importing_the_cli_loads_no_fractions():
     result = subprocess.run([sys.executable, "-c", code], env=env,
                             capture_output=True, text=True, check=True)
     assert result.stdout.strip() == "False"
+
+
+def _relabelled(n, edges, seed):
+    perm = list(range(n))
+    random.Random(seed).shuffle(perm)
+    return Graph.from_edges(n, [(perm[u], perm[v]) for u, v in edges])
+
+
+_PETERSEN_PAIRS = list(combinations(range(5), 2))
+_PINNED_GRAPHS = {
+    "Petersen": (10, [(i, j) for i, j in combinations(range(10), 2)
+                      if not set(_PETERSEN_PAIRS[i]) & set(_PETERSEN_PAIRS[j])]),
+    "C40": (40, [(i, (i + 1) % 40) for i in range(40)]),
+    "K5,5": (10, [(i, 5 + j) for i in range(5) for j in range(5)]),
+}
+
+
+def _report_digest(out: str) -> str:
+    """SHA-256 of a one-line report with its timing_ms entry removed."""
+    stripped, count = re.subn(r',"timing_ms":[0-9.]+', "", out)
+    assert count == 1
+    return hashlib.sha256(stripped.encode()).hexdigest()
+
+
+# Frozen report bytes: any change in orbit membership or order, or in any
+# other byte but timing_ms, fails here.
+@pytest.mark.parametrize("name, seed, digest", [
+    ("Petersen", 1, "6af2d591996d769d67920406256927b6ab019a4a3cda363e86ff50dc5dd9e50f"),
+    ("Petersen", 2, "4f6a3b37f2b8d789cc55faa1f96df7a97c7963cf525b97d84bf3d0cef160397f"),
+    ("C40", 1, "27d0ee553f79c2da556dbfcb006a49fe312ee6cdd7750e109681ed520b6920c3"),
+    ("C40", 2, "271704b9577debfecdae97c3c90aeb31c6de230601ff7979a2495346c30614f5"),
+    ("K5,5", 1, "c55808449e017dbfdb490c24200c8b47939bacf31ab4b1d35490825fe203b4a9"),
+    ("K5,5", 2, "3bf6633f33e72c199adb75ad3c05cfb9a6072fd9e04a92011e1fef5ddf379b3e"),
+])
+def test_check_report_bytes_are_pinned(capsys, name, seed, digest):
+    g = _relabelled(*_PINNED_GRAPHS[name], seed)
+    code, out, _ = run_cli(capsys, "check", write_graph6(g))
+    assert code == 0
+    assert _report_digest(out) == digest
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (("--r", "3", "--k", "5"),
+     "f9951f1d08010240ca9ee50142e00f84eec160627778a3079ae0fba3953db983"),
+    (("--variant", "subdiv", "--k", "2", "--t", "1"),
+     "c06917bbd15a249abd4fd5a23643f54a33e1ffe5ae6ecca9bf3fa980400ca9ef"),
+])
+def test_construct_report_bytes_are_pinned(capsys, argv, digest):
+    code, out, _ = run_cli(capsys, "construct", *argv)
+    assert code == 0
+    assert _report_digest(out) == digest
