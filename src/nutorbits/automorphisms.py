@@ -24,6 +24,7 @@ is neither v_i's nor that of a sibling already explored, and only through
 nodes shaped like the first path's.  The first one that maps onto the first
 path's node at its depth by an automorphism yields that automorphism, which
 sends w to v_i and joins two classes: at most n - 1 generators are kept.
+Each candidate map is checked only at the edges of the points it moves.
 
 No group element is ever listed.  When level i ends, v_i's class in its
 target cell is its orbit under the stabilizer of v_0..v_{i-1}, since every
@@ -316,7 +317,10 @@ def _search(g: Graph, fixed: Optional[int] = None) -> tuple[list[Permutation], i
         the first path's at the same depth only.  Each such node is mapped
         onto that first-path node cell by cell, in increasing order within
         a cell, and the map is kept if it preserves adjacency; at a leaf
-        this tests the relabeled edge set."""
+        this tests the relabeled edge set.  The map is a bijection, built
+        from two listings of range(n), and an edge between two fixed
+        points is its own image, so only the edges at moved points are
+        looked up: a bijection that maps E into E maps E onto E."""
         stack = [(node, iter((w,)))]
         while stack:
             parent, todo = stack[-1]
@@ -333,9 +337,9 @@ def _search(g: Graph, fixed: Optional[int] = None) -> tuple[list[Permutation], i
             image = [0] * n
             for a, b in zip(_sorted_cells(child, starts), first_cells[d]):
                 image[a] = b
-            p = tuple(image)
-            if is_automorphism(g, p):
-                return p
+            if all(image[v] in adj[pu] for u, pu in enumerate(image) if u != pu
+                   for v in adj[u]):
+                return tuple(image)
             if d < len(choices):
                 t = choices[d][0]
                 stack.append((child, iter(sorted(child.lab[t:child.ends[t]]))))

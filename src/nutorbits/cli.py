@@ -13,11 +13,11 @@ stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
 from typing import Optional
 
@@ -258,6 +258,8 @@ def _cmd_sweep(args) -> int:
         # no more workers than cores, nor than chunks of tasks to hand out
         workers = min(args.jobs, os.cpu_count() or 1, -(-len(tasks) // SWEEP_CHUNK))
         if workers > 1:
+            # imported here: the pool's modules cost every other call
+            from concurrent.futures import ProcessPoolExecutor
             pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
             rows = pool.map(_sweep_task, tasks, chunksize=SWEEP_CHUNK)
         else:
@@ -283,7 +285,10 @@ def _cmd_sweep(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by every later
+    ``main`` call in the process; each parse returns a fresh namespace."""
     ap = argparse.ArgumentParser(
         prog="nutorbits",
         description="Exact construction and certification of nut graphs "

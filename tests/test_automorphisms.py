@@ -6,8 +6,8 @@ import pytest
 from oracles import (chain_order, coarsest_equitable_partition, compose,
                      exhaustive_automorphisms, invert, orbit_partition)
 
-from nutorbits import (CirculantSpec, Graph, automorphism_group,
-                       cartesian_product, circulant, complete_graph,
+from nutorbits import (AbelianCayleySpec, CirculantSpec, Graph, automorphism_group,
+                       cartesian_product, cayley_abelian, circulant, complete_graph,
                        construct_with_orbits, is_vertex_transitive,
                        orbit_census, stabilizer)
 from nutorbits import automorphisms
@@ -272,12 +272,31 @@ def test_census_of_long_circulant():
     assert (cen.counts, cen.aut_order) == ((1, 2, 2), 8156)
 
 
+# Two strongly regular graphs with parameters (16, 6, 2, 2): refinement splits
+# nothing, so the search meets candidate maps that are not automorphisms and
+# must reject them (4 on the Shrikhande graph, 1 on K4 x K4).
+SHRIKHANDE = cayley_abelian(AbelianCayleySpec(
+    (4, 4), [(1, 0), (3, 0), (0, 1), (0, 3), (1, 1), (3, 3)]))
+K4_BOX_K4 = cartesian_product(complete_graph(4), complete_graph(4))
+
+
+@pytest.mark.parametrize("g, aut_order", [(SHRIKHANDE, 192), (K4_BOX_K4, 1152)],
+                         ids=["Shrikhande", "K4xK4"])
+def test_search_rejects_candidates_that_are_not_automorphisms(g, aut_order):
+    cen = orbit_census(g)
+    assert (cen.counts, cen.aut_order) == ((1, 1, 1), aut_order)
+    grp = automorphism_group(g)
+    assert all(is_automorphism(g, p) for p in grp.generators)
+    assert chain_order(g.n, grp.generators) == aut_order
+
+
 def test_orders_agree_with_networkx_vf2():
     nx = pytest.importorskip("networkx")
     from networkx.algorithms.isomorphism import GraphMatcher
 
     graphs = [PETERSEN, circulant(CirculantSpec(12, {1})),
-              circulant(CirculantSpec(10, {1, 2})), _hypercube(4), FRUCHT]
+              circulant(CirculantSpec(10, {1, 2})), _hypercube(4), FRUCHT,
+              SHRIKHANDE, K4_BOX_K4]
     rng = random.Random(0xB0B)
     for _ in range(10):
         n = rng.randint(9, 11)
@@ -291,7 +310,7 @@ def test_orders_agree_with_networkx_vf2():
         count = sum(1 for _ in GraphMatcher(h, h).isomorphisms_iter())
         assert automorphism_group(g).order == count
         orders.append(count)
-    assert orders[:4] == [120, 24, 20, 384]
+    assert orders[:7] == [120, 24, 20, 384, 1, 192, 1152]
 
 
 def _refined(g: Graph) -> _Partition:

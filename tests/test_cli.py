@@ -1,3 +1,4 @@
+import concurrent.futures
 import hashlib
 import json
 import os
@@ -172,7 +173,9 @@ def pool_sizes(monkeypatch):
         def map(self, fn, tasks, chunksize=1):
             return map(fn, tasks)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    # the sweep imports the pool only when it starts workers, so the import
+    # picks up this replacement
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     return sizes
 
 
@@ -386,14 +389,46 @@ def test_sweep_streams_rows_before_a_later_task_fails(capsys, monkeypatch):
     assert (rows[0]["suite"], rows[0]["n"], rows[0]["verified"]) == ("prop3", 5, True)
 
 
-def test_importing_the_cli_loads_no_fractions():
+def _modules_after_importing_the_cli() -> set[str]:
+    """The modules a fresh interpreter holds after importing the package
+    and its CLI."""
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = "import sys, nutorbits.cli; print('fractions' in sys.modules)"
+    code = "import sys, nutorbits, nutorbits.cli; print(*sys.modules)"
     result = subprocess.run([sys.executable, "-c", code], env=env,
                             capture_output=True, text=True, check=True)
-    assert result.stdout.strip() == "False"
+    return set(result.stdout.split())
+
+
+def test_importing_the_cli_loads_no_fractions():
+    assert "fractions" not in _modules_after_importing_the_cli()
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    loaded = _modules_after_importing_the_cli()
+    assert "nutorbits.cli" in loaded
+    assert not {m for m in loaded if m.split(".")[0] in ("concurrent", "multiprocessing")}
+
+
+def test_parser_is_built_once_and_keeps_no_state_between_calls(capsys):
+    assert cli._parser() is cli._parser()
+    g6 = write_graph6(circulant(CirculantSpec(10, {1, 2})))
+    _, pretty, _ = run_cli(capsys, "check", "--pretty", g6)
+    _, plain, _ = run_cli(capsys, "check", g6)
+    assert len(pretty.splitlines()) > 1 and len(plain.splitlines()) == 1
+
+    code, out, _ = run_cli(capsys, "construct", "--variant", "fig3")
+    assert code == 0 and json.loads(out)["params"] == {"variant": "fig3"}
+    code, out, _ = run_cli(capsys, "construct", "--r", "3", "--k", "5")
+    assert code == 0 and json.loads(out)["params"] == {"r": 3, "k": 5}
+
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "--no-such-flag"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    _, again, _ = run_cli(capsys, "check", g6)
+    assert _report_digest(again) == _report_digest(plain)
 
 
 def _relabelled(n, edges, seed):
