@@ -19,6 +19,7 @@ import os
 import sys
 import time
 from contextlib import ExitStack
+from dataclasses import asdict
 from typing import Optional
 
 from . import __version__
@@ -41,16 +42,6 @@ EXIT_VERIFICATION = 1
 EXIT_INPUT = 2
 EXIT_HYPOTHESIS = 3
 EXIT_CAP = 4
-
-
-def _sweep_cap(suite: str) -> int:
-    text = os.environ.get("NUTORBITS_SWEEP_CAP")
-    if not text:
-        return FAMILIES[suite].sweep.cap
-    try:
-        return int(text)
-    except ValueError:
-        raise InputError(f"NUTORBITS_SWEEP_CAP must be an integer, got {text!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -89,16 +80,12 @@ def _census_payload(c: OrbitCensus) -> dict:
 
 
 def _provenance_payload(p: Optional[ConstructionParams]) -> Optional[dict]:
+    """The record's fields in order, without those that are None; a record
+    held in a field nests as an object."""
     if p is None:
         return None
-    out = {"variant": p.variant}
-    for field in ("k", "p", "n", "t", "orbit_index"):
-        value = getattr(p, field)
-        if value is not None:
-            out[field] = value
-    if p.base is not None:
-        out["base"] = _provenance_payload(p.base)
-    return out
+    return asdict(p, dict_factory=lambda items: {key: value for key, value in items
+                                                 if value is not None})
 
 
 def _report(command: str, params: dict, g: Graph, verdict: NutVerdict,
@@ -206,20 +193,23 @@ def _cmd_construct(args) -> int:
 
 def _sweep_instances(args) -> list[tuple]:
     suite = args.suite
-    sweep = FAMILIES[suite].sweep
-    # a single --k replaces the range of k, so --kmax goes unread
-    reads = set(sweep.reads) - ({"kmax"} if args.k is not None else set())
+    family = FAMILIES[suite]
+    sweep = family.sweep
+    flag = sweep.var + "max"
+    # a prime family also reads --k and --primes; a single --k replaces the
+    # range of k, so --kmax goes unread
+    reads = {flag, "k", "primes"} if family.prime_floor else {flag}
+    if args.k is not None:
+        reads.discard("kmax")
     unread = [f"--{key}" for key in ("k", "kmax", "nmax", "tmax", "primes")
               if getattr(args, key) is not None and key not in reads]
     if unread:
         raise HypothesisError(f"{suite} sweep does not read {', '.join(unread)}")
-    cap = _sweep_cap(suite)
-    flag = sweep.var + "max"
     top = getattr(args, flag)
     values = [args.k] if args.k is not None else range(
         sweep.first, (sweep.default_max if top is None else top) + 1, sweep.step)
-    if max(values, default=0) > cap:
-        raise ResourceCapError(f"{suite} sweep capped at {flag} = {cap}")
+    if max(values, default=0) > sweep.cap:
+        raise ResourceCapError(f"{suite} sweep capped at {flag} = {sweep.cap}")
     primes = 2 if args.primes is None else max(args.primes, 0)
     tasks = [(suite, params) for value in values for params in sweep.cases(value, primes)]
     if not tasks:

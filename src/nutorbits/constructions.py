@@ -280,17 +280,18 @@ def construct_with_orbits(r: int, k: int) -> VerifiedNut:
 
 
 class Sweep(NamedTuple):
-    """A ``nutorbits sweep`` suite, which reads the flags ``reads``: ``var``
-    runs over first, first + step, ... up to ``--<var>max`` (default
-    ``default_max``, refused above ``cap``).  ``cases(value, primes)`` lists
-    the build parameters its rows report; ``fixed`` adds ones they omit."""
+    """A ``nutorbits sweep`` suite: ``var`` runs over first, first + step,
+    ... up to ``--<var>max`` (default ``default_max``, refused above
+    ``cap``).  ``cases(value, primes)`` lists the build parameters its rows
+    report; ``fixed`` adds ones they omit.  The suite reads ``--<var>max``,
+    and in a prime family (one with a ``prime_floor``) ``--k`` and
+    ``--primes`` too."""
 
     var: str
     first: int
     step: int
     default_max: int
     cap: int
-    reads: tuple[str, ...]
     cases: Callable[[int, int], list[dict]]
     fixed: dict = {}
 
@@ -326,16 +327,16 @@ def _offset_sets(n: int, primes: int) -> list[dict]:
 FAMILIES = {
     "dispatch": Family(construct_with_orbits),
     "prop1": Family(prop1_graph, lambda k: k + 2, 2, Sweep(
-        "k", 2, 2, 6, 10, ("k", "kmax", "primes"), _with_primes("prop1"))),
+        "k", 2, 2, 6, 10, _with_primes("prop1"))),
     "prop2": Family(prop2_graph, lambda k: 2 * k + 1, 4, Sweep(
-        "k", 5, 2, 7, 9, ("k", "kmax", "primes"), _with_primes("prop2"))),
+        "k", 5, 2, 7, 9, _with_primes("prop2"))),
     "prop3": Family(prop3_graph, sweep=Sweep(
-        "n", 5, 2, 9, 13, ("nmax",), lambda n, primes: [{"n": n}])),
+        "n", 5, 2, 9, 13, lambda n, primes: [{"n": n}])),
     "fig3": Family(fig3_graph),
     # the sweep subdivides Circ(10, {1, 2}), the smallest Cayley nut graph
     "subdiv": Family(subdivided_cayley, sweep=Sweep(
-        "t", 1, 1, 2, 4, ("tmax",), lambda t, primes: [{"t": t}], {"k": 2})),
-    "circulant-cross": Family(None, sweep=Sweep("n", 2, 2, 12, 24, ("nmax",), _offset_sets)),
+        "t", 1, 1, 2, 4, lambda t, primes: [{"t": t}], {"k": 2})),
+    "circulant-cross": Family(None, sweep=Sweep("n", 2, 2, 12, 24, _offset_sets)),
 }
 
 

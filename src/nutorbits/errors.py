@@ -35,7 +35,7 @@ class ResourceCapError(RuntimeError):
 
 class InputError(ValueError):
     """Input from outside the program that cannot be used: a malformed or
-    unusable graph, or a malformed environment setting."""
+    unusable graph."""
 
 
 class Graph6ParseError(InputError):

@@ -4,9 +4,10 @@ Each criterion prints one PASS line (run with ``pytest -v -s`` to see them);
 a failing criterion shows up as a failed test.  Criteria verify against
 stated runtime budgets as well.
 
-The module keeps registries of everything earlier criteria certify so the
-two global invariants (the orbit-count gap of certified nut graphs, and the
-orbit-stabilizer identity) can sweep the entire suite with zero exceptions.
+Module-scoped fixtures build each family's instances once, with the seconds
+that took; the criteria that certify them and the two global invariants (the
+orbit-count gap of certified nut graphs, and the orbit-stabilizer identity)
+share them, so each criterion also runs on its own.
 """
 
 import random
@@ -25,82 +26,138 @@ from nutorbits import (CirculantSpec, Graph, NotCoveredByThisPaper,
                        prop1_graph, prop2_graph, prop3_graph, stabilizer,
                        subdivided_nut)
 
-# filled by earlier criteria, swept by criteria 8 and 10
-CERTIFIED = []          # (label, VerifiedNut)
-NUT_CIRCULANTS = []     # (n, offsets) certified nut by the cross-oracle
-CENSUSED = []           # (label, Graph) whose automorphism group the suite computed
-
-
-def _register(label, built):
-    CERTIFIED.append((label, built))
-    CENSUSED.append((label, built.graph))
-
 
 def _pass(num, detail):
     print(f"criterion {num:2d} PASS: {detail}")
 
 
-def test_criterion_01_prop1_sweep():
+def _timed(make):
+    """make()'s value and the seconds it took."""
     start = time.perf_counter()
+    value = make()
+    return value, time.perf_counter() - start
+
+
+@pytest.fixture(scope="module")
+def prop1_built():
+    """{(k, p): VerifiedNut} for k in (2, 4, 6) and the two least admissible
+    primes of each, and the seconds taken."""
+    return _timed(lambda: {(k, p): prop1_graph(k, p) for k in (2, 4, 6)
+                           for p in islice(primes_from(k + 2), 2)})
+
+
+@pytest.fixture(scope="module")
+def prop2_built():
+    return _timed(lambda: {(k, p): prop2_graph(k, p) for k, p in ((5, 11), (7, 17))})
+
+
+@pytest.fixture(scope="module")
+def prop3_built():
+    return _timed(lambda: {(n,): prop3_graph(n) for n in (5, 7, 9)})
+
+
+@pytest.fixture(scope="module")
+def fig3_built():
+    return _timed(lambda: {(): fig3_graph()})
+
+
+@pytest.fixture(scope="module")
+def subdiv_built():
+    """{(t,): VerifiedNut} for t in (1, 2), each subdividing orbit 0 of
+    prop1_graph(2, 5), and the seconds taken."""
+    def make():
+        base = prop1_graph(2, 5)
+        return {(t,): subdivided_nut(base, 0, t) for t in (1, 2)}
+    return _timed(make)
+
+
+@pytest.fixture(scope="module")
+def dispatch_built():
+    return _timed(lambda: {(r, k): construct_with_orbits(r, k) for r in (1, 3, 5)
+                           for k in range(r + 1, r + 5)})
+
+
+@pytest.fixture(scope="module")
+def certified(prop1_built, prop2_built, prop3_built, fig3_built, subdiv_built,
+              dispatch_built):
+    """(label, VerifiedNut) for every construction criteria 1-6 certify."""
+    families = (("prop1", prop1_built), ("prop2", prop2_built),
+                ("prop3", prop3_built), ("fig3", fig3_built),
+                ("subdiv", subdiv_built), ("dispatch", dispatch_built))
+    return [(f"{name}{key}", built) for name, (built_at, _) in families
+            for key, built in built_at.items()]
+
+
+@pytest.fixture(scope="module")
+def cross_oracle():
+    """(n, offsets, symbolic verdict, nullspace verdict) for every offset set
+    of every even n <= 24, and the seconds taken."""
+    def make():
+        rows = []
+        for n in range(2, 25, 2):
+            pool = range(1, n // 2 + 1)
+            for size in range(1, n // 2 + 1):
+                for offs in combinations(pool, size):
+                    rows.append((n, offs, circulant_is_nut_symbolic(n, offs),
+                                 is_nut(circulant(CirculantSpec(n, offs))).is_nut))
+        return rows
+    return _timed(make)
+
+
+@pytest.fixture(scope="module")
+def nut_circulants(cross_oracle):
+    """(label, Graph) for every circulant the cross-oracle certifies nut."""
+    return [(f"Circ({n},{set(offs)})", circulant(CirculantSpec(n, offs)))
+            for n, offs, symbolic, _ in cross_oracle[0] if symbolic]
+
+
+def test_criterion_01_prop1_sweep(prop1_built):
+    built_at, elapsed = prop1_built
     checked = []
-    for k in (2, 4, 6):
-        for p in islice(primes_from(k + 2), 2):
-            built = prop1_graph(k, p)
-            assert built.verdict.is_nut
-            assert built.census.counts == (1, k, k)
-            assert built.census.aut_order == 4 * p
-            _register(f"prop1({k},{p})", built)
-            checked.append((k, p))
-    elapsed = time.perf_counter() - start
+    for (k, p), built in built_at.items():
+        assert built.verdict.is_nut
+        assert built.census.counts == (1, k, k)
+        assert built.census.aut_order == 4 * p
+        checked.append((k, p))
     assert elapsed < 30.0
     _pass(1, f"{len(checked)} instances {checked}, census (1,k,k), "
              f"|Aut| = 4p, {elapsed:.1f}s")
 
 
-def test_criterion_02_prop2():
-    start = time.perf_counter()
-    for k, p in ((5, 11), (7, 17)):
-        built = prop2_graph(k, p)
+def test_criterion_02_prop2(prop2_built):
+    built_at, elapsed = prop2_built
+    for (k, p), built in built_at.items():
         assert built.verdict.is_nut
         assert built.census.counts == (1, k, k)
         assert built.census.aut_order == 8 * p
-        _register(f"prop2({k},{p})", built)
-    elapsed = time.perf_counter() - start
     assert elapsed < 60.0
     _pass(2, f"(5,11) and (7,17) verified, |Aut| = 8p exactly, {elapsed:.1f}s")
 
 
-def test_criterion_03_prop3():
-    start = time.perf_counter()
-    for n in (5, 7, 9):
-        built = prop3_graph(n)
+def test_criterion_03_prop3(prop3_built):
+    built_at, elapsed = prop3_built
+    for (n,), built in built_at.items():
         assert built.verdict.is_nut
         assert built.census.counts == (1, 3, 3)
         assert built.census.aut_order == 96 * n
-        _register(f"prop3({n})", built)
-    elapsed = time.perf_counter() - start
     assert elapsed < 60.0
     _pass(3, f"n in (5,7,9) verified, census (1,3,3), |Aut| = 96n, {elapsed:.1f}s")
 
 
-def test_criterion_04_fig3():
-    start = time.perf_counter()
-    built = fig3_graph()
+def test_criterion_04_fig3(fig3_built):
+    built_at, elapsed = fig3_built
+    built = built_at[()]
     assert built.graph.n == 12
     assert set(built.graph.degree_sequence()) == {8}
     assert built.verdict.is_nut
     assert built.census.counts == (1, 5, 5)
-    _register("fig3", built)
-    elapsed = time.perf_counter() - start
     assert elapsed < 5.0
     _pass(4, f"order 12, 8-regular, nut, census (1,5,5), {elapsed:.1f}s")
 
 
-def test_criterion_05_subdivision_chain():
-    start = time.perf_counter()
-    base = prop1_graph(2, 5)
-    for t in (1, 2):
-        built = subdivided_nut(base, 0, t)
+def test_criterion_05_subdivision_chain(subdiv_built):
+    built_at, elapsed = subdiv_built
+    for (t,), built in built_at.items():
         assert built.graph.n == 10 + 10 * 4 * t
         assert built.census.counts == (2 * t + 1, 2 * t + 2, 4 * t + 2)
         # the kernel is recomputed from scratch, not inherited: re-check the
@@ -108,22 +165,19 @@ def test_criterion_05_subdivision_chain():
         assert built.verdict.nullity == 1 and built.verdict.is_full
         vec = built.verdict.kernel_basis[0]
         assert all(x == 0 for x in residual(built.graph.adjacency_matrix(), vec))
-        _register(f"subdiv(t={t})", built)
-    elapsed = time.perf_counter() - start
     assert elapsed < 60.0
     _pass(5, f"t in (1,2) on the 10-vertex base: censuses (3,4,6), (5,6,10), "
              f"kernels re-verified, {elapsed:.1f}s")
 
 
-def test_criterion_06_dispatch():
+def test_criterion_06_dispatch(dispatch_built):
+    built_at, build_elapsed = dispatch_built
     start = time.perf_counter()
     built_count = 0
+    for (r, k), built in built_at.items():
+        assert built.census.o_v == r and built.census.o_e == k
+        built_count += 1
     for r in (1, 3, 5):
-        for k in range(r + 1, r + 5):
-            built = construct_with_orbits(r, k)
-            assert built.census.o_v == r and built.census.o_e == k
-            _register(f"dispatch({r},{k})", built)
-            built_count += 1
         for k in (r, max(r - 1, 0)):
             if k < 0:
                 continue
@@ -132,25 +186,21 @@ def test_criterion_06_dispatch():
     for r in (2, 4):
         with pytest.raises(NotCoveredByThisPaper):
             construct_with_orbits(r, r + 1)
-    elapsed = time.perf_counter() - start
+    elapsed = build_elapsed + time.perf_counter() - start
     assert elapsed < 300.0
     _pass(6, f"{built_count} (r,k) instances built with census (r,k,.); "
              f"k <= r and even r rejected, {elapsed:.1f}s")
 
 
-def test_criterion_07_cross_oracle():
+def test_criterion_07_cross_oracle(cross_oracle):
+    rows, oracle_elapsed = cross_oracle
     start = time.perf_counter()
     specs = 0
-    for n in range(2, 25, 2):
-        pool = range(1, n // 2 + 1)
-        for size in range(1, n // 2 + 1):
-            for offs in combinations(pool, size):
-                symbolic = circulant_is_nut_symbolic(n, offs)
-                exact = is_nut(circulant(CirculantSpec(n, offs))).is_nut
-                assert symbolic == exact, (n, offs)
-                specs += 1
-                if symbolic:
-                    NUT_CIRCULANTS.append((n, offs))
+    nuts = 0
+    for n, offs, symbolic, exact in rows:
+        assert symbolic == exact, (n, offs)
+        specs += 1
+        nuts += symbolic
     gcd_pairs = 0
     for n in range(4, 41, 2):
         for k in range(1, (n - 2) // 2 + 1):
@@ -159,25 +209,23 @@ def test_criterion_07_cross_oracle():
             assert gcd_criterion(n, k) == symbolic, (n, k)
             assert symbolic == is_nut(circulant(CirculantSpec(n, offs))).is_nut, (n, k)
             gcd_pairs += 1
-    elapsed = time.perf_counter() - start
+    elapsed = oracle_elapsed + time.perf_counter() - start
     assert elapsed < 600.0
     _pass(7, f"{specs} circulant specs agree symbolically and exactly "
-             f"({len(NUT_CIRCULANTS)} nuts); gcd criterion agrees on "
+             f"({nuts} nuts); gcd criterion agrees on "
              f"{gcd_pairs} consecutive-set pairs, {elapsed:.1f}s")
 
 
-def test_criterion_08_orbit_gap_invariant():
-    assert CERTIFIED and NUT_CIRCULANTS, "earlier criteria must run first"
+def test_criterion_08_orbit_gap_invariant(certified, nut_circulants):
+    assert certified and nut_circulants, "the fixtures certified no graph"
     checked = 0
-    for label, built in CERTIFIED:
+    for label, built in certified:
         assert built.verdict.is_nut
         assert built.census.o_e >= built.census.o_v + 1, label
         checked += 1
-    for n, offs in NUT_CIRCULANTS:
-        g = circulant(CirculantSpec(n, offs))
+    for label, g in nut_circulants:
         census = orbit_census(g)
-        assert census.o_e >= census.o_v + 1, (n, offs)
-        CENSUSED.append((f"Circ({n},{set(offs)})", g))
+        assert census.o_e >= census.o_v + 1, label
         checked += 1
     _pass(8, f"o_e >= o_v + 1 on all {checked} certified nut graphs, "
              f"zero exceptions")
@@ -214,8 +262,9 @@ def test_criterion_09_product_spectra_and_kernels():
              f"vectors with A w = 0 exactly for both box families, {elapsed:.1f}s")
 
 
-def test_criterion_10_orbit_stabilizer_everywhere():
-    assert CENSUSED, "earlier criteria must run first"
+def test_criterion_10_orbit_stabilizer_everywhere(certified, nut_circulants):
+    censused = [(label, built.graph) for label, built in certified] + nut_circulants
+    assert censused, "the fixtures censused no graph"
     small_named = [
         ("K1", complete_graph(1)), ("K2", complete_graph(2)),
         ("K4", complete_graph(4)), ("C4", circulant(CirculantSpec(4, {1}))),
@@ -224,7 +273,7 @@ def test_criterion_10_orbit_stabilizer_everywhere():
     ]
     groups = 0
     vertices = 0
-    for label, g in CENSUSED + small_named:
+    for label, g in censused + small_named:
         grp = automorphism_group(g)
         vertex_orbits = orbit_partition(grp.generators, range(g.n), lambda p, v: p[v])
         orbit_of = {}

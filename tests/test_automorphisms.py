@@ -285,6 +285,24 @@ def test_census_of_long_circulant():
     assert (cen.counts, cen.aut_order) == ((1, 2, 2), 8156)
 
 
+def test_search_accepts_automorphisms_above_the_leaves(monkeypatch):
+    # On the perfect matching every sibling maps onto the first path's node
+    # at its own depth, so the search refines about 1.5 n times.  A search
+    # that only recognized automorphisms at discrete leaves would descend
+    # below every sibling, about n^2 / 4 refinements (10002 at n = 200).
+    calls = []
+
+    def counting(*args):
+        calls.append(None)
+        return _refine(*args)
+
+    monkeypatch.setattr(automorphisms, "_refine", counting)
+    n = 200
+    cen = orbit_census(Graph.from_edges(n, [(2 * i, 2 * i + 1) for i in range(n // 2)]))
+    assert (cen.counts, cen.aut_order) == ((1, 1, 1), 2 ** (n // 2) * factorial(n // 2))
+    assert len(calls) <= 2 * n
+
+
 def test_orders_agree_with_networkx_vf2():
     nx = pytest.importorskip("networkx")
     from networkx.algorithms.isomorphism import GraphMatcher

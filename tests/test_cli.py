@@ -2,6 +2,7 @@ import concurrent.futures
 import hashlib
 import json
 import os
+import pathlib
 import random
 import re
 import subprocess
@@ -15,6 +16,7 @@ from nutorbits import (CirculantSpec, Graph, circulant, complete_graph,
                        read_graph6, is_nut, orbit_census, write_graph6)
 from nutorbits import cli
 from nutorbits.cli import main
+from nutorbits.constructions import FAMILIES
 from nutorbits.graphs import MAX_ORDER
 
 
@@ -220,10 +222,11 @@ def test_sweep_rejects_jobs_below_one(capsys, monkeypatch, jobs):
 
 
 def test_sweep_cap_refusal(capsys, monkeypatch):
-    monkeypatch.setenv("NUTORBITS_SWEEP_CAP", "6")
-    code, _, err = run_cli(capsys, "sweep", "--suite", "circulant-cross",
-                           "--nmax", "10")
-    assert code == 4 and "capped" in err
+    monkeypatch.setattr(cli, "_sweep_task", lambda task: pytest.fail("a build ran"))
+    code, out, err = run_cli(capsys, "sweep", "--suite", "circulant-cross",
+                             "--nmax", "26")
+    assert code == 4 and out == ""
+    assert "capped at nmax = 24" in err
 
 
 def test_sweep_cap_bounds_the_largest_value_swept(capsys):
@@ -278,16 +281,6 @@ def test_sweep_k_zero_fails_the_family_hypothesis(capsys):
     code, out, err = run_cli(capsys, "sweep", "--suite", "prop1", "--k", "0")
     assert code == 3 and out == ""
     assert "k must be even" in err
-
-
-@pytest.mark.parametrize("variable, argv", [
-    ("NUTORBITS_SWEEP_CAP", ("sweep", "--suite", "prop1", "--kmax", "2")),
-])
-def test_non_integer_cap_exits_2(capsys, monkeypatch, variable, argv):
-    monkeypatch.setenv(variable, "x")
-    code, out, err = run_cli(capsys, *argv)
-    assert code == 2 and out == ""
-    assert variable in err
 
 
 @pytest.mark.parametrize("argv, unread", [
@@ -345,6 +338,70 @@ def test_sweep_rejects_unread_flags(capsys, argv, unread):
     code, out, err = run_cli(capsys, "sweep", "--suite", *argv)
     assert code == 3 and out == ""
     assert f"does not read {unread}" in err
+
+
+@pytest.mark.parametrize("suite, flag", [
+    (suite, flag) for suite, family in FAMILIES.items() if family.sweep
+    for flag in ("k", "kmax", "nmax", "tmax", "primes")])
+def test_sweep_flags_follow_from_the_family_row(capsys, monkeypatch, suite, flag):
+    # a suite reads --<var>max, and a prime family --k and --primes too
+    family = FAMILIES[suite]
+    sweep = family.sweep
+    reads = {sweep.var + "max"} | ({"k", "primes"} if family.prime_floor else set())
+    bound = cli._parser().parse_args(["sweep", "--suite", suite, f"--{sweep.var}max", "9"])
+    assert getattr(bound, sweep.var + "max") == 9
+    value = "1" if flag == "primes" else str(sweep.first)
+    argv = ["sweep", "--suite", suite, f"--{flag}", value]
+    if flag in reads:
+        # the flag narrows the default range, or the primes per value, to one
+        default = cli._sweep_instances(cli._parser().parse_args(argv[:3]))
+        tasks = cli._sweep_instances(cli._parser().parse_args(argv))
+        assert tasks and tasks != default
+    else:
+        monkeypatch.setattr(cli, "_sweep_task", lambda task: pytest.fail("a build ran"))
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 3 and out == ""
+        assert f"{suite} sweep does not read --{flag}" in err
+
+
+def test_sweep_timings_add_seconds_as_the_last_key(capsys):
+    argv = ("sweep", "--suite", "prop1", "--kmax", "4")
+    _, plain, _ = run_cli(capsys, *argv)
+    code, timed, _ = run_cli(capsys, *argv, "--timings")
+    assert code == 0
+    plain_rows = [json.loads(line) for line in plain.splitlines()]
+    timed_rows = [json.loads(line) for line in timed.splitlines()]
+    assert len(timed_rows) == len(plain_rows) == 4
+    for plain_row, row in zip(plain_rows, timed_rows):
+        assert list(row) == list(plain_row) + ["seconds"]
+        seconds = row.pop("seconds")
+        assert row == plain_row
+        assert seconds >= 0 and round(seconds, 3) == seconds
+
+
+def test_sweep_human_prints_key_value_pairs_in_row_order(capsys):
+    argv = ("sweep", "--suite", "prop1", "--kmax", "4")
+    _, plain, _ = run_cli(capsys, *argv)
+    code, human, _ = run_cli(capsys, *argv, "--human")
+    assert code == 0
+    rows = [json.loads(line) for line in plain.splitlines()]
+    lines = human.splitlines()
+    assert len(lines) == len(rows) == 4
+    assert lines[0] == ("suite=prop1  k=2  p=5  order=10  census=[1, 2, 2]  "
+                        "aut_order=20  verified=True")
+    for line, row in zip(lines, rows):
+        pairs = [pair.split("=", 1) for pair in line.split("  ")]
+        assert [key for key, _ in pairs] == list(row)
+        assert [value for _, value in pairs] == [str(value) for value in row.values()]
+
+
+def test_no_source_file_reads_the_environment():
+    src = pathlib.Path(cli.__file__).parents[1]
+    readers = [f"{path.relative_to(src)}:{number}"
+               for path in sorted(src.rglob("*.py"))
+               for number, line in enumerate(path.read_text().splitlines(), 1)
+               if re.search(r"environ|getenv", line)]
+    assert readers == []
 
 
 @pytest.mark.parametrize("k, t", [(k, t) for k in (2, 3, 4, 5) for t in (1, 2)])
