@@ -209,7 +209,9 @@ def _sweep_instances(args) -> list[tuple]:
     values = [args.k] if args.k is not None else range(
         sweep.first, (sweep.default_max if top is None else top) + 1, sweep.step)
     if max(values, default=0) > sweep.cap:
-        raise ResourceCapError(f"{suite} sweep capped at {flag} = {sweep.cap}")
+        # name the flag that was passed: a single --k, or the range flag
+        name = flag if args.k is None else "k"
+        raise ResourceCapError(f"{suite} sweep capped at {name} = {sweep.cap}")
     primes = 2 if args.primes is None else max(args.primes, 0)
     tasks = [(suite, params) for value in values for params in sweep.cases(value, primes)]
     if not tasks:

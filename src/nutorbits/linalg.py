@@ -1,20 +1,29 @@
 """Exact linear algebra on integer matrices, over Z.
 
-Kernels are certified modularly: sparse elimination modulo a Mersenne prime
-P = 2^q - 1 with low-fill (Markowitz-style) pivoting gives the nullity
-d = n - rank_P and d kernel vectors, whose reduced echelon form is lifted
-entry by entry to rationals by rational reconstruction.  Every lifted
-vector, scaled to its primitive integer multiple, is checked to satisfy
-A v = 0 over Z, which makes the answer exact: rank over Q is at least rank
-mod P, so the nullity is at most d, and d independent verified vectors give
-at least d.
+Kernels are certified modularly: elimination modulo a Mersenne prime
+P = 2^q - 1 gives the nullity d = n - rank_P and d kernel vectors, whose
+reduced echelon form is lifted entry by entry to rationals by rational
+reconstruction.  Every lifted vector, scaled to its primitive integer
+multiple, is checked to satisfy A v = 0 over Z, which makes the answer
+exact: rank over Q is at least rank mod P, so the nullity is at most d, and
+d independent verified vectors give at least d.
 
-The first try is q = 61.  When a reconstruction or a check fails there (an
-unlucky prime, or entries past the reconstruction bound) the same
-elimination reruns at the first q whose prime passes the Hadamard bound:
+Either of two eliminations hands its pivots to one back-substitution.
+Dense matrices of order at most 256 are eliminated in column order on rows
+packed into one integer each, every other matrix on sparse dict rows with
+low-fill (Markowitz-style) pivoting.  The choice reads only the order and
+the count of nonzero entries.
+
+The moduli form a ladder.  The first try is q = 13: every residue and
+every product of two fits one 30-bit CPython digit, and fractions with numerator and
+denominator below 2^6 reconstruct, which covers the kernels of most
+graphs.  Next comes q = 61.  When a reconstruction or a check fails there
+too (an unlucky prime, or entries past the reconstruction bound) the same
+certificate reruns at the first q whose prime passes the Hadamard bound:
 every minor of A is then nonzero modulo P unless it is zero, so rank_P is
 the rank over Q, and every reduced echelon kernel entry, a ratio of two
-minors, reconstructs uniquely.  No tolerances anywhere.
+minors, reconstructs uniquely.  The reduced echelon form is unique, so
+every rung that certifies gives the same basis.  No tolerances anywhere.
 
 Spectra are compared through power sums tr(A^k), which fix the
 characteristic polynomial by Newton's identities.
@@ -35,10 +44,12 @@ IntVector = tuple[int, ...]
 
 PRODUCT_SPECTRUM_SIZE_CAP = 64
 
-# Exponents q of Mersenne primes 2^q - 1, the moduli of the certificate.
-# The last one passes the squared Hadamard bound 4095^4096 of K_4096, the
-# densest graph of the largest order ``check`` accepts.
-MERSENNE_EXPONENTS = (61, 89, 107, 127, 521, 607, 1279, 2203, 2281, 3217, 4253,
+# Exponents q of Mersenne primes 2^q - 1, the moduli of the certificate:
+# 2^13 - 1 is tried first and 2^61 - 1 next, and the rest are the Hadamard
+# rungs, of which the first past a matrix's bound is tried last.  The last
+# one passes the squared Hadamard bound 4095^4096 of K_4096, the densest
+# graph of the largest order ``check`` accepts.
+MERSENNE_EXPONENTS = (13, 61, 89, 107, 127, 521, 607, 1279, 2203, 2281, 3217, 4253,
                       4423, 9689, 9941, 11213, 19937, 21701, 23209, 44497, 86243)
 
 
@@ -122,6 +133,83 @@ def _eliminate_mod_p(rows: list[dict[int, int]], p: int) -> list[tuple[int, list
     return pivots
 
 
+def _eliminate_packed(rows: list[dict[int, int]], n: int,
+                      q: int) -> list[tuple[int, list]]:
+    """Forward elimination modulo p = 2^q - 1 on rows packed into one
+    integer each, column j in the slot of W = 2q + 2 + n.bit_length() bits
+    at bit W j.  Returns what ``_eliminate_mod_p`` returns, with the pivots
+    in column order.
+
+    A row update y + (p - f) prow is one multiply and one add over the
+    whole row and is left unreduced.  Pivot rows keep their slots at most
+    2^q + 1, so an update adds less than 2^(2q) to a slot; a row meets at
+    most n pivots, so its slots stay below 2^(W - 1) and none carries into
+    the next.  Each step shifts the pivot column out of every remaining row,
+    so slot 0 is always the current column.  A pivot row is reduced by the
+    Mersenne fold (2^q = 1 mod p) once before it is scaled by the pivot's
+    inverse and twice after.  The tails are unpacked only when the rank is
+    below n, the one case back-substitution reads them."""
+    p = (1 << q) - 1
+    w = 2 * q + 2 + n.bit_length()
+    slot = (1 << w) - 1
+    ones = ((1 << w * n) - 1) // slot  # bit 0 of every slot
+    lo, hi = p * ones, ((1 << w - 2 * q) - 1) * ones
+
+    def fold(x: int) -> int:
+        return (x & lo) + (x >> q & lo) + (x >> 2 * q & hi)
+
+    live = []
+    for row in rows:
+        y = 0
+        for j, x in row.items():
+            y += x % p << w * j
+        if y:
+            live.append(y)
+    pivots = []
+    for c in range(n):
+        for k, y in enumerate(live):
+            f = (y & slot) % p
+            if f:
+                break
+        else:
+            live = [y >> w for y in live]
+            continue
+        del live[k]
+        prow = fold(fold(fold(y) * pow(f, -1, p)))  # slot 0 is now 1 mod p
+        pivots.append((c, prow))
+        # a row with a zero in the pivot column only shifts; one that
+        # reaches zero drops out
+        live = [z for y in live
+                if (z := (y + (p - f) * prow if (f := (y & slot) % p) else y) >> w)]
+    if len(pivots) == n:
+        return [(c, []) for c, _ in pivots]
+    out = []
+    for c, prow in pivots:
+        tail = []
+        for j in range(c + 1, n):
+            prow >>= w
+            x = (prow & slot) % p
+            if x:
+                tail.append((j, x))
+        out.append((c, tail))
+    return out
+
+
+def _dense(rows: list[dict[int, int]], n: int) -> bool:
+    """Whether the n-column matrix ``rows`` is eliminated on packed rows:
+    at least a fifth of its entries nonzero, and order at most 256."""
+    # Packed rows cost about n^3 W bit operations whatever the fill;
+    # dict rows cost what the fill makes them.  Measured, in ms, as packed
+    # against dict rows modulo 2^13 - 1 (Python 3.11, 2 shared cores):
+    # - prop2 k = 9, p = 19 (n = 76, density 0.21): 3.6 against 12.4;
+    # - G(256, 0.2): 57 against 1019; G(160, 0.5): 11 against 194;
+    # - Circ(400, {1..25}) relabelled, density 0.125: 375 against 153,
+    #   hence the density threshold between 0.125 and 0.2;
+    # - K_n, whose differences of rows stay sparse: K_96 5.8 against 7.0,
+    #   K_256 79 against 41, K_800 1406 against 397, hence the order cap.
+    return n <= 256 and 5 * sum(map(len, rows)) >= n * n
+
+
 def _rref_mod_p(rows: list[list[int]], p: int) -> list[list[int]]:
     """Reduced row echelon form modulo the prime p of linearly independent
     rows, ordered by pivot position, each leading entry 1.  Mutates and
@@ -168,7 +256,10 @@ def _modular_kernel(rows: list[dict[int, int]], n: int,
     certified modulo 2^q - 1 and verified over Z; None when rational
     reconstruction or the integer check fails."""
     p = (1 << q) - 1
-    pivots = _eliminate_mod_p(rows, p)
+    if _dense(rows, n):
+        pivots = _eliminate_packed(rows, n, q)
+    else:
+        pivots = _eliminate_mod_p(rows, p)
     pivoted = {c for c, _ in pivots}
     vectors = []
     for f in range(n):
@@ -195,24 +286,26 @@ def _modular_kernel(rows: list[dict[int, int]], n: int,
 
 def _kernel(rows: list[dict[int, int]], n: int) -> list[IntVector]:
     """The primitive reduced echelon kernel basis of the n-column sparse
-    integer matrix ``rows``: certified modulo 2^61 - 1 or, should that fail,
-    modulo the next Mersenne prime past the Hadamard bound, where it
-    cannot."""
-    basis = _modular_kernel(rows, n, MERSENNE_EXPONENTS[0])
-    if basis is None:
-        # h2 bounds the square of every minor of the matrix
-        h2 = prod(max(1, sum(x * x for x in row.values())) for row in rows)
-        q = next((q for q in MERSENNE_EXPONENTS[1:] if h2 < 1 << (q - 1)), None)
-        if q is None:
-            raise ResourceCapError(
-                f"matrix entries too large: the squared Hadamard bound has "
-                f"{h2.bit_length()} bits, past the largest modulus "
-                f"2^{MERSENNE_EXPONENTS[-1]} - 1")
+    integer matrix ``rows``: certified modulo 2^13 - 1, else modulo
+    2^61 - 1, else modulo the first Mersenne prime past the Hadamard bound,
+    where it cannot fail."""
+    for q in MERSENNE_EXPONENTS[:2]:
         basis = _modular_kernel(rows, n, q)
-        if basis is None:
-            raise AssertionError(
-                f"internal error: kernel certificate failed modulo 2^{q} - 1, "
-                f"past the Hadamard bound")
+        if basis is not None:
+            return basis
+    # h2 bounds the square of every minor of the matrix
+    h2 = prod(max(1, sum(x * x for x in row.values())) for row in rows)
+    q = next((q for q in MERSENNE_EXPONENTS[2:] if h2 < 1 << (q - 1)), None)
+    if q is None:
+        raise ResourceCapError(
+            f"matrix entries too large: the squared Hadamard bound has "
+            f"{h2.bit_length()} bits, past the largest modulus "
+            f"2^{MERSENNE_EXPONENTS[-1]} - 1")
+    basis = _modular_kernel(rows, n, q)
+    if basis is None:
+        raise AssertionError(
+            f"internal error: kernel certificate failed modulo 2^{q} - 1, "
+            f"past the Hadamard bound")
     return basis
 
 
@@ -222,11 +315,13 @@ def kernel_basis(a: IntMatrix) -> list[IntVector]:
     (coprime entries, first nonzero entry positive).  The reduced echelon
     form is unique, so the basis is canonical.
 
-    The basis is certified modulo the prime 2^61 - 1, lifted by rational
+    The basis is certified modulo the prime 2^13 - 1, lifted by rational
     reconstruction and verified to satisfy A v = 0 over Z.  Should any step
-    fail, the same elimination reruns modulo the first Mersenne prime past
-    the Hadamard bound of ``a``, where every step succeeds; entries so large
-    that the bound passes every listed prime raise ResourceCapError."""
+    fail, the certificate reruns modulo 2^61 - 1, and then modulo the first
+    Mersenne prime past the Hadamard bound of ``a``, where every step
+    succeeds; entries so large that the bound passes every listed prime
+    raise ResourceCapError.  Dense matrices of order at most 256 are
+    eliminated on packed integer rows, all others on sparse dict rows."""
     n = _check_square(a)
     return _kernel([{j: x for j, x in enumerate(row) if x} for row in a], n)
 

@@ -229,6 +229,13 @@ def test_sweep_cap_refusal(capsys, monkeypatch):
     assert "capped at nmax = 24" in err
 
 
+def test_sweep_cap_refusal_names_a_single_k(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_sweep_task", lambda task: pytest.fail("a build ran"))
+    code, out, err = run_cli(capsys, "sweep", "--suite", "prop1", "--k", "12")
+    assert code == 4 and out == ""
+    assert "capped at k = 10" in err and "kmax" not in err
+
+
 def test_sweep_cap_bounds_the_largest_value_swept(capsys):
     code, out, _ = run_cli(capsys, "sweep", "--suite", "prop3", "--nmax", "14")
     assert code == 0

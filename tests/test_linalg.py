@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import gcd
 
 import pytest
 from oracles import (charpoly_cofactor, exact_kernel, primitive, residual,
@@ -252,80 +253,175 @@ def test_kernel_basis_matches_sympy_on_every_small_circulant():
         assert kernel_basis(a) == _sympy_rref_kernel(a), a
 
 
-def _record_reruns(monkeypatch, fail_at_61):
-    calls = []
+# the moduli tried before the one past the Hadamard bound
+FIRST_TRIES = MERSENNE_EXPONENTS[:2]
+
+
+def _record_tries(monkeypatch, fail_first_tries):
+    tried = []
     certify = linalg._modular_kernel
 
     def spy(rows, n, q):
-        if q != 61:
-            calls.append(q)
-        elif fail_at_61:
+        tried.append(q)
+        if fail_first_tries and q in FIRST_TRIES:
             return None
         return certify(rows, n, q)
 
     monkeypatch.setattr(linalg, "_modular_kernel", spy)
-    return calls
+    return tried
 
 
 @pytest.fixture
-def exact_calls(monkeypatch):
-    """Records every Mersenne exponent other than 61 that the certificate
-    reruns at."""
-    return _record_reruns(monkeypatch, fail_at_61=False)
+def tried(monkeypatch):
+    """Records the Mersenne exponent of every modulus the certificate
+    tries, in order."""
+    return _record_tries(monkeypatch, fail_first_tries=False)
 
 
 @pytest.fixture
-def fail_at_61(monkeypatch):
-    """As exact_calls, and makes the certificate modulo 2^61 - 1 fail on
-    every matrix."""
-    return _record_reruns(monkeypatch, fail_at_61=True)
+def fail_first_tries(monkeypatch):
+    """As ``tried``, and makes the certificate fail at every modulus below
+    the Hadamard rung, 2^13 - 1 and 2^61 - 1, on every matrix."""
+    return _record_tries(monkeypatch, fail_first_tries=True)
 
 
-def test_certificate_answers_every_cross_oracle_circulant(exact_calls):
-    # every even n <= 18: the certificate modulo 2^61 - 1 holds, agrees with
+def test_certificate_answers_every_cross_oracle_circulant(tried):
+    # every even n <= 18: the certificate modulo 2^13 - 1 holds, agrees with
     # the Bareiss oracle and never reruns
-    for a in _all_circulants(18, step=2):
+    matrices = list(_all_circulants(18, step=2))
+    for a in matrices:
         assert kernel_basis(a) == [primitive(v) for v in EXACT_KERNEL(a)]
-    assert exact_calls == []
+    assert tried == [13] * len(matrices)
 
 
 @pytest.mark.parametrize("a, expected", [
-    # singular modulo 2^61 - 1 but not over Q
-    ([[2 ** 61 - 1]], (127, [])),
-    ([[1, 0], [0, 2 ** 61 - 1]], (127, [])),
-    # RREF entry 2^-40, past the reconstruction bound: it is congruent to
-    # 2^21, which reconstructs but fails A v = 0 over Z
-    ([[1, -2 ** 40], [0, 0]], (89, [(2 ** 40, 1)])),
+    # singular modulo 2^13 - 1 and 2^61 - 1 but not over Q; the squared
+    # Hadamard bound (8191 (2^61 - 1))^2 needs 2^521 - 1
+    ([[8191 * (2 ** 61 - 1)]], ([13, 61, 521], [])),
+    ([[1, 0], [0, 8191 * (2 ** 61 - 1)]], ([13, 61, 521], [])),
+    # RREF entry 1/100, past the bound 2^6 of 2^13 - 1 but within that of
+    # 2^61 - 1
+    ([[1, -100], [0, 0]], ([13, 61], [(100, 1)])),
+    # RREF entry 2^-40, past both reconstruction bounds: it is congruent to
+    # 1/2 modulo 2^13 - 1 and to 2^21 modulo 2^61 - 1, which reconstruct
+    # but fail A v = 0 over Z
+    ([[1, -2 ** 40], [0, 0]], ([13, 61, 89], [(2 ** 40, 1)])),
     # RREF entry 3^25 / 5^17, a residue with no reconstruction in bounds
-    ([[3 ** 25, -5 ** 17], [0, 0]], (89, [(5 ** 17, 3 ** 25)])),
+    ([[3 ** 25, -5 ** 17], [0, 0]], ([13, 61, 89], [(5 ** 17, 3 ** 25)])),
 ])
-def test_failed_certificate_falls_back_to_exact_path(exact_calls, a, expected):
-    # expected: the exponent the Hadamard bound picks, and the basis
-    rerun, expected_basis = expected
+def test_failed_certificate_falls_back_to_exact_path(tried, a, expected):
+    # expected: the exponents tried, the last one certifying, and the basis
+    expected_tries, expected_basis = expected
     basis = kernel_basis(a)
-    assert exact_calls == [rerun]
+    assert tried == expected_tries
     assert basis == expected_basis == [primitive(v) for v in EXACT_KERNEL(a)]
     for v in basis:
         assert all(x == 0 for x in residual(a, v))
 
 
 def test_past_bound_certificate_agrees_on_every_cross_oracle_circulant(request):
-    # the answers modulo 2^61 - 1 match the Bareiss oracle (see above); a 0/1
-    # matrix of order <= 18 has squared Hadamard bound below 2^88
+    # the answers of the first try match the Bareiss oracle (see above); a
+    # 0/1 matrix of order <= 18 has squared Hadamard bound below 2^88
     matrices = list(_all_circulants(18, step=2))
     expected = [kernel_basis(a) for a in matrices]
-    reruns = request.getfixturevalue("fail_at_61")
+    tries = request.getfixturevalue("fail_first_tries")
     assert [kernel_basis(a) for a in matrices] == expected
-    assert reruns == [89] * len(matrices)
+    assert tries == [13, 61, 89] * len(matrices)
 
 
 @pytest.mark.parametrize("r, k, rerun", [(5, 7, 521), (31, 32, 1279)])
 def test_past_bound_certificate_agrees_on_large_constructions(request, r, k, rerun):
     g = construct_with_orbits(r, k).graph
     expected = is_nut(g)
-    reruns = request.getfixturevalue("fail_at_61")
+    tries = request.getfixturevalue("fail_first_tries")
     assert is_nut(g) == expected
-    assert reruns == [rerun]
+    assert tries == [13, 61, rerun]
+
+
+# -- the two eliminations ------------------------------------------------------
+
+def _on_both_paths(monkeypatch, a):
+    """kernel_basis(a) with the packed elimination forced, then with the
+    dict rows forced.  The two must agree, and so must the certificate at
+    each first modulus, failures included: the kernel modulo p and its
+    reduced echelon form do not depend on the pivot order."""
+    rows = [{j: x for j, x in enumerate(row) if x} for row in a]
+    results = []
+    for packed in (True, False):
+        monkeypatch.setattr(linalg, "_dense", lambda rows, n, packed=packed: packed)
+        results.append(([linalg._modular_kernel(rows, len(a), q) for q in FIRST_TRIES],
+                        kernel_basis(a)))
+    assert results[0] == results[1], a
+    return results[0][1]
+
+
+def test_eliminations_agree_on_every_small_circulant(monkeypatch):
+    for a in _all_circulants(18):
+        _on_both_paths(monkeypatch, a)
+
+
+def test_eliminations_agree_on_random_integer_matrices(monkeypatch):
+    # low-rank products, with entries shifted by multiples of the first two
+    # moduli so that some are negative, some at least p and some vanish mod p
+    rng = random.Random(14)
+    nullities = set()
+    for trial in range(120):
+        n = rng.randint(1, 12)
+        r = rng.randint(0, n)
+        b = [[rng.randint(-4, 4) for _ in range(r)] for _ in range(n)]
+        c = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(r)]
+        a = [[sum(b[i][t] * c[t][j] for t in range(r)) for j in range(n)]
+             for i in range(n)]
+        for _ in range(rng.randint(0, 3)):
+            i, j = rng.randrange(n), rng.randrange(n)
+            a[i][j] += rng.choice([-1, 1, 3]) * rng.choice([8191, 2 ** 61 - 1])
+        basis = _on_both_paths(monkeypatch, a)
+        assert basis == [primitive(v) for v in EXACT_KERNEL(a)], a
+        nullities.add(len(basis))
+    assert {0, 1, 2, 3} <= nullities
+
+
+def _gnp(n, prob, seed):
+    rng = random.Random(seed)
+    return Graph.from_edges(n, [e for e in combinations(range(n), 2) if rng.random() < prob])
+
+
+@pytest.mark.parametrize("g", [
+    complete_graph(2), complete_graph(7), complete_graph(30),
+    Graph.from_edges(9, [(i, j) for i in range(4) for j in range(4, 9)]),
+    Graph.from_edges(40, [(i, j) for i in range(20) for j in range(20, 40)]),
+    Graph.from_edges(25, [(0, j) for j in range(1, 25)]),
+    Graph.from_edges(60, [(0, j) for j in range(1, 60)]),
+    _gnp(120, 0.3, 120),
+], ids=["K2", "K7", "K30", "K4,5", "K20,20", "K1,24", "K1,59", "G(120,0.3)"])
+def test_eliminations_agree_on_graph_families(monkeypatch, g):
+    a = g.adjacency_matrix()
+    basis = _on_both_paths(monkeypatch, a)
+    for v in basis:
+        assert not any(residual(a, v))
+
+
+def _eliminations_run(monkeypatch, g):
+    ran = []
+    for name in ("_eliminate_packed", "_eliminate_mod_p"):
+        def spy(*args, name=name, inner=getattr(linalg, name)):
+            ran.append(name)
+            return inner(*args)
+        monkeypatch.setattr(linalg, name, spy)
+    is_nut(g)
+    return set(ran)
+
+
+@pytest.mark.parametrize("g, expected", [
+    # density 8/18, order 18: a cross-oracle circulant
+    (circulant(CirculantSpec(18, {1, 2, 3, 4})), {"_eliminate_packed"}),
+    # sparse: n = 610, degree 3
+    (construct_with_orbits(31, 32).graph, {"_eliminate_mod_p"}),
+    # dense but past the order limit
+    (complete_graph(400), {"_eliminate_mod_p"}),
+], ids=["Circ(18,{1,2,3,4})", "construct(31,32)", "K400"])
+def test_elimination_is_chosen_by_order_and_density(monkeypatch, g, expected):
+    assert _eliminations_run(monkeypatch, g) == expected
 
 
 def test_is_nut_builds_no_dense_matrix(monkeypatch, circ_10_12):
@@ -344,15 +440,31 @@ def test_largest_modulus_passes_the_hadamard_bound_of_every_checked_graph():
 
 
 def test_entries_past_every_modulus_are_refused():
+    # singular modulo both first moduli, so the Hadamard rung is reached
     with pytest.raises(ResourceCapError):
-        kernel_basis([[(2 ** 61 - 1) * 2 ** 200000]])
+        kernel_basis([[8191 * (2 ** 61 - 1) * 2 ** 200000]])
 
 
-def test_rational_reconstruction_round_trips_small_fractions():
-    q = 61
+@pytest.mark.parametrize("q, unreachable", [
+    (13, 64),  # the least residue with no fraction in bounds
+    (61, 3 ** 25 * pow(5 ** 17, -1, 2 ** 61 - 1) % (2 ** 61 - 1)),
+], ids=["13", "61"])
+def test_rational_reconstruction_round_trips_small_fractions(q, unreachable):
     p = (1 << q) - 1
     bound = 1 << (q // 2)
     for num, den in [(0, 1), (1, 1), (-1, 1), (3, 7), (-5, 12),
                      (bound - 1, bound - 2), (-(bound - 1), bound - 3)]:
         assert linalg._reconstruct(num * pow(den, -1, p) % p, q) == (num, den)
-    assert linalg._reconstruct(3 ** 25 * pow(5 ** 17, -1, p) % p, q) is None
+    assert linalg._reconstruct(unreachable, q) is None
+
+
+def test_rational_reconstruction_modulo_8191_on_every_residue():
+    # every fraction with |num|, den < 2^6 has its own residue, and every
+    # other residue has no reconstruction
+    p = 8191
+    fractions = {num * pow(den, -1, p) % p: (num, den)
+                 for den in range(1, 64) for num in range(-63, 64) if gcd(num, den) == 1}
+    assert len(fractions) == sum(1 for den in range(1, 64) for num in range(-63, 64)
+                                 if gcd(num, den) == 1)
+    assert [linalg._reconstruct(x, 13) for x in range(p)] == [fractions.get(x)
+                                                              for x in range(p)]
