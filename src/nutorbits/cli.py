@@ -133,7 +133,7 @@ def _human_summary(report: dict) -> str:
 
 def _cmd_check(args) -> int:
     if args.file:
-        with open(args.file) as fh:
+        with open(args.file, errors="surrogateescape") as fh:
             text = fh.read()
     elif args.graph6 in (None, "-"):
         text = sys.stdin.read()

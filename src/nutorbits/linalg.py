@@ -1,18 +1,21 @@
 """Exact linear algebra on integer matrices, over Z.
 
 Kernels are certified modularly: elimination modulo a Mersenne prime
-P = 2^q - 1 gives the nullity d = n - rank_P and d kernel vectors, whose
-reduced echelon form is lifted entry by entry to rationals by rational
+P = 2^q - 1 gives the nullity d = n - rank_P and the d reduced echelon
+kernel vectors, lifted entry by entry to rationals by rational
 reconstruction.  Every lifted vector, scaled to its primitive integer
 multiple, is checked to satisfy A v = 0 over Z, which makes the answer
 exact: rank over Q is at least rank mod P, so the nullity is at most d, and
 d independent verified vectors give at least d.
 
 Either of two eliminations hands its pivots to one back-substitution.
-Dense matrices of order at most 256 are eliminated in column order on rows
-packed into one integer each, every other matrix on sparse dict rows with
-low-fill (Markowitz-style) pivoting.  The choice reads only the order and
-the count of nonzero entries.
+Both pivot from the last column down, onto the rightmost independent
+columns of A mod P, so by matroid duality the other columns lead the
+kernel's reduced echelon form.  Back-substitution puts 1 at one of them and
+0 at the rest, so its vectors are that form as they stand.  Dense matrices
+of order at most 256 are eliminated on rows packed into one integer each,
+every other matrix on sparse dict rows.  The choice reads only the order
+and the count of nonzero entries.
 
 The moduli form a ladder.  The first try is q = 13: every residue and
 every product of two fits one 30-bit CPython digit, and fractions with numerator and
@@ -31,7 +34,6 @@ characteristic polynomial by Newton's identities.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from math import comb, gcd, lcm, prod
 from typing import Sequence
@@ -77,44 +79,32 @@ def matvec(a: IntMatrix, v: Sequence) -> list:
 
 def _eliminate_mod_p(rows: list[dict[int, int]], p: int) -> list[tuple[int, list]]:
     """Forward elimination modulo the prime p on sparse rows (column ->
-    entry).
-
-    Each step pivots on a sparsest remaining row and, in it, on the column
-    with the fewest remaining entries: the least Markowitz count
-    (r - 1)(c - 1) that row offers, which keeps fill low on sparse graphs.
-    Returns the pivots in elimination order as (pivot column, the row's
-    other entries scaled so the pivot is 1).  A pivot row holds no column
-    pivoted before it."""
+    entry), from the last column down: each column pivots on a sparsest
+    remaining row that holds it, the smaller index on a tie.  Returns the
+    pivots in elimination order as (pivot column, the row's other entries
+    scaled so the pivot is 1).  A pivot row holds no column pivoted before
+    it.  The pivot columns are the rightmost independent columns modulo p,
+    so by matroid duality the others lead the kernel's reduced echelon
+    form, which back-substitution then yields as it stands."""
     rows = [{j: x % p for j, x in row.items() if x % p} for row in rows]
     col_rows: dict[int, set[int]] = {}
     for i, row in enumerate(rows):
         for j in row:
             col_rows.setdefault(j, set()).add(i)
-    # Every remaining row keeps a heap entry no larger than its length:
-    # rows that shrink are pushed again, and an entry found smaller than its
-    # row's length is pushed back with the length, so an entry popped at
-    # its row's length belongs to a sparsest remaining row.
-    heap = [(len(row), i) for i, row in enumerate(rows) if row]
-    heapq.heapify(heap)
-    done = [False] * len(rows)
     pivots = []
-    while heap:
-        length, i = heapq.heappop(heap)
+    for c in sorted(col_rows, reverse=True):
+        holders = col_rows.pop(c)
+        if not holders:
+            continue
+        i = min(holders, key=lambda k: (len(rows[k]), k))
+        holders.discard(i)
         row = rows[i]
-        if done[i] or not row:
-            continue
-        if length < len(row):
-            heapq.heappush(heap, (len(row), i))
-            continue
-        done[i] = True
+        inverse = pow(row.pop(c), -1, p)
         for j in row:
             col_rows[j].discard(i)
-        c = min(row, key=lambda j: len(col_rows[j]))
-        inverse = pow(row.pop(c), -1, p)
         tail = [(j, x * inverse % p) for j, x in row.items()]
-        for k in col_rows.pop(c):
+        for k in holders:
             other = rows[k]
-            before = len(other)
             factor = p - other.pop(c)
             for j, x in tail:
                 if j in other:
@@ -127,8 +117,6 @@ def _eliminate_mod_p(rows: list[dict[int, int]], p: int) -> list[tuple[int, list
                 else:
                     other[j] = factor * x % p
                     col_rows[j].add(k)
-            if len(other) < before:
-                heapq.heappush(heap, (len(other), k))
         pivots.append((c, tail))
     return pivots
 
@@ -137,8 +125,10 @@ def _eliminate_packed(rows: list[dict[int, int]], n: int,
                       q: int) -> list[tuple[int, list]]:
     """Forward elimination modulo p = 2^q - 1 on rows packed into one
     integer each, column j in the slot of W = 2q + 2 + n.bit_length() bits
-    at bit W j.  Returns what ``_eliminate_mod_p`` returns, with the pivots
-    in column order.
+    at bit W (n - 1 - j), so the last column comes first.  Returns what
+    ``_eliminate_mod_p`` returns, on the same rightmost independent pivot
+    columns; by matroid duality the others lead the kernel's reduced
+    echelon form, which back-substitution then yields as it stands.
 
     A row update y + (p - f) prow is one multiply and one add over the
     whole row and is left unreduced.  Pivot rows keep their slots at most
@@ -162,11 +152,11 @@ def _eliminate_packed(rows: list[dict[int, int]], n: int,
     for row in rows:
         y = 0
         for j, x in row.items():
-            y += x % p << w * j
+            y += x % p << w * (n - 1 - j)
         if y:
             live.append(y)
     pivots = []
-    for c in range(n):
+    for c in range(n - 1, -1, -1):
         for k, y in enumerate(live):
             f = (y & slot) % p
             if f:
@@ -186,7 +176,7 @@ def _eliminate_packed(rows: list[dict[int, int]], n: int,
     out = []
     for c, prow in pivots:
         tail = []
-        for j in range(c + 1, n):
+        for j in range(c - 1, -1, -1):
             prow >>= w
             x = (prow & slot) % p
             if x:
@@ -201,36 +191,13 @@ def _dense(rows: list[dict[int, int]], n: int) -> bool:
     # Packed rows cost about n^3 W bit operations whatever the fill;
     # dict rows cost what the fill makes them.  Measured, in ms, as packed
     # against dict rows modulo 2^13 - 1 (Python 3.11, 2 shared cores):
-    # - prop2 k = 9, p = 19 (n = 76, density 0.21): 3.6 against 12.4;
-    # - G(256, 0.2): 57 against 1019; G(160, 0.5): 11 against 194;
-    # - Circ(400, {1..25}) relabelled, density 0.125: 375 against 153,
+    # - prop2 k = 9, p = 19 (n = 76, density 0.21): 2.9 against 7.6;
+    # - G(256, 0.2): 58 against 1043; G(160, 0.5): 20 against 280;
+    # - Circ(400, {1..25}) relabelled, density 0.125: 218 against 158,
     #   hence the density threshold between 0.125 and 0.2;
-    # - K_n, whose differences of rows stay sparse: K_96 5.8 against 7.0,
-    #   K_256 79 against 41, K_800 1406 against 397, hence the order cap.
+    # - K_n, whose differences of rows stay sparse: K_96 5.2 against 5.4,
+    #   K_256 72 against 39, K_800 1586 against 399, hence the order cap.
     return n <= 256 and 5 * sum(map(len, rows)) >= n * n
-
-
-def _rref_mod_p(rows: list[list[int]], p: int) -> list[list[int]]:
-    """Reduced row echelon form modulo the prime p of linearly independent
-    rows, ordered by pivot position, each leading entry 1.  Mutates and
-    returns ``rows``."""
-    ncols = len(rows[0]) if rows else 0
-    r = 0
-    for c in range(ncols):
-        if r == len(rows):
-            break
-        k = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if k is None:
-            continue
-        rows[r], rows[k] = rows[k], rows[r]
-        inverse = pow(rows[r][c], -1, p)
-        prow = rows[r] = [x * inverse % p for x in rows[r]]
-        for i, row in enumerate(rows):
-            f = row[c]
-            if f and i != r:
-                rows[i] = [(x - f * y) % p for x, y in zip(row, prow)]
-        r += 1
-    return rows
 
 
 def _reconstruct(x: int, q: int) -> tuple[int, int] | None:
@@ -254,24 +221,22 @@ def _modular_kernel(rows: list[dict[int, int]], n: int,
     """The reduced echelon kernel basis of the n-column sparse integer
     matrix ``rows``, each vector scaled to its primitive integer multiple,
     certified modulo 2^q - 1 and verified over Z; None when rational
-    reconstruction or the integer check fails."""
+    reconstruction or the integer check fails.  The pivot columns are the
+    rightmost independent ones, so by matroid duality the free columns
+    lead the kernel's reduced echelon form.  That form is the one basis
+    with the identity on its leading columns, which is what
+    back-substitution gives, one vector per free column."""
     p = (1 << q) - 1
     if _dense(rows, n):
         pivots = _eliminate_packed(rows, n, q)
     else:
         pivots = _eliminate_mod_p(rows, p)
-    pivoted = {c for c, _ in pivots}
-    vectors = []
-    for f in range(n):
-        if f in pivoted:
-            continue
+    basis = []
+    for f in sorted(set(range(n)).difference(c for c, _ in pivots)):
         x = [0] * n
         x[f] = 1
         for c, tail in reversed(pivots):
             x[c] = -sum(a * x[j] for j, a in tail) % p
-        vectors.append(x)
-    basis = []
-    for x in _rref_mod_p(vectors, p):
         pairs = [_reconstruct(e, q) for e in x]
         if None in pairs:
             return None
@@ -321,7 +286,10 @@ def kernel_basis(a: IntMatrix) -> list[IntVector]:
     Mersenne prime past the Hadamard bound of ``a``, where every step
     succeeds; entries so large that the bound passes every listed prime
     raise ResourceCapError.  Dense matrices of order at most 256 are
-    eliminated on packed integer rows, all others on sparse dict rows."""
+    eliminated on packed integer rows, all others on sparse dict rows.
+    Both pivot onto the rightmost independent columns of ``a``, so by
+    matroid duality the others lead the kernel's reduced echelon form,
+    which back-substitution yields as it stands."""
     n = _check_square(a)
     return _kernel([{j: x for j, x in enumerate(row) if x} for row in a], n)
 
@@ -330,7 +298,7 @@ def is_nut(g: Graph) -> NutVerdict:
     """Certify the nut property of a graph: adjacency nullity 1 with a full
     kernel vector, on at least two vertices."""
     rows: list[dict[int, int]] = [{} for _ in range(g.n)]
-    for u, v in g.edges:  # sorted, so columns ascend and pivot ties break alike
+    for u, v in g.edges:
         rows[u][v] = rows[v][u] = 1
     basis = _kernel(rows, g.n)
     nullity = len(basis)

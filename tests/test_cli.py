@@ -1,3 +1,4 @@
+import ast
 import concurrent.futures
 import hashlib
 import json
@@ -50,6 +51,14 @@ def test_check_malformed_input_exits_2(capsys):
     code, _, err = run_cli(capsys, "check", "A!")
     assert code == 2
     assert "byte offset" in err
+
+
+def test_check_file_of_undecodable_bytes_exits_2(tmp_path, capsys):
+    path = tmp_path / "bad.g6"
+    path.write_bytes(b"\xff\xfeC~")
+    code, _, err = run_cli(capsys, "check", "--file", str(path))
+    assert code == 2
+    assert "input error" in err and "byte offset 0" in err
 
 
 def test_check_reads_files_and_multiple_lines(tmp_path, capsys):
@@ -409,6 +418,22 @@ def test_no_source_file_reads_the_environment():
                for number, line in enumerate(path.read_text().splitlines(), 1)
                if re.search(r"environ|getenv", line)]
     assert readers == []
+
+
+def test_every_source_import_is_stdlib_or_nutorbits():
+    allowed = sys.stdlib_module_names | {"nutorbits"}
+    outside = []
+    for path in sorted(pathlib.Path(cli.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = ["nutorbits" if node.level else node.module]
+            else:
+                continue
+            outside += [f"{path.name}: {name}" for name in names
+                        if name.partition(".")[0] not in allowed]
+    assert outside == []
 
 
 @pytest.mark.parametrize("k, t", [(k, t) for k in (2, 3, 4, 5) for t in (1, 2)])

@@ -4,8 +4,8 @@ from itertools import combinations
 from math import gcd
 
 import pytest
-from oracles import (charpoly_cofactor, exact_kernel, primitive, residual,
-                     root_zero_multiplicity)
+from oracles import (bareiss_echelon, charpoly_cofactor, exact_kernel, primitive,
+                     residual, root_zero_multiplicity)
 
 from nutorbits import linalg
 from nutorbits import (CirculantSpec, Graph, ResourceCapError,
@@ -340,16 +340,30 @@ def test_past_bound_certificate_agrees_on_large_constructions(request, r, k, rer
 
 # -- the two eliminations ------------------------------------------------------
 
-def _on_both_paths(monkeypatch, a):
+def _on_both_paths(monkeypatch, a, over_q=True):
     """kernel_basis(a) with the packed elimination forced, then with the
     dict rows forced.  The two must agree, and so must the certificate at
     each first modulus, failures included: the kernel modulo p and its
-    reduced echelon form do not depend on the pivot order."""
+    reduced echelon form do not depend on the pivot order.
+
+    Both eliminations pivot from the last column down, so at each first
+    modulus they must pivot on the same columns, the rightmost independent
+    columns of a modulo p.  With ``over_q``, those modulo 2^61 - 1 must be
+    the rightmost independent columns over Q: column c is one when the
+    rank of columns c..n-1 exceeds that of columns c+1..n-1, that is, when
+    column n-1-c of a with its columns reversed is a Bareiss pivot column."""
+    n = len(a)
     rows = [{j: x for j, x in enumerate(row) if x} for row in a]
+    for q in FIRST_TRIES:
+        pivoted = {c for c, _ in linalg._eliminate_packed(rows, n, q)}
+        assert pivoted == {c for c, _ in linalg._eliminate_mod_p(rows, (1 << q) - 1)}, (q, a)
+    if over_q:
+        _, reversed_pivots = bareiss_echelon([row[::-1] for row in a])
+        assert pivoted == {n - 1 - c for c in reversed_pivots}, a
     results = []
     for packed in (True, False):
         monkeypatch.setattr(linalg, "_dense", lambda rows, n, packed=packed: packed)
-        results.append(([linalg._modular_kernel(rows, len(a), q) for q in FIRST_TRIES],
+        results.append(([linalg._modular_kernel(rows, n, q) for q in FIRST_TRIES],
                         kernel_basis(a)))
     assert results[0] == results[1], a
     return results[0][1]
@@ -375,7 +389,7 @@ def test_eliminations_agree_on_random_integer_matrices(monkeypatch):
         for _ in range(rng.randint(0, 3)):
             i, j = rng.randrange(n), rng.randrange(n)
             a[i][j] += rng.choice([-1, 1, 3]) * rng.choice([8191, 2 ** 61 - 1])
-        basis = _on_both_paths(monkeypatch, a)
+        basis = _on_both_paths(monkeypatch, a, over_q=False)
         assert basis == [primitive(v) for v in EXACT_KERNEL(a)], a
         nullities.add(len(basis))
     assert {0, 1, 2, 3} <= nullities
@@ -399,6 +413,27 @@ def test_eliminations_agree_on_graph_families(monkeypatch, g):
     basis = _on_both_paths(monkeypatch, a)
     for v in basis:
         assert not any(residual(a, v))
+
+
+def _unit_difference(n, i, j):
+    v = [0] * n
+    v[i], v[j] = 1, -1
+    return tuple(v)
+
+
+def test_kernel_basis_of_a_large_star():
+    m = 599
+    star = Graph.from_edges(m + 1, [(0, j) for j in range(1, m + 1)])
+    assert kernel_basis(star.adjacency_matrix()) == [
+        _unit_difference(m + 1, i, m) for i in range(1, m)]
+
+
+def test_kernel_basis_of_a_large_complete_bipartite_graph():
+    m = 150
+    g = Graph.from_edges(2 * m, [(i, j) for i in range(m) for j in range(m, 2 * m)])
+    assert kernel_basis(g.adjacency_matrix()) == (
+        [_unit_difference(2 * m, i, m - 1) for i in range(m - 1)]
+        + [_unit_difference(2 * m, m + j, 2 * m - 1) for j in range(m - 1)])
 
 
 def _eliminations_run(monkeypatch, g):
