@@ -5,6 +5,7 @@ dispatch, and the realizability predicates.
 Every builder verifies its own output from scratch: the nut certificate is
 recomputed by exact nullspace, the orbit census by the automorphism search,
 and the group order is compared against the formula claimed for the family.
+A Cayley builder's nullity and verdict must also match its character test.
 A mismatch is an internal consistency failure and aborts loudly; it is never
 a valid outcome.  Each builder refuses, before it builds anything, an order
 above ``graphs.MAX_ORDER``.
@@ -26,9 +27,9 @@ from .automorphisms import OrbitCensus, orbit_census
 from .errors import (HypothesisError, NotCoveredByThisPaper, NotRealizable,
                      ResourceCapError, VerificationError)
 from .graphs import (MAX_ORDER, AbelianCayleySpec, CirculantSpec, Graph,
-                     cartesian_product, cayley_abelian, circulant,
-                     complete_graph, subdivide_edges)
+                     cayley_abelian, circulant, subdivide_edges)
 from .linalg import NutVerdict, is_nut
+from .polynomials import cyclotomic, vanishing_subgroups
 
 FIG3_CONNECTION = frozenset(
     {(i, 0) for i in (1, 2, 4, 5)} | {(i, 1) for i in (0, 1, 3, 5)})
@@ -81,8 +82,16 @@ def primes_from(lower_bound: int) -> Iterator[int]:
 
 def _certify(graph: Graph, provenance: ConstructionParams,
              expected_counts: tuple[int, int, int],
-             expected_aut_order: Optional[int] = None) -> VerifiedNut:
+             expected_aut_order: Optional[int] = None,
+             spec: Optional[AbelianCayleySpec] = None) -> VerifiedNut:
     verdict = is_nut(graph)
+    if spec is not None:
+        orders = vanishing_subgroups(spec)
+        nullity = sum(len(cyclotomic(d)) - 1 for d in orders)  # phi(d) = deg Phi_d
+        if nullity != verdict.nullity or (orders == (2,)) != verdict.is_nut:
+            raise VerificationError(
+                f"construction {provenance}: the character test gives nullity {nullity} "
+                f"(subgroup orders {list(orders)}), the certificate {verdict.nullity}")
     if not verdict.is_nut:
         raise VerificationError(
             f"construction {provenance} failed the nut check: "
@@ -141,9 +150,12 @@ def prop1_graph(k: int, p: Optional[int] = None) -> VerifiedNut:
     if k < 2 or k % 2:
         raise HypothesisError(f"k must be even and >= 2, got {k}")
     p = _prime_parameter("prop1", k, p)
+    # circulant() builds Circ(34, {1..12}) in 0.24 ms, cayley_abelian in 0.30
     graph = circulant(CirculantSpec(2 * p, frozenset(range(1, k + 1))))
+    spec = AbelianCayleySpec((2 * p,), {(x,) for s in range(1, k + 1)
+                                        for x in (s, 2 * p - s)})
     return _certify(graph, ConstructionParams("prop1", k=k, p=p),
-                    (1, k, k), expected_aut_order=4 * p)
+                    (1, k, k), expected_aut_order=4 * p, spec=spec)
 
 
 def prop2_graph(k: int, p: Optional[int] = None) -> VerifiedNut:
@@ -153,11 +165,10 @@ def prop2_graph(k: int, p: Optional[int] = None) -> VerifiedNut:
     if k < 5 or k % 2 == 0:
         raise HypothesisError(f"k must be odd and >= 5, got {k}")
     p = _prime_parameter("prop2", k, p)
-    offsets = frozenset(range(2, k)) | {p}
-    graph = cartesian_product(circulant(CirculantSpec(2 * p, offsets)),
-                              complete_graph(2))
-    return _certify(graph, ConstructionParams("prop2", k=k, p=p),
-                    (1, k, k), expected_aut_order=8 * p)
+    spec = AbelianCayleySpec((2 * p, 2), {(x, 0) for s in [*range(2, k), p]
+                                          for x in (s, 2 * p - s)} | {(0, 1)})
+    return _certify(cayley_abelian(spec), ConstructionParams("prop2", k=k, p=p),
+                    (1, k, k), expected_aut_order=8 * p, spec=spec)
 
 
 def prop3_graph(n: int) -> VerifiedNut:
@@ -166,18 +177,19 @@ def prop3_graph(n: int) -> VerifiedNut:
     if n < 5 or n % 2 == 0:
         raise HypothesisError(f"n must be odd and >= 5, got {n}")
     _check_order(8 * n)
-    graph = cartesian_product(circulant(CirculantSpec(2 * n, frozenset({1, n}))),
-                              complete_graph(4))
-    return _certify(graph, ConstructionParams("prop3", n=n),
-                    (1, 3, 3), expected_aut_order=96 * n)
+    spec = AbelianCayleySpec((2 * n, 2, 2), {(1, 0, 0), (2 * n - 1, 0, 0), (n, 0, 0),
+                                             (0, 1, 0), (0, 0, 1), (0, 1, 1)})
+    return _certify(cayley_abelian(spec), ConstructionParams("prop3", n=n),
+                    (1, 3, 3), expected_aut_order=96 * n, spec=spec)
 
 
 def fig3_graph() -> VerifiedNut:
     """The Cayley graph for Z6 x Z2 with connection set
     {(1,0),(2,0),(4,0),(5,0),(0,1),(1,1),(3,1),(5,1)}: order 12, 8-regular,
     a nut graph with five edge orbits and five arc orbits."""
-    graph = cayley_abelian(AbelianCayleySpec((6, 2), FIG3_CONNECTION))
-    return _certify(graph, ConstructionParams("fig3"), (1, 5, 5))
+    spec = AbelianCayleySpec((6, 2), FIG3_CONNECTION)
+    return _certify(cayley_abelian(spec), ConstructionParams("fig3"), (1, 5, 5),
+                    spec=spec)
 
 
 def cayley_nut(k: int, p: Optional[int] = None) -> VerifiedNut:

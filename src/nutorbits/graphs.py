@@ -11,7 +11,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations, product as _cartesian_tuples
+from itertools import combinations
+from math import prod
 from typing import Iterable, Optional, Sequence
 
 from .errors import Graph6ParseError, ResourceCapError, SpecificationError
@@ -185,14 +186,13 @@ def cayley_abelian(spec: AbelianCayleySpec) -> Graph:
     Vertices are the group elements in row-major order (last coordinate
     fastest): (x_1, ..., x_d) has label sum of x_i * m_(i+1) * ... * m_d.
     """
-    elements = list(_cartesian_tuples(*(range(m) for m in spec.orders)))
-    index = {e: i for i, e in enumerate(elements)}
     edges = []
-    for i, u in enumerate(elements):
-        for c in spec.connection:
-            v = tuple((x + y) % m for x, y, m in zip(u, c, spec.orders))
-            edges.append((i, index[v]))
-    return Graph.from_edges(len(elements), edges)
+    for c in spec.connection:
+        targets = [0]  # the label of u + c, for every u in label order
+        for m, x in zip(spec.orders, c):
+            targets = [t * m + (y + x) % m for t in targets for y in range(m)]
+        edges.extend(enumerate(targets))
+    return Graph.from_edges(prod(spec.orders), edges)
 
 
 def subdivide_edges(g: Graph, targets: Iterable[tuple[int, int]], s: int) -> Graph:

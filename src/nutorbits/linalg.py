@@ -27,24 +27,19 @@ every minor of A is then nonzero modulo P unless it is zero, so rank_P is
 the rank over Q, and every reduced echelon kernel entry, a ratio of two
 minors, reconstructs uniquely.  The reduced echelon form is unique, so
 every rung that certifies gives the same basis.  No tolerances anywhere.
-
-Spectra are compared through power sums tr(A^k), which fix the
-characteristic polynomial by Newton's identities.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb, gcd, lcm, prod
+from math import gcd, lcm, prod
 from typing import Sequence
 
 from .errors import ResourceCapError
-from .graphs import Graph, cartesian_product
+from .graphs import Graph
 
 IntMatrix = Sequence[Sequence[int]]
 IntVector = tuple[int, ...]
-
-PRODUCT_SPECTRUM_SIZE_CAP = 64
 
 # Exponents q of Mersenne primes 2^q - 1, the moduli of the certificate:
 # 2^13 - 1 is tried first and 2^61 - 1 next, and the rest are the Hadamard
@@ -71,10 +66,6 @@ def _check_square(a: IntMatrix) -> int:
     if any(len(row) != n for row in a):
         raise ValueError("matrix must be square")
     return n
-
-
-def matvec(a: IntMatrix, v: Sequence) -> list:
-    return [sum(row[j] * v[j] for j in range(len(row)) if row[j]) for row in a]
 
 
 def _eliminate_mod_p(rows: list[dict[int, int]], p: int) -> list[tuple[int, list]]:
@@ -309,97 +300,3 @@ def is_nut(g: Graph) -> NutVerdict:
         is_full=is_full,
         is_nut=is_full and g.n >= 2,
     )
-
-
-def _power_traces(a: IntMatrix, m: int) -> list[int]:
-    """tr(A^k) for k = 0..m, multiplying A^(k-1) by the sparse rows of A."""
-    n = len(a)
-    rows = [[(j, x) for j, x in enumerate(row) if x] for row in a]
-    power = [[int(i == j) for j in range(n)] for i in range(n)]
-    traces = [n]
-    for _ in range(m):
-        nxt = []
-        for prow in power:
-            out = [0] * n
-            for t, c in enumerate(prow):
-                if c:
-                    for j, x in rows[t]:
-                        out[j] += c * x
-            nxt.append(out)
-        power = nxt
-        traces.append(sum(power[i][i] for i in range(n)))
-    return traces
-
-
-def char_poly(a: IntMatrix) -> tuple[int, ...]:
-    """Characteristic polynomial det(xI - A), monic of degree n, from the
-    power sums tr(A^k) by Newton's identities; its coefficients lowest
-    degree first."""
-    n = _check_square(a)
-    traces = _power_traces(a, n)
-    coeffs = [1]  # c_0..c_n of x^n + c_1 x^(n-1) + ... + c_n
-    for k in range(1, n + 1):
-        q, rem = divmod(-sum(c * traces[k - i] for i, c in enumerate(coeffs)), k)
-        if rem:
-            raise AssertionError("internal error: Newton's identity division inexact")
-        coeffs.append(q)
-    return tuple(reversed(coeffs))
-
-
-def product_spectrum_check(g: Graph, h: Graph) -> bool:
-    """Verify the cartesian-product spectrum identity, that the spectrum of
-    G box H is all sums lambda + mu, as exact power-sum equations:
-    tr(A_P^k) = sum_j C(k, j) tr(A_G^j) tr(A_H^(k - j)) for every k up to
-    the product's order, which by Newton's identities fixes its spectrum."""
-    n = g.n * h.n
-    if n > PRODUCT_SPECTRUM_SIZE_CAP:
-        raise ResourceCapError(
-            f"product order {n} exceeds the spectrum-check cap "
-            f"{PRODUCT_SPECTRUM_SIZE_CAP}")
-    tg = _power_traces(g.adjacency_matrix(), n)
-    th = _power_traces(h.adjacency_matrix(), n)
-    direct = _power_traces(cartesian_product(g, h).adjacency_matrix(), n)
-    return all(direct[k] == sum(comb(k, j) * tg[j] * th[k - j] for j in range(k + 1))
-               for k in range(n + 1))
-
-
-class EigenvectorMismatch(ValueError):
-    """A supplied vector is not an eigenvector; ``row`` is the first row of
-    A v that disagrees with lambda v."""
-
-    def __init__(self, name: str, row: int):
-        super().__init__(f"{name} is not an eigenvector: mismatch at row {row}")
-        self.row = row
-
-
-def _eigenvalue_of(a: IntMatrix, v: Sequence[int], name: str) -> int:
-    n = len(a)
-    if len(v) != n:
-        raise ValueError(f"{name} has length {len(v)}, expected {n}")
-    pivot = next((i for i, e in enumerate(v) if e != 0), None)
-    if pivot is None:
-        raise ValueError(f"{name} must be nonzero")
-    av = matvec(a, v)
-    for i in range(n):
-        if av[i] * v[pivot] != av[pivot] * v[i]:
-            raise EigenvectorMismatch(name, i)
-    # a rational eigenvalue of an integer matrix is an integer
-    return av[pivot] // v[pivot]
-
-
-def kernel_vector_from_factors(u: Sequence[int], v: Sequence[int],
-                               g: Graph, h: Graph) -> IntVector:
-    """Combine integer factor eigenvectors with cancelling eigenvalues into
-    a kernel vector of the cartesian product: w_(a,b) = u_a v_b under the
-    row-major product labeling.  The result is verified to satisfy A w = 0
-    exactly and is full iff both inputs are full."""
-    lam = _eigenvalue_of(g.adjacency_matrix(), u, "first factor vector")
-    mu = _eigenvalue_of(h.adjacency_matrix(), v, "second factor vector")
-    if lam + mu != 0:
-        raise ValueError(
-            f"factor eigenvalues must cancel, got {lam} + {mu} != 0")
-    w = tuple(u[a] * v[b] for a in range(g.n) for b in range(h.n))
-    residual = matvec(cartesian_product(g, h).adjacency_matrix(), w)
-    if any(residual):
-        raise AssertionError("internal error: product kernel vector residual nonzero")
-    return w

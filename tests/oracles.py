@@ -3,8 +3,7 @@
 These deliberately avoid the code paths they check: the automorphism oracle
 scans all n! permutations, the group order oracle builds a Sims-filtered
 stabilizer chain from a generating set, the orbit oracle closes each item
-under the generators one image at a time, the characteristic polynomial oracle
-expands det(xI - A) by cofactors, the kernel oracle eliminates
+under the generators one image at a time, the kernel oracle eliminates
 fraction-free (Bareiss) over the integers instead of modulo a prime, the
 residual multiplies a matrix by a vector in plain sums, and the graph6
 oracle walks its input one character at a time.
@@ -127,13 +126,6 @@ def _trim(coeffs) -> tuple[int, ...]:
     return tuple(coeffs)
 
 
-def poly_add(a, b) -> tuple[int, ...]:
-    """Sum of two coefficient sequences, lowest degree first."""
-    if len(a) < len(b):
-        a, b = b, a
-    return _trim([c + (b[i] if i < len(b) else 0) for i, c in enumerate(a)])
-
-
 def poly_mul(a, b) -> tuple[int, ...]:
     """Product of two coefficient sequences, lowest degree first, by the
     schoolbook convolution."""
@@ -144,37 +136,6 @@ def poly_mul(a, b) -> tuple[int, ...]:
         for j, y in enumerate(b):
             out[i + j] += x * y
     return _trim(out)
-
-
-def charpoly_cofactor(a: list[list[int]]) -> tuple[int, ...]:
-    """det(xI - A) by recursive cofactor expansion along the first row, as
-    coefficients lowest degree first.  Exponential; intended for n <= 6."""
-    n = len(a)
-    m = [[_trim((-a[i][j], 1) if i == j else (-a[i][j],)) for j in range(n)]
-         for i in range(n)]
-
-    def det(rows):
-        if not rows:
-            return (1,)
-        total = ()
-        for j, cell in enumerate(rows[0]):
-            if not cell:
-                continue
-            minor = [row[:j] + row[j + 1:] for row in rows[1:]]
-            term = poly_mul(cell, det(minor))
-            total = poly_add(total, term if j % 2 == 0 else [-c for c in term])
-        return total
-
-    return det(m)
-
-
-def root_zero_multiplicity(p) -> int:
-    mult = 0
-    for c in p:
-        if c != 0:
-            break
-        mult += 1
-    return mult
 
 
 def coarsest_equitable_partition(g: Graph, cells=None) -> set[frozenset[int]]:

@@ -12,19 +12,19 @@ share them, so each criterion also runs on its own.
 
 import random
 import time
-from itertools import combinations, islice
+from itertools import combinations, islice, product
 
 import pytest
 from oracles import exhaustive_automorphisms, orbit_partition, residual
 
-from nutorbits import (CirculantSpec, Graph, NotCoveredByThisPaper,
-                       NotRealizable, automorphism_group, cartesian_product,
-                       cayley_nut, circulant, circulant_is_nut_symbolic,
-                       complete_graph, construct_with_orbits, fig3_graph,
-                       gcd_criterion, is_nut, kernel_vector_from_factors,
-                       orbit_census, primes_from, product_spectrum_check,
-                       prop1_graph, prop2_graph, prop3_graph, stabilizer,
-                       subdivided_nut)
+from nutorbits import (AbelianCayleySpec, CirculantSpec, Graph,
+                       NotCoveredByThisPaper, NotRealizable, automorphism_group,
+                       cartesian_product, cayley_abelian, cayley_nut, circulant,
+                       circulant_is_nut_symbolic, complete_graph,
+                       construct_with_orbits, fig3_graph, gcd_criterion, is_nut,
+                       orbit_census, primes_from, prop1_graph, prop2_graph,
+                       prop3_graph, stabilizer, subdivided_nut,
+                       vanishing_subgroups)
 
 
 def _pass(num, detail):
@@ -231,35 +231,38 @@ def test_criterion_08_orbit_gap_invariant(certified, nut_circulants):
              f"zero exceptions")
 
 
-def test_criterion_09_product_spectra_and_kernels():
+def _box_spec(m, offsets, r):
+    """Circ(m, offsets) box K_(2^r) as the Cayley graph of Z_m x Z_2^r."""
+    zero = (0,) * r
+    return AbelianCayleySpec((m,) + (2,) * r, {(x,) + zero for s in offsets
+                                               for x in (s, m - s)}
+                             | {(0,) + e for e in product((0, 1), repeat=r) if any(e)})
+
+
+def test_criterion_09_product_spectra_and_kernels(prop2_built, prop3_built):
+    # Each box family is the Cayley graph of an abelian group, whose
+    # eigenvalues are its character sums: lambda + mu over every pair of
+    # factor characters.  The certificate's kernel vector must be the
+    # alternating character of Z_m times the factor's +-1 character with
+    # mu = -lambda, and the character test must find one vanishing subgroup,
+    # of order 2.
     start = time.perf_counter()
-    k1, k2, k4 = complete_graph(1), complete_graph(2), complete_graph(4)
-    c4 = circulant(CirculantSpec(4, {1}))
-    c6 = circulant(CirculantSpec(6, {1}))
-    family = [k1, k2, k4, c4, c6]
-    pairs = 0
-    for g in family:
-        for h in family:
-            assert product_spectrum_check(g, h), (g.n, h.n)
-            pairs += 1
-
-    # full product kernel vectors for the two box families
-    g22 = circulant(CirculantSpec(22, {2, 3, 4, 11}))
-    w = kernel_vector_from_factors([(-1) ** i for i in range(22)], [1, -1],
-                                   g22, k2)
-    assert all(e != 0 for e in w)
-    assert all(x == 0 for x in residual(
-        cartesian_product(g22, k2).adjacency_matrix(), w))
-
-    g10 = circulant(CirculantSpec(10, {1, 5}))
-    w = kernel_vector_from_factors([(-1) ** i for i in range(10)], [1, 1, 1, 1],
-                                   g10, k4)
-    assert all(e != 0 for e in w)
-    assert all(x == 0 for x in residual(
-        cartesian_product(g10, k4).adjacency_matrix(), w))
+    cases = [(prop2_built[0][k, p], 2 * p, {*range(2, k), p}, (1, -1))
+             for k, p in ((5, 11), (7, 17))]
+    cases += [(prop3_built[0][(n,)], 2 * n, {1, n}, (1, 1, 1, 1)) for n in (5, 7)]
+    for built, m, offsets, factor in cases:
+        spec = _box_spec(m, offsets, len(factor).bit_length() - 1)
+        assert built.graph == cayley_abelian(spec) == cartesian_product(
+            circulant(CirculantSpec(m, offsets)), complete_graph(len(factor)))
+        w = tuple((-1) ** a * b for a in range(m) for b in factor)
+        assert built.verdict.kernel_basis in ((w,), (tuple(-x for x in w),)), \
+            built.provenance
+        assert not any(residual(built.graph.adjacency_matrix(), w))
+        assert vanishing_subgroups(spec) == (2,), built.provenance
     elapsed = time.perf_counter() - start
-    _pass(9, f"product spectrum identity on {pairs} pairs; full kernel "
-             f"vectors with A w = 0 exactly for both box families, {elapsed:.1f}s")
+    _pass(9, f"{len(cases)} box-family certificates: kernel = alternating x "
+             f"factor vector with A w = 0 exactly, one vanishing character "
+             f"subgroup of order 2, {elapsed:.1f}s")
 
 
 def test_criterion_10_orbit_stabilizer_everywhere(certified, nut_circulants):

@@ -13,6 +13,7 @@ from itertools import combinations
 
 import pytest
 
+import nutorbits
 from nutorbits import (CirculantSpec, Graph, circulant, complete_graph,
                        read_graph6, is_nut, orbit_census, write_graph6)
 from nutorbits import cli
@@ -434,6 +435,16 @@ def test_every_source_import_is_stdlib_or_nutorbits():
             outside += [f"{path.name}: {name}" for name in names
                         if name.partition(".")[0] not in allowed]
     assert outside == []
+
+
+def test_package_exports_are_exactly_its_public_names():
+    # a name deleted from a module but left in __all__ fails to resolve; a
+    # public function or class bound in the package must be listed
+    assert [name for name in nutorbits.__all__ if not hasattr(nutorbits, name)] == []
+    bound = {name for name, obj in vars(nutorbits).items()
+             if not name.startswith("_") and callable(obj)}
+    assert bound - set(nutorbits.__all__) == set()
+    assert len(nutorbits.__all__) == len(set(nutorbits.__all__))
 
 
 @pytest.mark.parametrize("k, t", [(k, t) for k in (2, 3, 4, 5) for t in (1, 2)])

@@ -2,9 +2,10 @@ from itertools import islice
 
 import pytest
 
-from nutorbits import (HypothesisError, NotCoveredByThisPaper, NotRealizable,
-                       buset_connected, buset_general, cayley_nut,
-                       cayley_nut_edge_orbits, construct_with_orbits,
+from nutorbits import (CirculantSpec, HypothesisError, NotCoveredByThisPaper,
+                       NotRealizable, VerificationError, buset_connected,
+                       buset_general, cayley_nut, cayley_nut_edge_orbits,
+                       circulant, constructions, construct_with_orbits,
                        fig3_graph, nut_realizable, primes_from, prop1_graph,
                        prop2_graph, prop3_graph, subdivided_nut)
 from nutorbits.constructions import (FAMILIES, ConstructionParams, build,
@@ -193,11 +194,12 @@ def test_certified_nuts_have_min_degree_three_on_base_vertices():
 
 def test_prop2_spectral_endpoints_from_symbol():
     # the two eigenvalue branches of the box-K2 family evaluate, at the
-    # rational roots of unity +-1, to 2k-2, 2k-4, 2 and 0
-    from nutorbits import circulant_symbol
+    # rational roots of unity +-1, to 2k-2, 2k-4, 2 and 0; the symbol's
+    # coefficients are the circulant's adjacency row of vertex 0
     for k in (5, 7, 9):
         p = next(primes_from(2 * k + 1))
-        symbol = circulant_symbol(2 * p, set(range(2, k)) | {p})
+        spec = CirculantSpec(2 * p, set(range(2, k)) | {p})
+        symbol = circulant(spec).adjacency_matrix()[0]
         at_one = sum(symbol)
         at_minus_one = sum(c if i % 2 == 0 else -c for i, c in enumerate(symbol))
         # K2 eigenvalue +1 branch, then -1 branch
@@ -205,3 +207,15 @@ def test_prop2_spectral_endpoints_from_symbol():
         assert at_one - 1 == 2 * k - 4
         assert at_minus_one + 1 == 2
         assert at_minus_one - 1 == 0
+
+
+@pytest.mark.parametrize("make", [lambda: prop1_graph(2, 5), lambda: prop2_graph(5, 11),
+                                  lambda: prop3_graph(5), fig3_graph],
+                         ids=["prop1", "prop2", "prop3", "fig3"])
+@pytest.mark.parametrize("orders", [(), (1,), (2, 2)])
+def test_certify_refuses_a_disagreeing_character_test(monkeypatch, make, orders):
+    # (1,) agrees with the certificate on the nullity, not on the verdict;
+    # the others disagree on the nullity
+    monkeypatch.setattr(constructions, "vanishing_subgroups", lambda spec: orders)
+    with pytest.raises(VerificationError, match="character test"):
+        make()

@@ -4,16 +4,14 @@ from itertools import combinations
 from math import gcd
 
 import pytest
-from oracles import (bareiss_echelon, charpoly_cofactor, exact_kernel, primitive,
-                     residual, root_zero_multiplicity)
+from oracles import bareiss_echelon, exact_kernel, primitive, residual
 
 from nutorbits import linalg
 from nutorbits import (CirculantSpec, Graph, ResourceCapError,
-                       cartesian_product, char_poly, circulant, complete_graph,
-                       construct_with_orbits, is_nut, kernel_basis,
-                       kernel_vector_from_factors, product_spectrum_check)
+                       circulant, complete_graph,
+                       construct_with_orbits, is_nut, kernel_basis)
 from nutorbits.graphs import MAX_ORDER
-from nutorbits.linalg import MERSENNE_EXPONENTS, EigenvectorMismatch
+from nutorbits.linalg import MERSENNE_EXPONENTS
 
 EXACT_KERNEL = exact_kernel
 
@@ -67,112 +65,6 @@ def test_is_nut_verdicts(circ_10_12, c4):
     # K1 has nullity 1 with a full vector but is never a nut graph
     v = is_nut(complete_graph(1))
     assert v.nullity == 1 and v.is_full and not v.is_nut
-
-
-def test_char_poly_frozen_values(c4, k4):
-    assert char_poly(complete_graph(2).adjacency_matrix()) == (-1, 0, 1)
-    # (x - 3)(x + 1)^3 expanded: x^4 - 6x^2 - 8x - 3
-    assert char_poly(k4.adjacency_matrix()) == (-3, -8, -6, 0, 1)
-    # x^4 - 4x^2
-    assert char_poly(c4.adjacency_matrix()) == (0, 0, -4, 0, 1)
-
-
-def test_char_poly_matches_cofactor_oracle_up_to_6():
-    import random
-    from itertools import combinations
-    rng = random.Random(99)
-    graphs = [complete_graph(m) for m in range(1, 5)]
-    for trial in range(20):
-        n = rng.randint(2, 6)
-        edges = [e for e in combinations(range(n), 2) if rng.random() < 0.5]
-        graphs.append(Graph(n, tuple(sorted(edges))))
-    for g in graphs:
-        a = g.adjacency_matrix()
-        assert char_poly(a) == charpoly_cofactor(a)
-
-
-def test_nullity_equals_charpoly_zero_multiplicity():
-    # cross-oracle on all graphs used elsewhere plus samples up to order 10
-    for spec in [(4, {1}), (6, {1}), (8, {1, 4}), (10, {1, 2}), (10, {1, 5}),
-                 (10, {2, 5}), (9, {1, 3})]:
-        g = circulant(CirculantSpec(*spec))
-        a = g.adjacency_matrix()
-        assert len(kernel_basis(a)) == root_zero_multiplicity(char_poly(a))
-
-
-def test_product_spectrum_check_named_pairs(c4, k4):
-    k1, k2 = complete_graph(1), complete_graph(2)
-    c6 = circulant(CirculantSpec(6, {1}))
-    family = [k1, k2, k4, c4, c6]
-    for g in family:
-        for h in family:
-            assert product_spectrum_check(g, h)
-
-
-def test_product_spectrum_check_fails_on_a_broken_product(monkeypatch, c4, k4):
-    # the true product less its first edge has a different spectrum
-    true_product = linalg.cartesian_product
-
-    def broken(g, h):
-        p = true_product(g, h)
-        return Graph(p.n, p.edges[1:])
-
-    monkeypatch.setattr(linalg, "cartesian_product", broken)
-    family = [complete_graph(1), complete_graph(2), k4, c4,
-              circulant(CirculantSpec(6, {1}))]
-    checked = 0
-    for g in family:
-        for h in family:
-            if true_product(g, h).edges:
-                assert not product_spectrum_check(g, h), (g.n, h.n)
-                checked += 1
-    assert checked == 24
-
-
-def test_product_spectrum_check_cap():
-    big = circulant(CirculantSpec(10, {1}))
-    with pytest.raises(ResourceCapError):
-        product_spectrum_check(big, circulant(CirculantSpec(7, {1})))
-
-
-def test_kernel_vector_from_factors_prop3_style(k4):
-    g = circulant(CirculantSpec(10, {1, 5}))
-    u = [(-1) ** i for i in range(10)]     # eigenvalue -3
-    w = kernel_vector_from_factors(u, [1, 1, 1, 1], g, k4)
-    assert len(w) == 40 and all(e != 0 for e in w)
-    assert all(x == 0 for x in residual(cartesian_product(g, k4).adjacency_matrix(), w))
-
-
-def test_kernel_vector_from_factors_prop2_style():
-    g = circulant(CirculantSpec(22, {2, 3, 4, 11}))
-    u = [(-1) ** i for i in range(22)]     # eigenvalue 1
-    k2 = complete_graph(2)
-    w = kernel_vector_from_factors(u, [1, -1], g, k2)   # K2 eigenvalue -1
-    assert len(w) == 44 and all(e != 0 for e in w)
-    assert all(x == 0 for x in residual(cartesian_product(g, k2).adjacency_matrix(), w))
-
-
-def test_kernel_vector_from_factors_edgeless():
-    e3, e2 = Graph(3, ()), Graph(2, ())
-    w = kernel_vector_from_factors([1, 1, 1], [1, 1], e3, e2)
-    assert w == (1,) * 6
-
-
-def test_kernel_vector_from_factors_fullness_tracks_inputs(k4):
-    # a non-full factor eigenvector produces a non-full product vector
-    w = kernel_vector_from_factors([1, 0, -1, 0], [1, 1],
-                                   circulant(CirculantSpec(4, {1})), Graph(2, ()))
-    assert any(e == 0 for e in w)
-
-
-def test_kernel_vector_from_factors_errors(c4, k4):
-    with pytest.raises(EigenvectorMismatch) as err:
-        kernel_vector_from_factors([1, 0, 0, 0], [1, 1], c4, Graph(2, ()))
-    assert err.value.row == 1
-    with pytest.raises(ValueError, match="cancel"):
-        kernel_vector_from_factors([1, 1, 1, 1], [1, 1], k4, Graph(2, ()))
-    with pytest.raises(ValueError, match="nonzero"):
-        kernel_vector_from_factors([0, 0, 0, 0], [1, 1], c4, Graph(2, ()))
 
 
 def test_nut_check_stays_fast_at_desk_scale():

@@ -1,11 +1,14 @@
-from math import gcd
+import random
+from itertools import product
+from math import gcd, prod
 
 import pytest
-from oracles import poly_mul
+from oracles import poly_mul, residual
 
-from nutorbits import (CirculantSpec, SpecificationError, circulant,
-                       circulant_is_nut_symbolic, circulant_symbol, cyclotomic,
-                       gcd_criterion, is_nut, vanishing_orders)
+from nutorbits import (AbelianCayleySpec, CirculantSpec, SpecificationError,
+                       cayley_abelian, circulant, circulant_is_nut_symbolic,
+                       cyclotomic, gcd_criterion, is_nut, vanishing_orders,
+                       vanishing_subgroups)
 from nutorbits.polynomials import _monic_reduce
 
 
@@ -48,18 +51,26 @@ def test_cyclotomic_product_identity_up_to_200():
 
 
 def test_circulant_symbol_examples():
-    assert circulant_symbol(10, {1, 2}) == (0, 1, 1, 0, 0, 0, 0, 0, 1, 1)
-    assert circulant_symbol(4, {1}) == (0, 1, 0, 1)
-    assert circulant_symbol(12, {6}) == (0, 0, 0, 0, 0, 0, 1)
+    # the symbol's coefficients are the adjacency row of vertex 0
+    def symbol(n, offs):
+        return tuple(circulant(CirculantSpec(n, offs)).adjacency_matrix()[0])
+    assert symbol(10, {1, 2}) == (0, 1, 1, 0, 0, 0, 0, 0, 1, 1)
+    assert symbol(4, {1}) == (0, 1, 0, 1)
+    assert symbol(12, {6}) == (0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0)
     with pytest.raises(SpecificationError):
-        circulant_symbol(10, {0})
+        symbol(10, {0})
 
 
 def test_symbol_values_are_eigenvalue_endpoints():
-    # at x = 1 the symbol equals the vertex degree
+    # at x = 1 the symbol is the degree, at x = -1 the eigenvalue of the
+    # alternating vector
     for n, offs in [(10, {1, 2}), (14, {1, 2, 3, 4}), (12, {6})]:
-        p = circulant_symbol(n, offs)
-        assert sum(p) == circulant(CirculantSpec(n, offs)).degree(0)
+        g = circulant(CirculantSpec(n, offs))
+        a = g.adjacency_matrix()
+        assert sum(a[0]) == g.degree(0)
+        alternating = [(-1) ** i for i in range(n)]
+        at_minus_one = sum(c * x for c, x in zip(a[0], alternating))
+        assert residual(a, alternating) == [at_minus_one * x for x in alternating]
 
 
 def test_vanishing_orders_examples():
@@ -75,6 +86,10 @@ def test_circulant_is_nut_symbolic_examples():
     assert circulant_is_nut_symbolic(14, {1, 2, 3, 4})
     assert not circulant_is_nut_symbolic(12, {1, 2, 3, 4})
     assert not circulant_is_nut_symbolic(9, {1, 3})  # odd order
+    # invalid offset sets are refused at every order, odd ones included
+    for n, offs in ((9, {100}), (9, set()), (10, {100}), (10, set())):
+        with pytest.raises(SpecificationError):
+            circulant_is_nut_symbolic(n, offs)
 
 
 def test_gcd_criterion_examples():
@@ -135,3 +150,38 @@ def test_vanishing_orders_match_sympy_on_every_small_circulant():
                                         else x ** s for s in offs), x)
                 expected = {d for d in divisors if sympy.rem(symbol, phi[d]).is_zero}
                 assert vanishing_orders(n, offs) == expected, (n, offs)
+
+
+def _abelian_shapes(max_order, max_factors):
+    """Every nondecreasing tuple of at most max_factors cyclic orders >= 2
+    whose product is at most max_order, the trivial group as (1,)."""
+    shapes, frontier = [(1,)], [()]
+    for _ in range(max_factors):
+        frontier = [shape + (m,) for shape in frontier
+                    for m in range(shape[-1] if shape else 2, max_order + 1)
+                    if prod(shape) * m <= max_order]
+        shapes += frontier
+    return shapes
+
+
+def test_character_nullity_matches_the_certificate_on_random_abelian_cayley_graphs():
+    # the nullity is the sum of phi(d) over the vanishing subgroups, and the
+    # graph is nut exactly when they are one subgroup of order 2
+    rng = random.Random(16)
+    checked = nuts = 0
+    for orders in _abelian_shapes(24, 3):
+        elements = list(product(*map(range, orders)))
+        pairs = {frozenset({e, tuple(-x % m for x, m in zip(e, orders))})
+                 for e in elements if any(e)}
+        pairs = sorted(pairs, key=sorted)
+        for density in (0.0, 1.0, *(rng.random() for _ in range(10))):
+            chosen = [pair for pair in pairs if rng.random() < density]
+            spec = AbelianCayleySpec(orders, {e for pair in chosen for e in pair})
+            vanishing = vanishing_subgroups(spec)
+            verdict = is_nut(cayley_abelian(spec))
+            nullity = sum(sum(gcd(t, d) == 1 for t in range(1, d + 1)) for d in vanishing)
+            assert nullity == verdict.nullity, (orders, sorted(spec.connection))
+            assert (vanishing == (2,)) == verdict.is_nut, (orders, sorted(spec.connection))
+            checked += 1
+            nuts += verdict.is_nut
+    assert checked >= 600 and nuts > 0
