@@ -9,7 +9,10 @@ kept by position (vertices listed cell by cell, each cell named by its start)
 and refined with a queue of splitter cells: a splitter splits only the cells
 holding its neighbours, by their neighbour counts in it, so a split costs
 the degrees of the splitter's vertices rather than a pass over every cell
-(McKay 1981; nauty's refine).  Every choice depends on positions and counts,
+(McKay 1981; nauty's refine).  A singleton splitter, the common case on the
+long degree-2 paths of subdivided graphs, gives every neighbour count 1 and
+so only moves its neighbours to the back of their cells, with nothing
+counted or sorted.  Every choice depends on positions and counts,
 never on vertex labels, so the refinement commutes with automorphisms.  A
 child node individualizes one vertex of the target cell and refines from that
 singleton alone, since its parent is already equitable.
@@ -24,7 +27,8 @@ is neither v_i's nor that of a sibling already explored, and only through
 nodes shaped like the first path's.  The first one that maps onto the first
 path's node at its depth by an automorphism yields that automorphism, which
 sends w to v_i and joins two classes: at most n - 1 generators are kept.
-Each candidate map is checked only at the edges of the points it moves.
+Each candidate map is checked only at the edges of the points it moves,
+each edge once.
 
 No group element is ever listed.  When level i ends, v_i's class in its
 target cell is its orbit under the stabilizer of v_0..v_{i-1}, since every
@@ -35,7 +39,6 @@ these class sizes down the first path.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -172,23 +175,54 @@ def _refine(adj: Sequence[frozenset[int]], part: _Partition,
     keeping the cell's start.  If the cell was queued every new piece is
     queued; otherwise every piece but the first largest is (Hopcroft's
     rule: stability under a cell and all but one of its pieces implies
-    stability under the last piece).  Touched cells are split in position
-    order, and refinement stops once every cell is a singleton.  Every
-    choice depends on positions and counts only, never on vertex labels, so
-    the refinement commutes with automorphisms: mapping the input by one
-    maps the output cells likewise."""
+    stability under the last piece).  A singleton splitter {w} gives every
+    neighbour of w count 1, so it costs only w's degree: each touched cell
+    moves w's neighbours in it to its back as one new piece, with no counts
+    and no sort.  Touched cells are split in position order, and refinement
+    stops once every cell is a singleton.  Every choice depends on
+    positions and counts only, never on vertex labels, so the refinement
+    commutes with automorphisms: mapping the input by one maps the output
+    cells likewise."""
     lab, pos, cell, ends = part.lab, part.pos, part.cell, part.ends
     n, cells = len(lab), len(_cell_starts(part))
-    queue = deque(splitters)
+    queue = list(splitters)
     queued = set(splitters)
-    while queue:
-        s = queue.popleft()
+    head = 0
+    while head < len(queue):
+        s = queue[head]
+        head += 1
         queued.discard(s)
+        if ends[s] == s + 1:
+            touched: dict[int, list[int]] = {}
+            for u in adj[lab[s]]:
+                touched.setdefault(cell[u], []).append(u)
+            for c in sorted(touched) if len(touched) > 1 else touched:
+                vs = touched[c]
+                e = ends[c]
+                t = e - len(vs)
+                if t == c:
+                    continue
+                # each neighbour swaps with the last vertex not yet moved
+                for u in vs:
+                    e -= 1
+                    p, x = pos[u], lab[e]
+                    lab[p], pos[x] = x, p
+                    lab[e], pos[u], cell[u] = u, e, t
+                ends[t] = ends[c]
+                ends[c] = t
+                cells += 1
+                if cells == n:
+                    return
+                # Hopcroft's rule for the two pieces [c, t) and [t, e)
+                new = t if c in queued or t - c >= ends[t] - t else c
+                queue.append(new)
+                queued.add(new)
+            continue
         count: dict[int, int] = {}
         for w in lab[s:ends[s]]:
             for u in adj[w]:
                 count[u] = count.get(u, 0) + 1
-        touched: dict[int, list[int]] = {}
+        touched = {}
         for u in count:
             touched.setdefault(cell[u], []).append(u)
         for c in sorted(touched):
@@ -320,7 +354,8 @@ def _search(g: Graph, fixed: Optional[int] = None) -> tuple[list[Permutation], i
         this tests the relabeled edge set.  The map is a bijection, built
         from two listings of range(n), and an edge between two fixed
         points is its own image, so only the edges at moved points are
-        looked up: a bijection that maps E into E maps E onto E."""
+        looked up, an edge between two moved points from its smaller end
+        only: a bijection that maps E into E maps E onto E."""
         stack = [(node, iter((w,)))]
         while stack:
             parent, todo = stack[-1]
@@ -338,7 +373,7 @@ def _search(g: Graph, fixed: Optional[int] = None) -> tuple[list[Permutation], i
             for a, b in zip(_sorted_cells(child, starts), first_cells[d]):
                 image[a] = b
             if all(image[v] in adj[pu] for u, pu in enumerate(image) if u != pu
-                   for v in adj[u]):
+                   for v in adj[u] if v > u or image[v] == v):
                 return tuple(image)
             if d < len(choices):
                 t = choices[d][0]

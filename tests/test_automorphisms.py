@@ -334,7 +334,10 @@ def _refined(g: Graph) -> _Partition:
 
 def _refinement_cases() -> list[Graph]:
     rng = random.Random(0xE0)
-    graphs = [PETERSEN, _hypercube(4), construct_with_orbits(5, 6).graph]
+    # the subdivided graphs are long degree-2 paths: after the root, almost
+    # every splitter is a singleton (170 vertices at (9, 10))
+    graphs = [PETERSEN, _hypercube(4), construct_with_orbits(5, 6).graph,
+              construct_with_orbits(9, 10).graph]
     for _ in range(8):
         n = rng.randint(9, 14)
         p = rng.choice([0.2, 0.4, 0.6])
@@ -379,3 +382,22 @@ def test_refinement_commutes_with_relabelling():
             moved = _refined(h).cells()
             assert [len(c) for c in moved] == [len(c) for c in cells]
             assert [set(c) for c in moved] == [{perm[v] for v in c} for c in cells]
+
+
+def test_individualizing_commutes_with_relabelling():
+    # The search compares a sibling's node with the first path's by cell
+    # positions, so individualizing v in g and perm[v] in its relabelling
+    # must give corresponding cells at every position, at every depth.
+    rng = random.Random(0xE3)
+    for g in _refinement_cases():
+        for _ in range(3):
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            h = Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+            part, moved = _refined(g), _refined(h)
+            while len(cells := part.cells()) < g.n:
+                v = rng.choice(rng.choice([c for c in cells if len(c) > 1]))
+                _refine(g.neighbors, part, [part.individualize(v)])
+                _refine(h.neighbors, moved, [moved.individualize(perm[v])])
+                assert [set(c) for c in moved.cells()] == \
+                    [{perm[x] for x in c} for c in part.cells()]

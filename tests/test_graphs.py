@@ -122,6 +122,52 @@ def test_cayley_abelian_validation():
         AbelianCayleySpec((6,), {(7,)})  # out of range
 
 
+@pytest.mark.parametrize("orders,connection,message", [
+    ((6, 0), {(1, 0)}, "factor orders must be positive, got (6, 0)"),
+    ((6, 2), {(1,)}, "connection element (1,) is not a group element"),
+    ((6, 2), {(1, 0, 0)}, "connection element (1, 0, 0) is not a group element"),
+    ((6, 2), {(-1, 0)}, "connection element (-1, 0) is not a group element"),
+    ((6, 2), {(6, 0)}, "connection element (6, 0) is not a group element"),
+    ((6, 2), {(0, 2)}, "connection element (0, 2) is not a group element"),
+    ((6, 2), {(0, 0)}, "connection set must exclude the identity"),
+    ((6, 2), {(1, 1)}, "connection set not closed under negation: (1, 1) present, "
+                       "(5, 1) missing"),
+])
+def test_cayley_abelian_validation_messages(orders, connection, message):
+    with pytest.raises(SpecificationError) as err:
+        AbelianCayleySpec(orders, connection)
+    assert str(err.value) == message
+
+
+def test_cayley_abelian_validation_agrees_with_the_definition():
+    # Random symmetric sets, half of them then spoiled by dropping an element
+    # or adding one that may lie outside the group, have the wrong length or
+    # be zero: a spec is accepted exactly when every element is a nonzero
+    # group element whose negation is also in the set.
+    rng = random.Random(0xCA7)
+    accepted = 0
+    for _ in range(400):
+        orders = tuple(rng.randint(1, 6) for _ in range(rng.randint(1, 3)))
+        picks = [tuple(rng.randrange(m) for m in orders) for _ in range(rng.randint(1, 4))]
+        connection = {t for c in picks for t in (c, tuple(-x % m for x, m in zip(c, orders)))
+                      if any(t)}
+        if rng.random() < 0.5 and connection:
+            connection.discard(rng.choice(sorted(connection)))
+        elif rng.random() < 0.8:
+            connection.add(tuple(rng.randint(-1, m) for m in orders[:rng.randint(1, 3)]))
+        valid = all(len(t) == len(orders) and all(0 <= x < m for x, m in zip(t, orders))
+                    and any(t) and tuple(-x % m for x, m in zip(t, orders)) in connection
+                    for t in connection)
+        try:
+            spec = AbelianCayleySpec(orders, connection)
+        except SpecificationError:
+            assert not valid, (orders, connection)
+        else:
+            assert valid and spec.connection == connection, (orders, connection)
+            accepted += 1
+    assert 40 <= accepted <= 360
+
+
 def test_subdivide_edges(circ_10_12):
     assert subdivide_edges(circ_10_12, [(0, 1)], 0) == circ_10_12
 
