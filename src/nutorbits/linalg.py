@@ -8,14 +8,14 @@ multiple, is checked to satisfy A v = 0 over Z, which makes the answer
 exact: rank over Q is at least rank mod P, so the nullity is at most d, and
 d independent verified vectors give at least d.
 
-Either of two eliminations hands its pivots to one back-substitution.
-Both pivot from the last column down, onto the rightmost independent
-columns of A mod P, so by matroid duality the other columns lead the
-kernel's reduced echelon form.  Back-substitution puts 1 at one of them and
-0 at the rest, so its vectors are that form as they stand.  Dense matrices
-of order at most 256 are eliminated on rows packed into one integer each,
-every other matrix on sparse dict rows.  The choice reads only the order
-and the count of nonzero entries.
+The elimination pivots from the last column down, onto the rightmost
+independent columns of A mod P.  The kernel's reduced echelon form leads
+with the leftmost independent columns of the dual matroid, by duality the
+other columns, so back-substitution, with 1 at one of them and 0 at the
+rest, yields that form as it stands.  It runs on sparse dict rows until
+the live rows are dense (see PACKED_MAX_COLUMNS), then on rows packed into
+one integer each.  No live row then holds a column above the current one,
+so the rows go over as they stand and the pivot columns do not change.
 
 The moduli form a ladder.  The first try is q = 13: every residue and
 every product of two fits one 30-bit CPython digit, and fractions with numerator and
@@ -49,6 +49,18 @@ IntVector = tuple[int, ...]
 MERSENNE_EXPONENTS = (13, 61, 89, 107, 127, 521, 607, 1279, 2203, 2281, 3217, 4253,
                       4423, 9689, 9941, 11213, 19937, 21701, 23209, 44497, 86243)
 
+# The dict rows go packed at the first column c with c + 1 at most
+# PACKED_MAX_COLUMNS whose sparsest live holder has at least
+# (c + 1) / PACKED_FILL_DIVISOR entries.  Packed rows cost about c^3 W bit
+# operations whatever the fill, dict rows what the fill makes them.  In ms,
+# packed / dict rows / handover modulo 2^13 - 1 (best of 3, Python 3.11,
+# 2 shared cores): G(160, 0.5) 20 / 304 / 21; G(300, 0.05) 69 / 743 / 76;
+# random cubic, order 600, 200 / 126 / 24; Circ(400, {1..25}) relabelled
+# 144 / 89 / 86; G(256, 0.2) 40 / 1086 / 90 (its sparsest rows hold under
+# a fifth); K_96 5.8 / 5.9 / 5.5, K_256 77 / 45 / 78, K_800 1585 / 392 / 332.
+PACKED_MAX_COLUMNS = 256
+PACKED_FILL_DIVISOR = 5
+
 
 @dataclass(frozen=True)
 class NutVerdict:
@@ -68,15 +80,16 @@ def _check_square(a: IntMatrix) -> int:
     return n
 
 
-def _eliminate_mod_p(rows: list[dict[int, int]], p: int) -> list[tuple[int, list]]:
-    """Forward elimination modulo the prime p on sparse rows (column ->
-    entry), from the last column down: each column pivots on a sparsest
-    remaining row that holds it, the smaller index on a tie.  Returns the
-    pivots in elimination order as (pivot column, the row's other entries
-    scaled so the pivot is 1).  A pivot row holds no column pivoted before
-    it.  The pivot columns are the rightmost independent columns modulo p,
-    so by matroid duality the others lead the kernel's reduced echelon
-    form, which back-substitution then yields as it stands."""
+def _eliminate_mod_p(rows: list[dict[int, int]], n: int,
+                     q: int) -> list[tuple[int, list]]:
+    """Forward elimination modulo p = 2^q - 1 of the n-column sparse rows
+    ``rows`` (column -> entry), from the last column down, each on a sparsest
+    live row that holds it (the smaller index on a tie), until the rows go packed.
+    Returns the pivots in order as (column, its row's other entries / pivot)."""
+    if n <= PACKED_MAX_COLUMNS and PACKED_FILL_DIVISOR * min(
+            (len(row) for row in rows if n - 1 in row), default=0) >= n:
+        return _eliminate_packed(rows, n, q)  # dense from the start
+    p = (1 << q) - 1
     rows = [{j: x % p for j, x in row.items() if x % p} for row in rows]
     col_rows: dict[int, set[int]] = {}
     for i, row in enumerate(rows):
@@ -88,8 +101,10 @@ def _eliminate_mod_p(rows: list[dict[int, int]], p: int) -> list[tuple[int, list
         if not holders:
             continue
         i = min(holders, key=lambda k: (len(rows[k]), k))
+        if c < PACKED_MAX_COLUMNS and PACKED_FILL_DIVISOR * len(rows[i]) > c:
+            return pivots + _eliminate_packed([row for row in rows if row], c + 1, q)
         holders.discard(i)
-        row = rows[i]
+        row, rows[i] = rows[i], {}
         inverse = pow(row.pop(c), -1, p)
         for j in row:
             col_rows[j].discard(i)
@@ -117,9 +132,7 @@ def _eliminate_packed(rows: list[dict[int, int]], n: int,
     """Forward elimination modulo p = 2^q - 1 on rows packed into one
     integer each, column j in the slot of W = 2q + 2 + n.bit_length() bits
     at bit W (n - 1 - j), so the last column comes first.  Returns what
-    ``_eliminate_mod_p`` returns, on the same rightmost independent pivot
-    columns; by matroid duality the others lead the kernel's reduced
-    echelon form, which back-substitution then yields as it stands.
+    ``_eliminate_mod_p`` returns, on the same pivot columns.
 
     A row update y + (p - f) prow is one multiply and one add over the
     whole row and is left unreduced.  Pivot rows keep their slots at most
@@ -176,21 +189,6 @@ def _eliminate_packed(rows: list[dict[int, int]], n: int,
     return out
 
 
-def _dense(rows: list[dict[int, int]], n: int) -> bool:
-    """Whether the n-column matrix ``rows`` is eliminated on packed rows:
-    at least a fifth of its entries nonzero, and order at most 256."""
-    # Packed rows cost about n^3 W bit operations whatever the fill;
-    # dict rows cost what the fill makes them.  Measured, in ms, as packed
-    # against dict rows modulo 2^13 - 1 (Python 3.11, 2 shared cores):
-    # - prop2 k = 9, p = 19 (n = 76, density 0.21): 2.9 against 7.6;
-    # - G(256, 0.2): 58 against 1043; G(160, 0.5): 20 against 280;
-    # - Circ(400, {1..25}) relabelled, density 0.125: 218 against 158,
-    #   hence the density threshold between 0.125 and 0.2;
-    # - K_n, whose differences of rows stay sparse: K_96 5.2 against 5.4,
-    #   K_256 72 against 39, K_800 1586 against 399, hence the order cap.
-    return n <= 256 and 5 * sum(map(len, rows)) >= n * n
-
-
 def _reconstruct(x: int, q: int) -> tuple[int, int] | None:
     """The fraction num/den congruent to x modulo 2^q - 1 with |num| and
     den below B = 2^(q // 2), or None when there is none (Wang's
@@ -212,16 +210,10 @@ def _modular_kernel(rows: list[dict[int, int]], n: int,
     """The reduced echelon kernel basis of the n-column sparse integer
     matrix ``rows``, each vector scaled to its primitive integer multiple,
     certified modulo 2^q - 1 and verified over Z; None when rational
-    reconstruction or the integer check fails.  The pivot columns are the
-    rightmost independent ones, so by matroid duality the free columns
-    lead the kernel's reduced echelon form.  That form is the one basis
-    with the identity on its leading columns, which is what
-    back-substitution gives, one vector per free column."""
+    reconstruction or the integer check fails.  One vector per free column
+    of the one elimination, whichever rows it ends on."""
     p = (1 << q) - 1
-    if _dense(rows, n):
-        pivots = _eliminate_packed(rows, n, q)
-    else:
-        pivots = _eliminate_mod_p(rows, p)
+    pivots = _eliminate_mod_p(rows, n, q)
     basis = []
     for f in sorted(set(range(n)).difference(c for c, _ in pivots)):
         x = [0] * n
@@ -276,11 +268,9 @@ def kernel_basis(a: IntMatrix) -> list[IntVector]:
     fail, the certificate reruns modulo 2^61 - 1, and then modulo the first
     Mersenne prime past the Hadamard bound of ``a``, where every step
     succeeds; entries so large that the bound passes every listed prime
-    raise ResourceCapError.  Dense matrices of order at most 256 are
-    eliminated on packed integer rows, all others on sparse dict rows.
-    Both pivot onto the rightmost independent columns of ``a``, so by
-    matroid duality the others lead the kernel's reduced echelon form,
-    which back-substitution yields as it stands."""
+    raise ResourceCapError.  The elimination moves from sparse dict rows to
+    packed integer rows once its live rows are dense, which changes no
+    basis (see the module docstring)."""
     n = _check_square(a)
     return _kernel([{j: x for j, x in enumerate(row) if x} for row in a], n)
 

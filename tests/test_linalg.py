@@ -232,11 +232,19 @@ def test_past_bound_certificate_agrees_on_large_constructions(request, r, k, rer
 
 # -- the two eliminations ------------------------------------------------------
 
+def _packed_throughout(monkeypatch):
+    monkeypatch.setattr(linalg, "_eliminate_mod_p", linalg._eliminate_packed)
+
+
+def _dict_rows_throughout(monkeypatch):
+    monkeypatch.setattr(linalg, "PACKED_MAX_COLUMNS", 0)
+
+
 def _on_both_paths(monkeypatch, a, over_q=True):
-    """kernel_basis(a) with the packed elimination forced, then with the
-    dict rows forced.  The two must agree, and so must the certificate at
-    each first modulus, failures included: the kernel modulo p and its
-    reduced echelon form do not depend on the pivot order.
+    """kernel_basis(a) with the packed elimination forced throughout, then
+    with the dict rows forced throughout.  The two must agree, and so must
+    the certificate at each first modulus, failures included: the kernel
+    modulo p and its reduced echelon form do not depend on the pivot order.
 
     Both eliminations pivot from the last column down, so at each first
     modulus they must pivot on the same columns, the rightmost independent
@@ -246,17 +254,19 @@ def _on_both_paths(monkeypatch, a, over_q=True):
     column n-1-c of a with its columns reversed is a Bareiss pivot column."""
     n = len(a)
     rows = [{j: x for j, x in enumerate(row) if x} for row in a]
-    for q in FIRST_TRIES:
-        pivoted = {c for c, _ in linalg._eliminate_packed(rows, n, q)}
-        assert pivoted == {c for c, _ in linalg._eliminate_mod_p(rows, (1 << q) - 1)}, (q, a)
+    pivoted, results = [], []
+    for force in (_packed_throughout, _dict_rows_throughout):
+        with monkeypatch.context() as m:
+            force(m)
+            pivoted.append([{c for c, _ in linalg._eliminate_mod_p(rows, n, q)}
+                            for q in FIRST_TRIES])
+            results.append(([linalg._modular_kernel(rows, n, q) for q in FIRST_TRIES],
+                            kernel_basis(a)))
+    for q, packed, dict_rows in zip(FIRST_TRIES, *pivoted):
+        assert packed == dict_rows, (q, a)
     if over_q:
         _, reversed_pivots = bareiss_echelon([row[::-1] for row in a])
-        assert pivoted == {n - 1 - c for c in reversed_pivots}, a
-    results = []
-    for packed in (True, False):
-        monkeypatch.setattr(linalg, "_dense", lambda rows, n, packed=packed: packed)
-        results.append(([linalg._modular_kernel(rows, n, q) for q in FIRST_TRIES],
-                        kernel_basis(a)))
+        assert pivoted[0][-1] == {n - 1 - c for c in reversed_pivots}, a
     assert results[0] == results[1], a
     return results[0][1]
 
@@ -328,27 +338,66 @@ def test_kernel_basis_of_a_large_complete_bipartite_graph():
         + [_unit_difference(2 * m, m + j, 2 * m - 1) for j in range(m - 1)])
 
 
-def _eliminations_run(monkeypatch, g):
-    ran = []
-    for name in ("_eliminate_packed", "_eliminate_mod_p"):
-        def spy(*args, name=name, inner=getattr(linalg, name)):
-            ran.append(name)
-            return inner(*args)
-        monkeypatch.setattr(linalg, name, spy)
-    is_nut(g)
-    return set(ran)
+def _handed_over(monkeypatch, g):
+    """is_nut(g), and the column count of every live block that the dict
+    rows handed to the packed elimination."""
+    handed = []
+
+    def spy(rows, n, q, inner=linalg._eliminate_packed):
+        handed.append(n)
+        return inner(rows, n, q)
+
+    monkeypatch.setattr(linalg, "_eliminate_packed", spy)
+    return is_nut(g), handed
 
 
 @pytest.mark.parametrize("g, expected", [
-    # density 8/18, order 18: a cross-oracle circulant
-    (circulant(CirculantSpec(18, {1, 2, 3, 4})), {"_eliminate_packed"}),
-    # sparse: n = 610, degree 3
-    (construct_with_orbits(31, 32).graph, {"_eliminate_mod_p"}),
-    # dense but past the order limit
-    (complete_graph(400), {"_eliminate_mod_p"}),
+    # every row holds 8 of 18 columns: packed from the start
+    (circulant(CirculantSpec(18, {1, 2, 3, 4})), [18]),
+    # n = 610, degree 2 and 3: the rows fill only near the end
+    (construct_with_orbits(31, 32).graph, [10]),
+    # dense but past the order limit; one pivot leaves rows of 2 entries
+    (complete_graph(400), [10]),
 ], ids=["Circ(18,{1,2,3,4})", "construct(31,32)", "K400"])
-def test_elimination_is_chosen_by_order_and_density(monkeypatch, g, expected):
-    assert _eliminations_run(monkeypatch, g) == expected
+def test_dict_rows_hand_over_once_the_live_block_is_dense(monkeypatch, g, expected):
+    assert _handed_over(monkeypatch, g)[1] == expected
+
+
+def _random_cubic_graph(n, seed):
+    """A random cubic graph of order n from the configuration model: three
+    points per vertex paired at random, redrawn until no loop or double
+    edge."""
+    rng = random.Random(seed)
+    points = [v for v in range(n) for _ in range(3)]
+    while True:
+        rng.shuffle(points)
+        edges = {tuple(sorted(points[i:i + 2])) for i in range(0, 3 * n, 2)}
+        if len(edges) == 3 * n // 2 and all(u != v for u, v in edges):
+            return Graph.from_edges(n, sorted(edges))
+
+
+def test_random_cubic_graph_hands_over_a_strict_tail(monkeypatch):
+    g = _random_cubic_graph(600, 600)
+    verdict, handed = _handed_over(monkeypatch, g)
+    # the dict rows fill as they go, and their last 134 columns go packed
+    assert handed == [134]
+    # the graph has nullity 0; with column 100 made a copy of column 50 the
+    # kernel is spanned by e_50 - e_100, whose free column 50 lies in the
+    # handed block
+    rows = [{} for _ in range(g.n)]
+    for u, v in g.edges:
+        rows[u][v] = rows[v][u] = 1
+    for row in rows:
+        row.pop(100, None)
+        if 50 in row:
+            row[100] = row[50]
+    expected = [_unit_difference(g.n, 50, 100)]
+    assert linalg._kernel(rows, g.n) == expected
+    assert handed == [134, 134]
+    with monkeypatch.context() as m:
+        _dict_rows_throughout(m)
+        assert is_nut(g) == verdict
+        assert linalg._kernel(rows, g.n) == expected
 
 
 def test_is_nut_builds_no_dense_matrix(monkeypatch, circ_10_12):
