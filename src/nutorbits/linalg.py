@@ -13,9 +13,21 @@ independent columns of A mod P.  The kernel's reduced echelon form leads
 with the leftmost independent columns of the dual matroid, by duality the
 other columns, so back-substitution, with 1 at one of them and 0 at the
 rest, yields that form as it stands.  It runs on sparse dict rows until
-the live rows are dense (see PACKED_MAX_COLUMNS), then on rows packed into
-one integer each.  No live row then holds a column above the current one,
-so the rows go over as they stand and the pivot columns do not change.
+the live rows are dense (see PACKED_MAX_COLUMNS and HANDOVER_MIN_COLUMNS),
+then on rows packed into one integer each.  No live row then holds a
+column above the current one, so the rows go over as they stand and the
+pivot columns do not change.
+
+Each kernel vector costs its support, not n or the nonzeros of A.  The
+elimination hands back its pivot rows transposed, each column with the
+pivots whose rows hold it, so back-substitution pushes each nonzero entry
+on to the pivots it feeds, in increasing column order, and passes over the
+zeros; every pivot's pending sum is the one row-by-row substitution takes,
+in another order.  Only the nonzero entries are reconstructed: 0 lifts to
+0/1, which moves neither the common denominator nor the gcd.  A v is
+summed over the support as the columns v_j A[:, j]: the whole product over
+Z, at the cost of the support's column degrees.  At full rank none of this
+is set up.
 
 The moduli form a ladder.  The first try is q = 13: every residue and
 every product of two fits one 30-bit CPython digit, and fractions with numerator and
@@ -31,6 +43,7 @@ every rung that certifies gives the same basis.  No tolerances anywhere.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from math import gcd, lcm, prod
 from typing import Sequence
@@ -40,6 +53,8 @@ from .graphs import Graph
 
 IntMatrix = Sequence[Sequence[int]]
 IntVector = tuple[int, ...]
+# an elimination's pivot columns, users and weights (see _eliminate_mod_p)
+Eliminated = tuple[list[int], list[list[int]], list[list[int]]]
 
 # Exponents q of Mersenne primes 2^q - 1, the moduli of the certificate:
 # 2^13 - 1 is tried first and 2^61 - 1 next, and the rest are the Hadamard
@@ -61,6 +76,17 @@ MERSENNE_EXPONENTS = (13, 61, 89, 107, 127, 521, 607, 1279, 2203, 2281, 3217, 42
 PACKED_MAX_COLUMNS = 256
 PACKED_FILL_DIVISOR = 5
 
+# A handover after the first pivot also needs c + 1 at least
+# HANDOVER_MIN_COLUMNS: on narrower live blocks short dict rows cost less
+# per column than packed rows.  ``is_nut`` in us, handing over at any width
+# / from 32 columns (best 5 of 40 alternating batches, Python 3.11, 2 shared
+# cores): C_20 212 / 162 and C_40 365 / 321 (blocks of 10 columns),
+# Circ(60, {1, 5, 7}) 1124 / 959 (26); construct_with_orbits(31, 32)
+# 2445 / 2416 and K_400 76.5 / 74.7 ms (10).  Wider blocks go either way:
+# dict rows ran 4-7% faster on Q_6 (32) and Circ(120, {1, 2, 3, 4}) (40),
+# and about a third slower on prop3_graph(13) (49).
+HANDOVER_MIN_COLUMNS = 32
+
 
 @dataclass(frozen=True)
 class NutVerdict:
@@ -80,12 +106,14 @@ def _check_square(a: IntMatrix) -> int:
     return n
 
 
-def _eliminate_mod_p(rows: list[dict[int, int]], n: int,
-                     q: int) -> list[tuple[int, list]]:
+def _eliminate_mod_p(rows: list[dict[int, int]], n: int, q: int) -> Eliminated:
     """Forward elimination modulo p = 2^q - 1 of the n-column sparse rows
     ``rows`` (column -> entry), from the last column down, each on a sparsest
     live row that holds it (the smaller index on a tie), until the rows go packed.
-    Returns the pivots in order as (column, its row's other entries / pivot)."""
+    Returns the pivot columns in order and, when they are fewer than n, the
+    pivot rows' other entries / pivot transposed for back-substitution:
+    ``users[j]`` lists the pivot columns whose row holds column j and
+    ``weights[j]`` those entries, in parallel.  At full rank both are []."""
     if n <= PACKED_MAX_COLUMNS and PACKED_FILL_DIVISOR * min(
             (len(row) for row in rows if n - 1 in row), default=0) >= n:
         return _eliminate_packed(rows, n, q)  # dense from the start
@@ -96,13 +124,16 @@ def _eliminate_mod_p(rows: list[dict[int, int]], n: int,
         for j in row:
             col_rows.setdefault(j, set()).add(i)
     pivots = []
+    block: Eliminated = ([], [], [])  # what the packed rows return, if anything
     for c in sorted(col_rows, reverse=True):
         holders = col_rows.pop(c)
         if not holders:
             continue
         i = min(holders, key=lambda k: (len(rows[k]), k))
-        if c < PACKED_MAX_COLUMNS and PACKED_FILL_DIVISOR * len(rows[i]) > c:
-            return pivots + _eliminate_packed([row for row in rows if row], c + 1, q)
+        if (HANDOVER_MIN_COLUMNS <= c + 1 <= PACKED_MAX_COLUMNS
+                and PACKED_FILL_DIVISOR * len(rows[i]) > c):
+            block = _eliminate_packed([row for row in rows if row], c + 1, q)
+            break
         holders.discard(i)
         row, rows[i] = rows[i], {}
         inverse = pow(row.pop(c), -1, p)
@@ -124,11 +155,21 @@ def _eliminate_mod_p(rows: list[dict[int, int]], n: int,
                     other[j] = factor * x % p
                     col_rows[j].add(k)
         pivots.append((c, tail))
-    return pivots
+    block_columns, users, weights = block
+    columns = [c for c, _ in pivots] + block_columns
+    if len(columns) == n:
+        return columns, [], []
+    # the block's lists cover its columns, or none at its full rank
+    users += [[] for _ in range(n - len(users))]
+    weights += [[] for _ in range(n - len(weights))]
+    for c, tail in pivots:
+        for j, a in tail:
+            users[j].append(c)
+            weights[j].append(a)
+    return columns, users, weights
 
 
-def _eliminate_packed(rows: list[dict[int, int]], n: int,
-                      q: int) -> list[tuple[int, list]]:
+def _eliminate_packed(rows: list[dict[int, int]], n: int, q: int) -> Eliminated:
     """Forward elimination modulo p = 2^q - 1 on rows packed into one
     integer each, column j in the slot of W = 2q + 2 + n.bit_length() bits
     at bit W (n - 1 - j), so the last column comes first.  Returns what
@@ -141,8 +182,9 @@ def _eliminate_packed(rows: list[dict[int, int]], n: int,
     the next.  Each step shifts the pivot column out of every remaining row,
     so slot 0 is always the current column.  A pivot row is reduced by the
     Mersenne fold (2^q = 1 mod p) once before it is scaled by the pivot's
-    inverse and twice after.  The tails are unpacked only when the rank is
-    below n, the one case back-substitution reads them."""
+    inverse and twice after.  The pivot rows are unpacked, straight into
+    ``users`` and ``weights``, only when the rank is below n, the one case
+    back-substitution reads them."""
     p = (1 << q) - 1
     w = 2 * q + 2 + n.bit_length()
     slot = (1 << w) - 1
@@ -175,18 +217,19 @@ def _eliminate_packed(rows: list[dict[int, int]], n: int,
         # reaches zero drops out
         live = [z for y in live
                 if (z := (y + (p - f) * prow if (f := (y & slot) % p) else y) >> w)]
-    if len(pivots) == n:
-        return [(c, []) for c, _ in pivots]
-    out = []
+    columns = [c for c, _ in pivots]
+    if len(columns) == n:
+        return columns, [], []
+    users: list[list[int]] = [[] for _ in range(n)]
+    weights: list[list[int]] = [[] for _ in range(n)]
     for c, prow in pivots:
-        tail = []
         for j in range(c - 1, -1, -1):
             prow >>= w
             x = (prow & slot) % p
             if x:
-                tail.append((j, x))
-        out.append((c, tail))
-    return out
+                users[j].append(c)
+                weights[j].append(x)
+    return columns, users, weights
 
 
 def _reconstruct(x: int, q: int) -> tuple[int, int] | None:
@@ -205,40 +248,67 @@ def _reconstruct(x: int, q: int) -> tuple[int, int] | None:
     return (r1, t1) if t1 > 0 else (-r1, -t1)
 
 
-def _modular_kernel(rows: list[dict[int, int]], n: int,
-                    q: int) -> list[IntVector] | None:
+def _modular_kernel(rows: list[dict[int, int]], cols: list[dict[int, int]],
+                    n: int, q: int) -> list[IntVector] | None:
     """The reduced echelon kernel basis of the n-column sparse integer
-    matrix ``rows``, each vector scaled to its primitive integer multiple,
-    certified modulo 2^q - 1 and verified over Z; None when rational
-    reconstruction or the integer check fails.  One vector per free column
-    of the one elimination, whichever rows it ends on."""
+    matrix ``rows``, whose columns are ``cols`` (row -> entry), each vector
+    scaled to its primitive integer multiple, certified modulo 2^q - 1 and
+    verified over Z; None when rational reconstruction or the integer check
+    fails.  One vector per free column of the one elimination, whichever
+    rows it ends on.
+
+    The vector with 1 at free column f costs its support: each nonzero x_j
+    is pushed on to the pivots in ``users[j]``, which are walked in
+    increasing column order from f, and only the support is reconstructed
+    and summed, column by column, into A v (see the module docstring).  At
+    full rank it returns [] before any of this is set up."""
     p = (1 << q) - 1
-    pivots = _eliminate_mod_p(rows, n, q)
+    columns, users, weights = _eliminate_mod_p(rows, n, q)
+    if len(columns) == n:
+        return []
+    ascending = columns[::-1]
     basis = []
-    for f in sorted(set(range(n)).difference(c for c, _ in pivots)):
-        x = [0] * n
-        x[f] = 1
-        for c, tail in reversed(pivots):
-            x[c] = -sum(a * x[j] for j, a in tail) % p
-        pairs = [_reconstruct(e, q) for e in x]
+    for f in sorted(set(range(n)).difference(ascending)):
+        # a pivot row holds only columns below its pivot column, so every
+        # push goes up and x_c = 0 for c < f
+        pending = [0] * n
+        for c, a in zip(users[f], weights[f]):
+            pending[c] += a
+        support, residues = [f], [1]
+        for c in ascending[bisect_right(ascending, f):]:
+            x = -pending[c] % p
+            if x:
+                support.append(c)
+                residues.append(x)
+                for k, a in zip(users[c], weights[c]):
+                    pending[k] += a * x
+        pairs = [_reconstruct(x, q) for x in residues]
         if None in pairs:
             return None
         denom = lcm(*(d for _, d in pairs))
         ints = [num * (denom // d) for num, d in pairs]
-        if any(sum(a * ints[j] for j, a in row.items()) for row in rows):
+        product = [0] * n
+        for j, e in zip(support, ints):
+            for i, a in cols[j].items():
+                product[i] += a * e
+        if any(product):
             return None
-        divisor = gcd(*ints)  # positive: the leading entry is denom
-        basis.append(tuple(e // divisor for e in ints))
+        divisor = gcd(*ints)  # positive: the leading entry, at f, is denom
+        v = [0] * n
+        for j, e in zip(support, ints):
+            v[j] = e // divisor
+        basis.append(tuple(v))
     return basis
 
 
-def _kernel(rows: list[dict[int, int]], n: int) -> list[IntVector]:
+def _kernel(rows: list[dict[int, int]], cols: list[dict[int, int]],
+            n: int) -> list[IntVector]:
     """The primitive reduced echelon kernel basis of the n-column sparse
-    integer matrix ``rows``: certified modulo 2^13 - 1, else modulo
-    2^61 - 1, else modulo the first Mersenne prime past the Hadamard bound,
-    where it cannot fail."""
+    integer matrix ``rows``, whose columns are ``cols``: certified modulo
+    2^13 - 1, else modulo 2^61 - 1, else modulo the first Mersenne prime
+    past the Hadamard bound, where it cannot fail."""
     for q in MERSENNE_EXPONENTS[:2]:
-        basis = _modular_kernel(rows, n, q)
+        basis = _modular_kernel(rows, cols, n, q)
         if basis is not None:
             return basis
     # h2 bounds the square of every minor of the matrix
@@ -249,7 +319,7 @@ def _kernel(rows: list[dict[int, int]], n: int) -> list[IntVector]:
             f"matrix entries too large: the squared Hadamard bound has "
             f"{h2.bit_length()} bits, past the largest modulus "
             f"2^{MERSENNE_EXPONENTS[-1]} - 1")
-    basis = _modular_kernel(rows, n, q)
+    basis = _modular_kernel(rows, cols, n, q)
     if basis is None:
         raise AssertionError(
             f"internal error: kernel certificate failed modulo 2^{q} - 1, "
@@ -264,7 +334,9 @@ def kernel_basis(a: IntMatrix) -> list[IntVector]:
     form is unique, so the basis is canonical.
 
     The basis is certified modulo the prime 2^13 - 1, lifted by rational
-    reconstruction and verified to satisfy A v = 0 over Z.  Should any step
+    reconstruction and verified to satisfy A v = 0 over Z, each vector on
+    its support only: the product is summed over the columns of ``a`` where
+    v is nonzero, which is why ``a`` is transposed once.  Should any step
     fail, the certificate reruns modulo 2^61 - 1, and then modulo the first
     Mersenne prime past the Hadamard bound of ``a``, where every step
     succeeds; entries so large that the bound passes every listed prime
@@ -272,7 +344,9 @@ def kernel_basis(a: IntMatrix) -> list[IntVector]:
     packed integer rows once its live rows are dense, which changes no
     basis (see the module docstring)."""
     n = _check_square(a)
-    return _kernel([{j: x for j, x in enumerate(row) if x} for row in a], n)
+    rows = [{j: x for j, x in enumerate(row) if x} for row in a]
+    cols = [{i: row[j] for i, row in enumerate(a) if row[j]} for j in range(n)]
+    return _kernel(rows, cols, n)
 
 
 def is_nut(g: Graph) -> NutVerdict:
@@ -281,7 +355,7 @@ def is_nut(g: Graph) -> NutVerdict:
     rows: list[dict[int, int]] = [{} for _ in range(g.n)]
     for u, v in g.edges:
         rows[u][v] = rows[v][u] = 1
-    basis = _kernel(rows, g.n)
+    basis = _kernel(rows, rows, g.n)  # adjacency rows are its columns
     nullity = len(basis)
     is_full = nullity == 1 and all(e != 0 for e in basis[0])
     return NutVerdict(

@@ -10,7 +10,7 @@ from nutorbits import linalg
 from nutorbits import (CirculantSpec, Graph, ResourceCapError,
                        circulant, complete_graph,
                        construct_with_orbits, is_nut, kernel_basis)
-from nutorbits.graphs import MAX_ORDER
+from nutorbits.graphs import MAX_ORDER, AbelianCayleySpec, cayley_abelian
 from nutorbits.linalg import MERSENNE_EXPONENTS
 
 EXACT_KERNEL = exact_kernel
@@ -153,11 +153,11 @@ def _record_tries(monkeypatch, fail_first_tries):
     tried = []
     certify = linalg._modular_kernel
 
-    def spy(rows, n, q):
+    def spy(rows, cols, n, q):
         tried.append(q)
         if fail_first_tries and q in FIRST_TRIES:
             return None
-        return certify(rows, n, q)
+        return certify(rows, cols, n, q)
 
     monkeypatch.setattr(linalg, "_modular_kernel", spy)
     return tried
@@ -200,6 +200,9 @@ def test_certificate_answers_every_cross_oracle_circulant(tried):
     ([[1, -2 ** 40], [0, 0]], ([13, 61, 89], [(2 ** 40, 1)])),
     # RREF entry 3^25 / 5^17, a residue with no reconstruction in bounds
     ([[3 ** 25, -5 ** 17], [0, 0]], ([13, 61, 89], [(5 ** 17, 3 ** 25)])),
+    # as the 2 x 2 case of 2^-40, with the residual of 1/2 and 2^21 in a row
+    # outside the support {0, 1}, and e_2 added to the basis
+    ([[0, 0, 0], [0, 0, 0], [1, -2 ** 40, 0]], ([13, 61, 89], [(2 ** 40, 1, 0), (0, 0, 1)])),
 ])
 def test_failed_certificate_falls_back_to_exact_path(tried, a, expected):
     # expected: the exponents tried, the last one certifying, and the basis
@@ -209,6 +212,32 @@ def test_failed_certificate_falls_back_to_exact_path(tried, a, expected):
     assert basis == expected_basis == [primitive(v) for v in EXACT_KERNEL(a)]
     for v in basis:
         assert all(x == 0 for x in residual(a, v))
+
+
+def test_kernel_basis_reads_columns_of_a_non_symmetric_matrix():
+    # (1, 0) is in the kernel; row 0 read as a column would reject it
+    assert kernel_basis([[0, 1], [0, 0]]) == [(1, 0)]
+
+
+def test_kernel_basis_matches_bareiss_on_sparse_non_symmetric_matrices():
+    # products of sparse n x r and r x n factors, r <= n / 2: nullity at
+    # least n / 2; symmetric products are drawn again
+    rng = random.Random(19)
+    nullities = set()
+    for trial in range(60):
+        a = [[0]]
+        while all(a[i][j] == a[j][i] for i in range(len(a)) for j in range(i)):
+            n = rng.randint(2, 16)
+            r = rng.randint(1, n // 2)
+            b = [[rng.choice([0, 0, 0, 1, -2]) for _ in range(r)] for _ in range(n)]
+            c = [[rng.choice([0, 0, 0, 0, 1, -1, 3]) for _ in range(n)] for _ in range(r)]
+            a = [[sum(b[i][t] * c[t][j] for t in range(r)) for j in range(n)]
+                 for i in range(n)]
+        basis = kernel_basis(a)
+        assert basis == [primitive(v) for v in EXACT_KERNEL(a)], a
+        assert 2 * len(basis) >= n
+        nullities.add(len(basis))
+    assert len(nullities) >= 8
 
 
 def test_past_bound_certificate_agrees_on_every_cross_oracle_circulant(request):
@@ -240,6 +269,15 @@ def _dict_rows_throughout(monkeypatch):
     monkeypatch.setattr(linalg, "PACKED_MAX_COLUMNS", 0)
 
 
+def _columns(rows, n):
+    """The columns of the n-column sparse matrix ``rows``, as row -> entry."""
+    cols = [{} for _ in range(n)]
+    for i, row in enumerate(rows):
+        for j, x in row.items():
+            cols[j][i] = x
+    return cols
+
+
 def _on_both_paths(monkeypatch, a, over_q=True):
     """kernel_basis(a) with the packed elimination forced throughout, then
     with the dict rows forced throughout.  The two must agree, and so must
@@ -254,13 +292,15 @@ def _on_both_paths(monkeypatch, a, over_q=True):
     column n-1-c of a with its columns reversed is a Bareiss pivot column."""
     n = len(a)
     rows = [{j: x for j, x in enumerate(row) if x} for row in a]
+    cols = _columns(rows, n)
     pivoted, results = [], []
     for force in (_packed_throughout, _dict_rows_throughout):
         with monkeypatch.context() as m:
             force(m)
-            pivoted.append([{c for c, _ in linalg._eliminate_mod_p(rows, n, q)}
+            pivoted.append([set(linalg._eliminate_mod_p(rows, n, q)[0])
                             for q in FIRST_TRIES])
-            results.append(([linalg._modular_kernel(rows, n, q) for q in FIRST_TRIES],
+            results.append(([linalg._modular_kernel(rows, cols, n, q)
+                             for q in FIRST_TRIES],
                             kernel_basis(a)))
     for q, packed, dict_rows in zip(FIRST_TRIES, *pivoted):
         assert packed == dict_rows, (q, a)
@@ -323,11 +363,38 @@ def _unit_difference(n, i, j):
     return tuple(v)
 
 
-def test_kernel_basis_of_a_large_star():
-    m = 599
+def _reconstructions(monkeypatch):
+    """Records the exponent q of every rational reconstruction, in order."""
+    calls = []
+
+    def spy(x, q, inner=linalg._reconstruct):
+        calls.append(q)
+        return inner(x, q)
+
+    monkeypatch.setattr(linalg, "_reconstruct", spy)
+    return calls
+
+
+def test_kernel_basis_of_a_large_star(monkeypatch):
+    m = 1199
     star = Graph.from_edges(m + 1, [(0, j) for j in range(1, m + 1)])
+    calls = _reconstructions(monkeypatch)
     assert kernel_basis(star.adjacency_matrix()) == [
         _unit_difference(m + 1, i, m) for i in range(1, m)]
+    # only the support of each vector is reconstructed: 2 entries, not m + 1
+    assert calls == [13] * (2 * (m - 1))
+
+
+def test_kernel_basis_of_a_large_edgeless_graph(monkeypatch):
+    n = 1200
+    identity = [[0] * n for _ in range(n)]
+    for i in range(n):
+        identity[i][i] = 1
+    calls = _reconstructions(monkeypatch)
+    assert kernel_basis(Graph.from_edges(n, []).adjacency_matrix()) == [
+        tuple(row) for row in identity]
+    # one reconstruction per vector, of its 1
+    assert calls == [13] * n
 
 
 def test_kernel_basis_of_a_large_complete_bipartite_graph():
@@ -354,11 +421,16 @@ def _handed_over(monkeypatch, g):
 @pytest.mark.parametrize("g, expected", [
     # every row holds 8 of 18 columns: packed from the start
     (circulant(CirculantSpec(18, {1, 2, 3, 4})), [18]),
-    # n = 610, degree 2 and 3: the rows fill only near the end
-    (construct_with_orbits(31, 32).graph, [10]),
-    # dense but past the order limit; one pivot leaves rows of 2 entries
-    (complete_graph(400), [10]),
-], ids=["Circ(18,{1,2,3,4})", "construct(31,32)", "K400"])
+    # n = 610, degree 2 and 3: the rows fill only in the last 10 columns,
+    # a block too narrow to hand over
+    (construct_with_orbits(31, 32).graph, []),
+    # dense but past the order limit; one pivot leaves rows of 2 entries,
+    # which fill only in the last 10 columns
+    (complete_graph(400), []),
+    # Q_6: its rows fill in the last 32 columns, just wide enough
+    (cayley_abelian(AbelianCayleySpec([2] * 6, [tuple(int(i == j) for j in range(6))
+                                                for i in range(6)])), [32]),
+], ids=["Circ(18,{1,2,3,4})", "construct(31,32)", "K400", "Q6"])
 def test_dict_rows_hand_over_once_the_live_block_is_dense(monkeypatch, g, expected):
     assert _handed_over(monkeypatch, g)[1] == expected
 
@@ -392,12 +464,13 @@ def test_random_cubic_graph_hands_over_a_strict_tail(monkeypatch):
         if 50 in row:
             row[100] = row[50]
     expected = [_unit_difference(g.n, 50, 100)]
-    assert linalg._kernel(rows, g.n) == expected
+    cols = _columns(rows, g.n)
+    assert linalg._kernel(rows, cols, g.n) == expected
     assert handed == [134, 134]
     with monkeypatch.context() as m:
         _dict_rows_throughout(m)
         assert is_nut(g) == verdict
-        assert linalg._kernel(rows, g.n) == expected
+        assert linalg._kernel(rows, cols, g.n) == expected
 
 
 def test_is_nut_builds_no_dense_matrix(monkeypatch, circ_10_12):
