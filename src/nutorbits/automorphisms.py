@@ -5,17 +5,21 @@ union-find.
 
 The search is a small canonical-labeling engine: equitable refinement of an
 ordered partition, with backtracking over a target cell.  The partition is
-kept by position (vertices listed cell by cell, each cell named by its start)
-and refined with a queue of splitter cells: a splitter splits only the cells
-holding its neighbours, by their neighbour counts in it, so a split costs
-the degrees of the splitter's vertices rather than a pass over every cell
-(McKay 1981; nauty's refine).  A singleton splitter, the common case on the
-long degree-2 paths of subdivided graphs, gives every neighbour count 1 and
-so only moves its neighbours to the back of their cells, with nothing
-counted or sorted.  Every choice depends on positions and counts,
-never on vertex labels, so the refinement commutes with automorphisms.  A
-child node individualizes one vertex of the target cell and refines from that
-singleton alone, since its parent is already equitable.
+kept by position (vertices listed cell by cell, each cell named by its
+start) and refined with a queue of splitter cells: a splitter splits only
+the cells holding its neighbours, by their neighbour counts in it, so a
+split costs the degrees of the splitter's vertices rather than a pass over
+every cell (McKay 1981; nauty's refine).  Each touched cell takes one of two
+rules: if its touched vertices share one count they move to its back as one
+new piece, with nothing sorted; only a cell with mixed counts is sorted into
+pieces by count.  Counts are consulted only when two vertices of the
+splitter share a neighbour.  A singleton splitter, the common case on the
+long degree-2 paths of subdivided graphs, never does, nor does a larger one
+whose neighbourhoods are disjoint: every count is then 1.  Every choice
+depends on positions and counts, never on vertex labels, so the refinement
+commutes with automorphisms.  A child node individualizes one vertex of the
+target cell and refines from that singleton alone, since its parent is
+already equitable.
 
 The tree is walked with first-path automorphism pruning (McKay 1981, section
 2; McKay and Piperno, Practical Graph Isomorphism II, 2014).  The first path
@@ -175,14 +179,20 @@ def _refine(adj: Sequence[frozenset[int]], part: _Partition,
     keeping the cell's start.  If the cell was queued every new piece is
     queued; otherwise every piece but the first largest is (Hopcroft's
     rule: stability under a cell and all but one of its pieces implies
-    stability under the last piece).  A singleton splitter {w} gives every
-    neighbour of w count 1, so it costs only w's degree: each touched cell
-    moves w's neighbours in it to its back as one new piece, with no counts
-    and no sort.  Touched cells are split in position order, and refinement
-    stops once every cell is a singleton.  Every choice depends on
-    positions and counts only, never on vertex labels, so the refinement
-    commutes with automorphisms: mapping the input by one maps the output
-    cells likewise."""
+    stability under the last piece).
+
+    One rule serves each touched cell.  If its touched vertices share one
+    count they swap to its back as one new piece, with no sort, under the
+    two-piece Hopcroft choice; if they fill the cell, it does not split.
+    Only a cell with mixed counts is sorted by count.  Both rules give the
+    same piece starts and the same queue.  Counts can differ only when two
+    vertices of S share a neighbour, which the pass over S's neighbourhoods
+    notes; otherwise, and for every singleton S, each count is 1 and none is
+    consulted, so S costs only its degrees.  Touched cells are split in
+    position order, and refinement stops once every cell is a singleton.
+    Every choice depends on positions and counts only, never on vertex
+    labels, so the refinement commutes with automorphisms: mapping the input
+    by one maps the output cells likewise."""
     lab, pos, cell, ends = part.lab, part.pos, part.cell, part.ends
     n, cells = len(lab), len(_cell_starts(part))
     queue = list(splitters)
@@ -192,78 +202,80 @@ def _refine(adj: Sequence[frozenset[int]], part: _Partition,
         s = queue[head]
         head += 1
         queued.discard(s)
+        # every count is 1 unless two vertices of S share a neighbour
+        shared = False
         if ends[s] == s + 1:
-            touched: dict[int, list[int]] = {}
-            for u in adj[lab[s]]:
-                touched.setdefault(cell[u], []).append(u)
-            for c in sorted(touched) if len(touched) > 1 else touched:
-                vs = touched[c]
-                e = ends[c]
-                t = e - len(vs)
-                if t == c:
-                    continue
-                # each neighbour swaps with the last vertex not yet moved
+            touching = adj[lab[s]]
+        else:
+            touching = count = {}
+            for w in lab[s:ends[s]]:
+                for u in adj[w]:
+                    if u in count:
+                        count[u] += 1
+                        shared = True
+                    else:
+                        count[u] = 1
+        touched: dict[int, list[int]] = {}
+        for u in touching:
+            touched.setdefault(cell[u], []).append(u)
+        for c in sorted(touched) if len(touched) > 1 else touched:
+            vs = touched[c]
+            e = ends[c]
+            t = e - len(vs)
+            # mixed counts?  The ends of vs tell for two vertices, a set beyond
+            if shared and (count[vs[0]] != count[vs[-1]] or len(vs) > 2
+                           and len(set(map(count.__getitem__, vs))) > 1):
+                # The untouched vertices move to the front of the cell, the
+                # touched ones behind them in count order.
+                vs.sort(key=count.__getitem__)
+                back = e
                 for u in vs:
-                    e -= 1
-                    p, x = pos[u], lab[e]
+                    back -= 1
+                    p, x = pos[u], lab[back]
                     lab[p], pos[x] = x, p
-                    lab[e], pos[u], cell[u] = u, e, t
-                ends[t] = ends[c]
-                ends[c] = t
-                cells += 1
+                lab[t:e] = vs
+                starts = [c] if t > c else []
+                last = 0
+                for i, u in enumerate(vs, t):
+                    pos[u] = i
+                    if count[u] != last:
+                        starts.append(i)
+                        last = count[u]
+                bounds = starts + [e]
+                ends[c] = bounds[1]
+                for j in range(1, len(starts)):
+                    a, b = bounds[j], bounds[j + 1]
+                    ends[a] = b
+                    for i in range(a, b):
+                        cell[lab[i]] = a
+                cells += len(starts) - 1
                 if cells == n:
                     return
-                # Hopcroft's rule for the two pieces [c, t) and [t, e)
-                new = t if c in queued or t - c >= ends[t] - t else c
-                queue.append(new)
-                queued.add(new)
-            continue
-        count: dict[int, int] = {}
-        for w in lab[s:ends[s]]:
-            for u in adj[w]:
-                count[u] = count.get(u, 0) + 1
-        touched = {}
-        for u in count:
-            touched.setdefault(cell[u], []).append(u)
-        for c in sorted(touched):
-            e = ends[c]
-            vs = touched[c]
-            vs.sort(key=count.__getitem__)
-            t = e - len(vs)
-            if t == c and count[vs[0]] == count[vs[-1]]:
+                if c in queued:
+                    new = starts[1:]
+                else:
+                    big = max(range(len(starts)), key=lambda j: bounds[j + 1] - bounds[j])
+                    new = starts[:big] + starts[big + 1:]
+                queue.extend(new)
+                queued.update(new)
                 continue
-            # The untouched vertices move to the front of the cell, the
-            # touched ones behind them in count order.
-            back = e
+            if t == c:
+                continue
+            # each touched vertex swaps with the last vertex not yet moved
             for u in vs:
-                back -= 1
-                p, x = pos[u], lab[back]
+                e -= 1
+                p, x = pos[u], lab[e]
                 lab[p], pos[x] = x, p
-            lab[t:e] = vs
-            starts = [c] if t > c else []
-            last = 0
-            for i, u in enumerate(vs, t):
-                pos[u] = i
-                if count[u] != last:
-                    starts.append(i)
-                    last = count[u]
-            bounds = starts + [e]
-            ends[c] = bounds[1]
-            for j in range(1, len(starts)):
-                a, b = bounds[j], bounds[j + 1]
-                ends[a] = b
-                for i in range(a, b):
-                    cell[lab[i]] = a
-            cells += len(starts) - 1
+                lab[e], pos[u], cell[u] = u, e, t
+            ends[t] = ends[c]
+            ends[c] = t
+            cells += 1
             if cells == n:
                 return
-            if c in queued:
-                new = starts[1:]
-            else:
-                big = max(range(len(starts)), key=lambda j: bounds[j + 1] - bounds[j])
-                new = starts[:big] + starts[big + 1:]
-            queue.extend(new)
-            queued.update(new)
+            # Hopcroft's rule for the two pieces [c, t) and [t, e)
+            new = t if c in queued or t - c >= ends[t] - t else c
+            queue.append(new)
+            queued.add(new)
 
 
 def _cell_starts(part: _Partition) -> list[int]:

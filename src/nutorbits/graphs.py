@@ -19,10 +19,10 @@ from typing import Iterable, Optional, Sequence
 from .errors import Graph6ParseError, ResourceCapError, SpecificationError
 
 # Larger orders are refused for time.  On Python 3.11.7 and one Xeon core
-# the orbit census of Circ(4078, {1, 2}) takes about 0.11 s and its nut
-# certificate 0.05 s; graphs with a deep first search path cost more (the
-# census of the edgeless graph of order 1200: 1.35 s, and the process peaks
-# at 102 MB resident).
+# (a shared host) the orbit census of Circ(4078, {1, 2}) takes 0.05-0.1 s
+# and its nut certificate 0.04-0.07 s; graphs with a deep first search path
+# cost more (the census of the edgeless graph of order 1200: 0.9-1.4 s,
+# and the process peaks at 102 MB resident).
 MAX_ORDER = 4096
 
 
@@ -152,10 +152,19 @@ class AbelianCayleySpec:
 
 
 def circulant(spec: CirculantSpec) -> Graph:
-    """Circ(n, S): vertex i is adjacent to i +- s (mod n) for every s in S."""
+    """Circ(n, S): vertex i is adjacent to i +- s (mod n) for every s in S.
+
+    Offset s gives the edges (i, i + s) for i < n - s and, unless 2s = n
+    makes them the same edges, (j, j + n - s) for j < s; no two offsets give
+    a common edge, since they lie in 1..n/2."""
     n = spec.n
-    edges = ((i, (i + s) % n) for i in range(n) for s in spec.offsets)
-    return Graph.from_edges(n, edges)
+    edges = []
+    for s in spec.offsets:
+        edges += [(i, i + s) for i in range(n - s)]
+        if 2 * s < n:
+            edges += [(j, j + n - s) for j in range(s)]
+    edges.sort()
+    return Graph(n, tuple(edges))
 
 
 def complete_graph(m: int) -> Graph:

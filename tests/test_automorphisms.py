@@ -1,3 +1,4 @@
+import hashlib
 import random
 from itertools import combinations
 from math import factorial
@@ -8,10 +9,10 @@ from oracles import (chain_order, coarsest_equitable_partition, compose,
 
 from nutorbits import (AbelianCayleySpec, CirculantSpec, Graph, automorphism_group,
                        cartesian_product, cayley_abelian, circulant, complete_graph,
-                       construct_with_orbits, is_vertex_transitive,
-                       orbit_census, stabilizer)
+                       construct_with_orbits, fig3_graph, is_vertex_transitive,
+                       orbit_census, prop2_graph, prop3_graph, stabilizer)
 from nutorbits import automorphisms
-from nutorbits.automorphisms import (_Partition, _refine, identity,
+from nutorbits.automorphisms import (_cell_starts, _Partition, _refine, identity,
                                      is_automorphism)
 
 
@@ -335,9 +336,12 @@ def _refined(g: Graph) -> _Partition:
 def _refinement_cases() -> list[Graph]:
     rng = random.Random(0xE0)
     # the subdivided graphs are long degree-2 paths: after the root, almost
-    # every splitter is a singleton (170 vertices at (9, 10))
+    # every splitter is a singleton (170 vertices at (9, 10)); C_40's pair
+    # splitters have disjoint neighbourhoods, so every count is 1, and K_{4,6}
+    # splits its root cell by the mixed counts 4 and 6
     graphs = [PETERSEN, _hypercube(4), construct_with_orbits(5, 6).graph,
-              construct_with_orbits(9, 10).graph]
+              construct_with_orbits(9, 10).graph, circulant(CirculantSpec(40, {1})),
+              _complete_bipartite(4, 6)]
     for _ in range(8):
         n = rng.randint(9, 14)
         p = rng.choice([0.2, 0.4, 0.6])
@@ -401,3 +405,30 @@ def test_individualizing_commutes_with_relabelling():
                 _refine(h.neighbors, moved, [moved.individualize(perm[v])])
                 assert [set(c) for c in moved.cells()] == \
                     [{perm[x] for x in c} for c in part.cells()]
+
+
+def test_refined_cell_positions_are_pinned(monkeypatch):
+    # The search compares nodes by their cell starts, so a change to the
+    # refinement must leave every start where it was, not only every cell
+    # set.  The digest covers the starts after each refinement of these
+    # censuses, in call order.
+    rng = random.Random(0xE4)
+    graphs = [construct_with_orbits(31, 32).graph, construct_with_orbits(9, 10).graph,
+              prop2_graph(9, 19).graph, prop3_graph(13).graph, fig3_graph().graph,
+              circulant(CirculantSpec(40, {1})), _complete_bipartite(4, 6)]
+    for _ in range(30):
+        n = rng.randint(8, 40)
+        p = rng.choice([0.1, 0.2, 0.35, 0.5])
+        graphs.append(Graph(n, tuple(e for e in combinations(range(n), 2)
+                                     if rng.random() < p)))
+    digest = hashlib.sha256()
+
+    def recording(adj, part, splitters):
+        _refine(adj, part, splitters)
+        digest.update(repr(_cell_starts(part)).encode())
+
+    monkeypatch.setattr(automorphisms, "_refine", recording)
+    for g in graphs:
+        orbit_census(g)
+    assert digest.hexdigest() == \
+        "e9070ea8e8a09e7dc0d03d3f5095f45bf361210beec60f6e73a4c93a9fd37ed5"

@@ -45,6 +45,18 @@ def test_circulant_rotation_is_automorphism():
         assert all((v + 1) % n in adj[(u + 1) % n] for u, v in g.edges)
 
 
+def test_circulant_edges_match_the_modular_definition():
+    # every offset set for n <= 12; for n <= 40, every set of at most two
+    # offsets and the full set, both with s = n/2 at even n
+    for n in range(2, 41):
+        half = range(1, n // 2 + 1)
+        sets = [set(c) for k in range(1, n // 2 + 1 if n <= 12 else 3)
+                for c in combinations(half, k)]
+        for offsets in sets + [set(half)]:
+            expected = Graph.from_edges(n, [(i, (i + s) % n) for i in range(n) for s in offsets])
+            assert circulant(CirculantSpec(n, offsets)) == expected
+
+
 @pytest.mark.parametrize("bad_offset", [0, 6, -1])
 def test_circulant_offset_validation(bad_offset):
     with pytest.raises(SpecificationError):
