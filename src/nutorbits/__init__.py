@@ -11,22 +11,20 @@ first path as products of orbit sizes.
 __version__ = "0.1.0"
 
 from .automorphisms import (OrbitCensus, Permutation, PermutationGroup,
-                            automorphism_group, is_vertex_transitive,
-                            orbit_census, stabilizer)
+                            automorphism_group, orbit_census, stabilizer)
 from .constructions import (ConstructionParams, VerifiedNut, cayley_nut,
-                            cayley_nut_edge_orbits, buset_connected,
-                            buset_general, construct_with_orbits, fig3_graph,
-                            nut_realizable, primes_from, prop1_graph,
-                            prop2_graph, prop3_graph, subdivided_nut)
+                            cayley_nut_edge_orbits, construct_with_orbits,
+                            fig3_graph, nut_realizable, primes_from,
+                            prop1_graph, prop2_graph, prop3_graph,
+                            subdivided_nut)
 from .errors import (Graph6ParseError, HypothesisError, InputError,
                      NotCoveredByThisPaper, NotRealizable, ResourceCapError,
                      SpecificationError, VerificationError)
-from .graphs import (AbelianCayleySpec, CirculantSpec, Graph,
-                     cartesian_product, cayley_abelian, circulant,
-                     complete_graph, read_graph6, subdivide_edges, write_dot,
+from .graphs import (AbelianCayleySpec, CirculantSpec, Graph, cayley_abelian,
+                     circulant, read_graph6, subdivide_edges, write_dot,
                      write_graph6)
 from .linalg import NutVerdict, is_nut, kernel_basis
-from .polynomials import (circulant_is_nut_symbolic, cyclotomic, gcd_criterion,
+from .polynomials import (circulant_is_nut_symbolic, cyclotomic,
                           vanishing_orders, vanishing_subgroups)
 
 __all__ = [
@@ -35,12 +33,9 @@ __all__ = [
     "NotCoveredByThisPaper", "NotRealizable", "NutVerdict", "OrbitCensus",
     "Permutation", "PermutationGroup", "ResourceCapError", "SpecificationError",
     "VerificationError", "VerifiedNut",
-    "automorphism_group", "buset_connected", "buset_general",
-    "cartesian_product", "cayley_abelian", "cayley_nut",
-    "cayley_nut_edge_orbits", "circulant",
-    "circulant_is_nut_symbolic", "complete_graph",
-    "construct_with_orbits", "cyclotomic", "fig3_graph",
-    "gcd_criterion", "is_nut", "is_vertex_transitive",
+    "automorphism_group", "cayley_abelian", "cayley_nut",
+    "cayley_nut_edge_orbits", "circulant", "circulant_is_nut_symbolic",
+    "construct_with_orbits", "cyclotomic", "fig3_graph", "is_nut",
     "kernel_basis", "nut_realizable",
     "orbit_census", "primes_from", "prop1_graph",
     "prop2_graph", "prop3_graph", "read_graph6",

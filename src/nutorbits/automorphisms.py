@@ -55,13 +55,6 @@ def identity(n: int) -> Permutation:
     return tuple(range(n))
 
 
-def is_automorphism(g: Graph, p: Permutation) -> bool:
-    if len(p) != g.n or sorted(p) != list(range(g.n)):
-        return False
-    adj = g.neighbors
-    return all(p[v] in adj[p[u]] for u, v in g.edges)
-
-
 @dataclass(frozen=True)
 class PermutationGroup:
     degree: int
@@ -140,15 +133,6 @@ class _Partition:
         other.cell = self.cell[:]
         other.ends = self.ends[:]
         return other
-
-    def cells(self) -> list[tuple[int, ...]]:
-        out = []
-        s = 0
-        while s < len(self.lab):
-            e = self.ends[s]
-            out.append(tuple(self.lab[s:e]))
-            s = e
-        return out
 
     def individualize(self, v: int) -> int:
         """Split v off as a singleton at the front of its cell and return
@@ -484,7 +468,3 @@ def stabilizer(g: Graph, x: int) -> PermutationGroup:
     individualized at the root."""
     gens, order = _search(g, x)
     return PermutationGroup.from_generators(g.n, gens, order)
-
-
-def is_vertex_transitive(g: Graph) -> bool:
-    return orbit_census(g).o_v == 1

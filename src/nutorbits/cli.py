@@ -58,12 +58,14 @@ def _graph_payload(g: Graph) -> dict:
     }
 
 
+# The kernel and the orbits go to json.dumps as the tuples they are
+# computed as; it writes tuples as arrays, as it writes lists.
 def _verdict_payload(v: NutVerdict) -> dict:
     return {
         "is_nut": v.is_nut,
         "nullity": v.nullity,
         "is_full": v.is_full,
-        "kernel": [list(vec) for vec in v.kernel_basis],
+        "kernel": v.kernel_basis,
     }
 
 
@@ -73,9 +75,9 @@ def _census_payload(c: OrbitCensus) -> dict:
         "o_e": c.o_e,
         "o_a": c.o_a,
         "aut_order": c.aut_order,
-        "vertex_orbits": [list(o) for o in c.vertex_orbits],
-        "edge_orbits": [[list(e) for e in o] for o in c.edge_orbits],
-        "arc_orbits": [[list(a) for a in o] for o in c.arc_orbits],
+        "vertex_orbits": c.vertex_orbits,
+        "edge_orbits": c.edge_orbits,
+        "arc_orbits": c.arc_orbits,
     }
 
 
@@ -121,8 +123,9 @@ def _human_summary(report: dict) -> str:
         f"orbit counts   o_v={cen['o_v']} o_e={cen['o_e']} o_a={cen['o_a']}",
         f"|Aut|          {cen['aut_order']}",
     ]
-    if nut["kernel"]:
-        lines.append(f"kernel         {nut['kernel'][0] if nut['nullity'] == 1 else nut['kernel']}")
+    kernel = [list(vec) for vec in nut["kernel"]]
+    if kernel:
+        lines.append(f"kernel         {kernel[0] if nut['nullity'] == 1 else kernel}")
     return "\n".join(lines)
 
 

@@ -372,15 +372,11 @@ def build(form: str, **params) -> VerifiedNut:
 # ---------------------------------------------------------------------------
 
 
-def _check_rk(r: int, k: int) -> None:
+def nut_realizable(r: int, k: int) -> bool:
+    """Whether some nut graph has r vertex orbits and k edge orbits."""
     if r < 1 or k < 0:
         raise ValueError(f"predicates are defined for r >= 1, k >= 0, "
                          f"got ({r}, {k})")
-
-
-def nut_realizable(r: int, k: int) -> bool:
-    """Whether some nut graph has r vertex orbits and k edge orbits."""
-    _check_rk(r, k)
     return k >= r + 1
 
 
@@ -390,16 +386,3 @@ def cayley_nut_edge_orbits(k: int) -> bool:
     if k < 0:
         raise ValueError(f"orbit counts are nonnegative, got {k}")
     return k >= 2
-
-
-def buset_general(r: int, k: int) -> bool:
-    """Whether some graph (nut or not) has r vertex orbits and k edge
-    orbits."""
-    _check_rk(r, k)
-    return r <= 2 * k + 1
-
-
-def buset_connected(r: int, k: int) -> bool:
-    """Whether some connected graph has r vertex orbits and k edge orbits."""
-    _check_rk(r, k)
-    return r <= k + 1

@@ -1,9 +1,8 @@
 """Immutable graphs and the constructions used throughout the package.
 
 A graph is its order n and its normalized edge set on the dense labels
-0..n-1; two graphs are equal iff both agree.  Builders that start from
-coordinates (group elements for Cayley graphs, factor pairs for cartesian
-products) label them in row-major order, so a label gives its coordinates.
+0..n-1; two graphs are equal iff both agree.  Cayley graphs label their
+group elements in row-major order, so a label gives its coordinates.
 """
 
 from __future__ import annotations
@@ -11,7 +10,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
 from math import prod
 from operator import mod, sub
 from typing import Iterable, Optional, Sequence
@@ -74,22 +72,8 @@ class Graph:
         """Number of edges."""
         return len(self.edges)
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return v in self.neighbors[u]
-
-    def degree(self, v: int) -> int:
-        return len(self.neighbors[v])
-
     def degree_sequence(self) -> list[int]:
         return sorted(len(s) for s in self.neighbors)
-
-    def adjacency_matrix(self) -> list[list[int]]:
-        """Dense (0, 1)-adjacency matrix as nested lists of ints."""
-        a = [[0] * self.n for _ in range(self.n)]
-        for u, v in self.edges:
-            a[u][v] = 1
-            a[v][u] = 1
-        return a
 
     def arcs(self) -> list[tuple[int, int]]:
         """All ordered adjacent pairs, sorted."""
@@ -165,30 +149,6 @@ def circulant(spec: CirculantSpec) -> Graph:
             edges += [(j, j + n - s) for j in range(s)]
     edges.sort()
     return Graph(n, tuple(edges))
-
-
-def complete_graph(m: int) -> Graph:
-    if m < 1:
-        raise ValueError(f"complete graph needs at least one vertex, got {m}")
-    return Graph(m, tuple(combinations(range(m), 2)))
-
-
-def cartesian_product(g: Graph, h: Graph) -> Graph:
-    """Cartesian product: (a, b) ~ (a', b') iff the pair agrees in exactly
-    one coordinate and is adjacent in the other.
-
-    Product vertex (a, b) has label a * |V(h)| + b (row-major).
-    """
-    nh = h.n
-    edges = []
-    for a in range(g.n):
-        base = a * nh
-        for b, b2 in h.edges:
-            edges.append((base + b, base + b2))
-    for a, a2 in g.edges:
-        for b in range(nh):
-            edges.append((a * nh + b, a2 * nh + b))
-    return Graph.from_edges(g.n * nh, edges)
 
 
 def cayley_abelian(spec: AbelianCayleySpec) -> Graph:

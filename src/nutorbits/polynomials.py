@@ -129,12 +129,3 @@ def circulant_is_nut_symbolic(n: int, offsets: Iterable[int]) -> bool:
     """
     return vanishing_orders(n, offsets) == {2}
 
-
-def gcd_criterion(n: int, k: int) -> bool:
-    """Arithmetic nut criterion for consecutive-offset circulants
-    Circ(n, {1..k}): both n and k even, n >= 2k + 2, and
-    gcd(n/2, k/2) = gcd(n/2, k + 1) = 1.  Returns False whenever the
-    hypotheses fail."""
-    if k < 2 or n % 2 or k % 2 or n < 2 * k + 2:
-        return False
-    return gcd(n // 2, k // 2) == 1 and gcd(n // 2, k + 1) == 1

@@ -1,6 +1,8 @@
 import pytest
 
-from nutorbits import CirculantSpec, Graph, circulant, complete_graph
+from oracles import complete_graph
+
+from nutorbits import CirculantSpec, Graph, circulant
 
 
 @pytest.fixture

@@ -6,14 +6,59 @@ stabilizer chain from a generating set, the orbit oracle closes each item
 under the generators one image at a time, the kernel oracle eliminates
 fraction-free (Bareiss) over the integers instead of modulo a prime, the
 residual multiplies a matrix by a vector in plain sums, and the graph6
-oracle walks its input one character at a time.
+oracle walks its input one character at a time.  Complete graphs,
+cartesian products and dense adjacency matrices are written from their
+definitions, a map is checked against the edge set, and the gcd criterion
+decides the consecutive-offset circulants by arithmetic alone.
 """
 
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 from math import gcd, lcm
 
 from nutorbits import Graph
+
+
+def complete_graph(m: int) -> Graph:
+    if m < 1:
+        raise ValueError(f"complete graph needs at least one vertex, got {m}")
+    return Graph(m, tuple(combinations(range(m), 2)))
+
+
+def cartesian_product(g: Graph, h: Graph) -> Graph:
+    """Cartesian product: (a, b) ~ (a', b') iff the pair agrees in exactly
+    one coordinate and is adjacent in the other.  Product vertex (a, b) has
+    label a * |V(h)| + b (row-major)."""
+    nh = h.n
+    edges = [(a * nh + b, a * nh + b2) for a in range(g.n) for b, b2 in h.edges]
+    edges += [(a * nh + b, a2 * nh + b) for a, a2 in g.edges for b in range(nh)]
+    return Graph.from_edges(g.n * nh, edges)
+
+
+def adjacency_matrix(g: Graph) -> list[list[int]]:
+    """Dense (0, 1)-adjacency matrix as nested lists of ints."""
+    a = [[0] * g.n for _ in range(g.n)]
+    for u, v in g.edges:
+        a[u][v] = a[v][u] = 1
+    return a
+
+
+def is_automorphism(g: Graph, p: tuple[int, ...]) -> bool:
+    """Whether p permutes the vertices of g and maps every edge to an edge."""
+    if sorted(p) != list(range(g.n)):
+        return False
+    edges = set(g.edges)
+    return all((min(p[u], p[v]), max(p[u], p[v])) in edges for u, v in g.edges)
+
+
+def gcd_criterion(n: int, k: int) -> bool:
+    """Arithmetic nut criterion for consecutive-offset circulants
+    Circ(n, {1..k}): both n and k even, n >= 2k + 2, and
+    gcd(n/2, k/2) = gcd(n/2, k + 1) = 1.  Returns False whenever the
+    hypotheses fail."""
+    if k < 2 or n % 2 or k % 2 or n < 2 * k + 2:
+        return False
+    return gcd(n // 2, k // 2) == 1 and gcd(n // 2, k + 1) == 1
 
 
 def exhaustive_automorphisms(g: Graph) -> set[tuple[int, ...]]:

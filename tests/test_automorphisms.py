@@ -4,16 +4,15 @@ from itertools import combinations
 from math import factorial
 
 import pytest
-from oracles import (chain_order, coarsest_equitable_partition, compose,
-                     exhaustive_automorphisms, invert, orbit_partition)
+from oracles import (cartesian_product, chain_order, coarsest_equitable_partition,
+                     complete_graph, compose, exhaustive_automorphisms, invert,
+                     is_automorphism, orbit_partition)
 
 from nutorbits import (AbelianCayleySpec, CirculantSpec, Graph, automorphism_group,
-                       cartesian_product, cayley_abelian, circulant, complete_graph,
-                       construct_with_orbits, fig3_graph, is_vertex_transitive,
+                       cayley_abelian, circulant, construct_with_orbits, fig3_graph,
                        orbit_census, prop2_graph, prop3_graph, stabilizer)
 from nutorbits import automorphisms
-from nutorbits.automorphisms import (_cell_starts, _Partition, _refine, identity,
-                                     is_automorphism)
+from nutorbits.automorphisms import _cell_starts, _Partition, _refine, identity
 
 
 def test_permutation_helpers():
@@ -132,15 +131,19 @@ def test_stabilizer_examples(circ_10_12, k4):
 
 
 def test_is_vertex_transitive(circ_10_12):
-    assert is_vertex_transitive(circ_10_12)
-    assert is_vertex_transitive(circulant(CirculantSpec(9, {2})))
-    assert not is_vertex_transitive(Graph(3, ((0, 1), (1, 2))))
+    # a graph is vertex-transitive when its census has one vertex orbit
+    def transitive(g):
+        return orbit_census(g).o_v == 1
+
+    assert transitive(circ_10_12)
+    assert transitive(circulant(CirculantSpec(9, {2})))
+    assert not transitive(Graph(3, ((0, 1), (1, 2))))
     prod = cartesian_product(circulant(CirculantSpec(10, {1, 5})), complete_graph(4))
-    assert is_vertex_transitive(prod)
+    assert transitive(prod)
     # vertices with no arcs
-    assert is_vertex_transitive(Graph(5, ()))
-    assert not is_vertex_transitive(Graph(3, ((1, 2),)))                # K1 + K2
-    assert not is_vertex_transitive(Graph(4, ((0, 1), (0, 2), (0, 3))))  # K_{1,3}
+    assert transitive(Graph(5, ()))
+    assert not transitive(Graph(3, ((1, 2),)))                         # K1 + K2
+    assert not transitive(Graph(4, ((0, 1), (0, 2), (0, 3))))  # K_{1,3}
 
 
 def _complete_bipartite(a: int, b: int) -> Graph:
@@ -333,6 +336,11 @@ def _refined(g: Graph) -> _Partition:
     return part
 
 
+def _cells(part: _Partition) -> list[tuple[int, ...]]:
+    """The cells in position order, each listed as it lies."""
+    return [tuple(part.lab[s:part.ends[s]]) for s in _cell_starts(part)]
+
+
 def _refinement_cases() -> list[Graph]:
     rng = random.Random(0xE0)
     # the subdivided graphs are long degree-2 paths: after the root, almost
@@ -352,7 +360,7 @@ def _refinement_cases() -> list[Graph]:
 
 def test_refinement_is_the_coarsest_equitable_partition():
     for g in _refinement_cases():
-        cells = _refined(g).cells()
+        cells = _cells(_refined(g))
         where = {v: i for i, cell in enumerate(cells) for v in cell}
         for cell in cells:
             profiles = {tuple(sum(1 for u in g.neighbors[v] if where[u] == j)
@@ -365,25 +373,25 @@ def test_refinement_after_individualizing_needs_only_the_singleton():
     rng = random.Random(0xE1)
     for g in _refinement_cases():
         part = _refined(g)
-        cells = part.cells()
+        cells = _cells(part)
         while len(cells) < g.n:
             cell = rng.choice([c for c in cells if len(c) > 1])
             v = rng.choice(cell)
             split = [c for c in cells if c != cell] + [(v,), tuple(u for u in cell if u != v)]
             _refine(g.neighbors, part, [part.individualize(v)])
-            cells = part.cells()
+            cells = _cells(part)
             assert set(map(frozenset, cells)) == coarsest_equitable_partition(g, split)
 
 
 def test_refinement_commutes_with_relabelling():
     rng = random.Random(0xE2)
     for g in _refinement_cases():
-        cells = _refined(g).cells()
+        cells = _cells(_refined(g))
         for _ in range(5):
             perm = list(range(g.n))
             rng.shuffle(perm)
             h = Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges])
-            moved = _refined(h).cells()
+            moved = _cells(_refined(h))
             assert [len(c) for c in moved] == [len(c) for c in cells]
             assert [set(c) for c in moved] == [{perm[v] for v in c} for c in cells]
 
@@ -399,12 +407,12 @@ def test_individualizing_commutes_with_relabelling():
             rng.shuffle(perm)
             h = Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges])
             part, moved = _refined(g), _refined(h)
-            while len(cells := part.cells()) < g.n:
+            while len(cells := _cells(part)) < g.n:
                 v = rng.choice(rng.choice([c for c in cells if len(c) > 1]))
                 _refine(g.neighbors, part, [part.individualize(v)])
                 _refine(h.neighbors, moved, [moved.individualize(perm[v])])
-                assert [set(c) for c in moved.cells()] == \
-                    [{perm[x] for x in c} for c in part.cells()]
+                assert [set(c) for c in _cells(moved)] == \
+                    [{perm[x] for x in c} for c in _cells(part)]
 
 
 def test_refined_cell_positions_are_pinned(monkeypatch):

@@ -12,10 +12,11 @@ import time
 from itertools import combinations
 
 import pytest
+from oracles import complete_graph
 
 import nutorbits
-from nutorbits import (CirculantSpec, Graph, circulant, complete_graph,
-                       read_graph6, is_nut, orbit_census, write_graph6)
+from nutorbits import (CirculantSpec, Graph, circulant, read_graph6, is_nut,
+                       orbit_census, write_graph6)
 from nutorbits import cli
 from nutorbits.cli import main
 from nutorbits.constructions import FAMILIES
@@ -447,6 +448,39 @@ def test_package_exports_are_exactly_its_public_names():
     assert len(nutorbits.__all__) == len(set(nutorbits.__all__))
 
 
+def test_public_surface_is_pinned():
+    # the names the CLI, the builders and the two realizability statements
+    # use; a helper only the tests need belongs in tests/oracles.py
+    assert nutorbits.__all__ == [
+        "AbelianCayleySpec", "CirculantSpec", "ConstructionParams", "Graph",
+        "Graph6ParseError", "HypothesisError", "InputError",
+        "NotCoveredByThisPaper", "NotRealizable", "NutVerdict", "OrbitCensus",
+        "Permutation", "PermutationGroup", "ResourceCapError", "SpecificationError",
+        "VerificationError", "VerifiedNut",
+        "automorphism_group", "cayley_abelian", "cayley_nut",
+        "cayley_nut_edge_orbits", "circulant", "circulant_is_nut_symbolic",
+        "construct_with_orbits", "cyclotomic", "fig3_graph", "is_nut",
+        "kernel_basis", "nut_realizable",
+        "orbit_census", "primes_from", "prop1_graph",
+        "prop2_graph", "prop3_graph", "read_graph6",
+        "stabilizer", "subdivide_edges", "subdivided_nut", "vanishing_orders",
+        "vanishing_subgroups", "write_dot", "write_graph6",
+    ]
+
+
+def test_oracles_import_only_graph_from_the_package():
+    # the oracles share no code with the paths they check
+    path = pathlib.Path(__file__).with_name("oracles.py")
+    imported = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("nutorbits"):
+            imported += [(node.module, alias.name) for alias in node.names]
+        elif isinstance(node, ast.Import):
+            imported += [(alias.name, None) for alias in node.names
+                         if alias.name.startswith("nutorbits")]
+    assert imported == [("nutorbits", "Graph")]
+
+
 @pytest.mark.parametrize("k, t", [(k, t) for k in (2, 3, 4, 5) for t in (1, 2)])
 def test_subdiv_variant_agrees_with_the_dispatch(capsys, k, t):
     _, variant, _ = run_cli(capsys, "construct", "--variant", "subdiv",
@@ -543,18 +577,23 @@ _PINNED_GRAPHS = {
                       if not set(_PETERSEN_PAIRS[i]) & set(_PETERSEN_PAIRS[j])]),
     "C40": (40, [(i, (i + 1) % 40) for i in range(40)]),
     "K5,5": (10, [(i, 5 + j) for i in range(5) for j in range(5)]),
+    "K8": (8, list(combinations(range(8), 2))),
+    "K4,6": (10, [(i, 4 + j) for i in range(4) for j in range(6)]),
 }
 
 
 def _report_digest(out: str) -> str:
-    """SHA-256 of a one-line report with its timing_ms entry removed."""
-    stripped, count = re.subn(r',"timing_ms":[0-9.]+', "", out)
+    """SHA-256 of one report, one-line or indented, with its timing_ms
+    entry removed."""
+    stripped, count = re.subn(r',\s*"timing_ms": ?[0-9.]+', "", out)
     assert count == 1
     return hashlib.sha256(stripped.encode()).hexdigest()
 
 
-# Frozen report bytes: any change in orbit membership or order, or in any
-# other byte but timing_ms, fails here.
+# The byte-identity corpus.  Frozen output bytes, timings aside: any change
+# in orbit membership or order, in a kernel, or in any other byte fails
+# here, under the name of the output that moved.  The check reports cover
+# the census-symmetric benchmark graphs in two relabellings each.
 @pytest.mark.parametrize("name, seed, digest", [
     ("Petersen", 1, "6af2d591996d769d67920406256927b6ab019a4a3cda363e86ff50dc5dd9e50f"),
     ("Petersen", 2, "4f6a3b37f2b8d789cc55faa1f96df7a97c7963cf525b97d84bf3d0cef160397f"),
@@ -562,6 +601,10 @@ def _report_digest(out: str) -> str:
     ("C40", 2, "271704b9577debfecdae97c3c90aeb31c6de230601ff7979a2495346c30614f5"),
     ("K5,5", 1, "c55808449e017dbfdb490c24200c8b47939bacf31ab4b1d35490825fe203b4a9"),
     ("K5,5", 2, "3bf6633f33e72c199adb75ad3c05cfb9a6072fd9e04a92011e1fef5ddf379b3e"),
+    ("K8", 1, "f0f7dc39b9fb598178cebfbd5dc4176115b9b49837867acd4686a3a18bdd5926"),
+    ("K8", 2, "f0f7dc39b9fb598178cebfbd5dc4176115b9b49837867acd4686a3a18bdd5926"),  # = K8
+    ("K4,6", 1, "3403daa5b341f8025d761ea3de5746b6b96f16ec86f609122705f10385a2773b"),
+    ("K4,6", 2, "61e8e6fa0ab13971e1e673ad7b6fc94cdeed69ce4c1662f32f943f6d20cc76e4"),
 ])
 def test_check_report_bytes_are_pinned(capsys, name, seed, digest):
     g = _relabelled(*_PINNED_GRAPHS[name], seed)
@@ -570,13 +613,86 @@ def test_check_report_bytes_are_pinned(capsys, name, seed, digest):
     assert _report_digest(out) == digest
 
 
+# Every construct form with its defaults, then the construct-ladder argvs
+# (its fig3 rung is the fig3 form's).
 @pytest.mark.parametrize("argv, digest", [
     (("--r", "3", "--k", "5"),
      "f9951f1d08010240ca9ee50142e00f84eec160627778a3079ae0fba3953db983"),
     (("--variant", "subdiv", "--k", "2", "--t", "1"),
      "c06917bbd15a249abd4fd5a23643f54a33e1ffe5ae6ecca9bf3fa980400ca9ef"),
+    (("--variant", "prop1", "--k", "2"),
+     "5522cdbff750a7fbd7188852eebd7335b05d4fed9e7dc3910f7eb52f1ee5f032"),
+    (("--variant", "prop2", "--k", "5"),
+     "85f078a59735353dac8829da50fb7a241a73988c57dc676809d5761ec5e8622f"),
+    (("--variant", "prop3", "--n", "5"),
+     "b10062f394f2d51ed96b9e73472248fc975a9effbcc438b3d31e7a94f397ea12"),
+    (("--variant", "fig3"),
+     "dda09c591b134942d04c30c988dfb7eae8de3e414bfe5d86946ec06a51816eb4"),
+    (("--r", "1", "--k", "12"),
+     "d20ac28198efd54098846a877df646483216598d26e7fa21a02b8740a94e601c"),
+    (("--r", "3", "--k", "8"),
+     "1bd5582346bbe2dcbc840b8461e1589156911d6315d0b10c55d4eec93ad4dc55"),
+    (("--r", "9", "--k", "10"),
+     "b324486ecbd287b048a490b84d6e04160f840708e8f34bcdf166cd7876f5429d"),
+    (("--r", "21", "--k", "22"),
+     "df7fb6518655171250d28ff864f87710df9f2ea9b59e2e8a7c8417cfc0c656fd"),
+    (("--r", "31", "--k", "32"),
+     "170c02d41bcdfd6bd4c882a2462338660fa5d24d06f42e284577a2180fa6a5b0"),
+    (("--variant", "prop2", "--k", "9", "--p", "19"),
+     "ed1dd8a774436c69bfb36de9b2b53efb6d462ca2f42440f3c3be3b797088ae83"),
+    (("--variant", "prop3", "--n", "13"),
+     "9090e1af2cd4cde3d3279a470d19269e67fc2bcbfd55b26e2d8d702682f122c6"),
 ])
 def test_construct_report_bytes_are_pinned(capsys, argv, digest):
     code, out, _ = run_cli(capsys, "construct", *argv)
     assert code == 0
     assert _report_digest(out) == digest
+
+
+# The tables and indented JSON, with a kernel of one vector and of two.
+@pytest.mark.parametrize("argv, digest", [
+    (("check", "--human", write_graph6(_relabelled(*_PINNED_GRAPHS["C40"], 1))),
+     "acb21f1381482fe575708c2affe63742c912c57a595d1d8d2649b06e46de183c"),
+    (("construct", "--human", "--r", "3", "--k", "5"),
+     "3d9a98032e3eb84db5c32c50fd6e2349798b8b9dd8df654dd9b991eda6561cc0"),
+    (("construct", "--pretty", "--variant", "fig3"),
+     "948159572d4c27a21dd8b17017b725af39b76202e2c075fb01237c3cd1ec809d"),
+])
+def test_human_and_pretty_output_bytes_are_pinned(capsys, argv, digest):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    if "--pretty" in argv:
+        assert _report_digest(out) == digest
+    else:
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# The default sweep of each suite; rows carry no timings by default.
+@pytest.mark.parametrize("suite, digest", [
+    ("prop1", "5ed742c4ece169e52d9b1715fc5ceb618bae87afabcb9d43049bead11c8451d9"),
+    ("prop2", "911f61bd32216a86bb5315dc3edde56a8797b5a09035f0998527a697acd821db"),
+    ("prop3", "a8e8fe2c4c71e1fe892854438cf3225f386d9ccd8c8d0fa8e65b7b8780b9a5d6"),
+    ("subdiv", "1d826e917084c01e042a370961408fb9b89e7da55e90bb89b6613f7e305e50af"),
+    ("circulant-cross", "d06ee659702cc17d04847de8e676eda2b6beaaced2529aeb525a14e8f51800b7"),
+])
+def test_sweep_output_bytes_are_pinned(capsys, suite, digest):
+    code, out, _ = run_cli(capsys, "sweep", "--suite", suite)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_cross_oracle_verdicts_and_kernels_are_pinned():
+    # every even n <= 18 and every offset set of {1..n/2}: the 1013 specs
+    # of the cross-oracle benchmark workload
+    digest = hashlib.sha256()
+    specs = 0
+    for n in range(2, 19, 2):
+        pool = range(1, n // 2 + 1)
+        for size in range(1, len(pool) + 1):
+            for offsets in combinations(pool, size):
+                v = is_nut(circulant(CirculantSpec(n, offsets)))
+                digest.update(repr((n, offsets, v.is_nut, v.nullity, v.is_full,
+                                    v.kernel_basis)).encode())
+                specs += 1
+    assert specs == 1013
+    assert digest.hexdigest() == "85a87f42c60af39b06623808ee8abbc703cea11ef001e9fea58cc914405db653"
