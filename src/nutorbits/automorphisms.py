@@ -9,11 +9,11 @@ kept by position (vertices listed cell by cell, each cell named by its
 start) and refined with a queue of splitter cells: a splitter splits only
 the cells holding its neighbours, by their neighbour counts in it, so a
 split costs the degrees of the splitter's vertices rather than a pass over
-every cell (McKay 1981; nauty's refine).  Each touched cell takes one of two
-rules: if its touched vertices share one count they move to its back as one
-new piece, with nothing sorted; only a cell with mixed counts is sorted into
-pieces by count.  Counts are consulted only when two vertices of the
-splitter share a neighbour.  A singleton splitter, the common case on the
+every cell (McKay 1981; nauty's refine).  Each touched cell takes one rule:
+its touched vertices of one count move to its back as one new piece, with
+nothing sorted, and a cell with mixed counts takes that split once per
+count, highest count first.  Counts are consulted only when two vertices of
+the splitter share a neighbour.  A singleton splitter, the common case on the
 long degree-2 paths of subdivided graphs, never does, nor does a larger one
 whose neighbourhoods are disjoint: every count is then 1.  Every choice
 depends on positions and counts, never on vertex labels, so the refinement
@@ -158,25 +158,24 @@ def _refine(adj: Sequence[frozenset[int]], part: _Partition,
 
     Splitters are cell starts, popped first in, first out.  A splitter S
     gives each vertex its number of neighbours in S; only the cells holding
-    a vertex with a nonzero count can split.  Such a cell is rearranged
-    into pieces of equal count, in increasing count, the count-0 piece
-    keeping the cell's start.  If the cell was queued every new piece is
-    queued; otherwise every piece but the first largest is (Hopcroft's
-    rule: stability under a cell and all but one of its pieces implies
-    stability under the last piece).
+    a vertex with a nonzero count can split.  One rule serves each such
+    cell [c, e): its touched vertices of one count swap to its back as a new
+    piece [t, e), with no sort; if they fill the cell, it does not split.
+    If the cell was queued the new piece is queued, otherwise the smaller
+    piece is, [t, e) on a tie (Hopcroft's rule: stability under a cell and
+    one of its two pieces implies stability under the other).  A cell with
+    mixed counts takes this split once per count, highest count first,
+    each off the back of what is left at c, so its pieces run in increasing
+    count with the untouched vertices keeping the cell's start.
 
-    One rule serves each touched cell.  If its touched vertices share one
-    count they swap to its back as one new piece, with no sort, under the
-    two-piece Hopcroft choice; if they fill the cell, it does not split.
-    Only a cell with mixed counts is sorted by count.  Both rules give the
-    same piece starts and the same queue.  Counts can differ only when two
-    vertices of S share a neighbour, which the pass over S's neighbourhoods
-    notes; otherwise, and for every singleton S, each count is 1 and none is
-    consulted, so S costs only its degrees.  Touched cells are split in
-    position order, and refinement stops once every cell is a singleton.
-    Every choice depends on positions and counts only, never on vertex
-    labels, so the refinement commutes with automorphisms: mapping the input
-    by one maps the output cells likewise."""
+    Counts can differ only when two vertices of S share a neighbour, which
+    the pass over S's neighbourhoods notes; otherwise, and for every
+    singleton S, each count is 1 and none is consulted, so S costs only its
+    degrees.  Touched cells are split in position order, and refinement
+    stops once every cell is a singleton.  Every choice depends on positions
+    and counts only, never on vertex labels, so the refinement commutes
+    with automorphisms: mapping the input by one maps the output cells
+    likewise."""
     lab, pos, cell, ends = part.lab, part.pos, part.cell, part.ends
     n, cells = len(lab), len(_cell_starts(part))
     queue = list(splitters)
@@ -204,62 +203,40 @@ def _refine(adj: Sequence[frozenset[int]], part: _Partition,
             touched.setdefault(cell[u], []).append(u)
         for c in sorted(touched) if len(touched) > 1 else touched:
             vs = touched[c]
-            e = ends[c]
-            t = e - len(vs)
+            rest = None
             # mixed counts?  The ends of vs tell for two vertices, a set beyond
             if shared and (count[vs[0]] != count[vs[-1]] or len(vs) > 2
                            and len(set(map(count.__getitem__, vs))) > 1):
-                # The untouched vertices move to the front of the cell, the
-                # touched ones behind them in count order.
-                vs.sort(key=count.__getitem__)
-                back = e
+                by_count: dict[int, list[int]] = {}
                 for u in vs:
-                    back -= 1
-                    p, x = pos[u], lab[back]
+                    by_count.setdefault(count[u], []).append(u)
+                rest = [by_count[k] for k in sorted(by_count)]
+                vs = rest.pop()
+            # one split per count, highest first, each off the back of what
+            # is left of the cell
+            while True:
+                e = ends[c]
+                t = e - len(vs)
+                if t == c:
+                    break
+                # each touched vertex swaps with the last vertex not yet moved
+                for u in vs:
+                    e -= 1
+                    p, x = pos[u], lab[e]
                     lab[p], pos[x] = x, p
-                lab[t:e] = vs
-                starts = [c] if t > c else []
-                last = 0
-                for i, u in enumerate(vs, t):
-                    pos[u] = i
-                    if count[u] != last:
-                        starts.append(i)
-                        last = count[u]
-                bounds = starts + [e]
-                ends[c] = bounds[1]
-                for j in range(1, len(starts)):
-                    a, b = bounds[j], bounds[j + 1]
-                    ends[a] = b
-                    for i in range(a, b):
-                        cell[lab[i]] = a
-                cells += len(starts) - 1
+                    lab[e], pos[u], cell[u] = u, e, t
+                ends[t] = ends[c]
+                ends[c] = t
+                cells += 1
                 if cells == n:
                     return
-                if c in queued:
-                    new = starts[1:]
-                else:
-                    big = max(range(len(starts)), key=lambda j: bounds[j + 1] - bounds[j])
-                    new = starts[:big] + starts[big + 1:]
-                queue.extend(new)
-                queued.update(new)
-                continue
-            if t == c:
-                continue
-            # each touched vertex swaps with the last vertex not yet moved
-            for u in vs:
-                e -= 1
-                p, x = pos[u], lab[e]
-                lab[p], pos[x] = x, p
-                lab[e], pos[u], cell[u] = u, e, t
-            ends[t] = ends[c]
-            ends[c] = t
-            cells += 1
-            if cells == n:
-                return
-            # Hopcroft's rule for the two pieces [c, t) and [t, e)
-            new = t if c in queued or t - c >= ends[t] - t else c
-            queue.append(new)
-            queued.add(new)
+                # Hopcroft's rule for the two pieces [c, t) and [t, e)
+                new = t if c in queued or t - c >= ends[t] - t else c
+                queue.append(new)
+                queued.add(new)
+                if not rest:
+                    break
+                vs = rest.pop()
 
 
 def _cell_starts(part: _Partition) -> list[int]:
@@ -313,8 +290,6 @@ def _search(g: Graph, fixed: Optional[int] = None) -> tuple[list[Permutation], i
     docstring).  The target cell of a node is its first non-singleton cell
     of smallest size."""
     n = g.n
-    if n == 0:
-        return [], 1
     adj = g.neighbors
     part = _Partition(n)
     if fixed is None or n == 1:
@@ -466,5 +441,7 @@ def orbit_census(g: Graph) -> OrbitCensus:
 def stabilizer(g: Graph, x: int) -> PermutationGroup:
     """The subgroup of Aut(g) fixing the vertex x: the same search with x
     individualized at the root."""
+    if not 0 <= x < g.n:
+        raise ValueError(f"vertex {x} is not a vertex of a graph of order {g.n}")
     gens, order = _search(g, x)
     return PermutationGroup.from_generators(g.n, gens, order)

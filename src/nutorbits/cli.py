@@ -135,11 +135,15 @@ def _human_summary(report: dict) -> str:
 
 
 def _cmd_check(args) -> int:
-    if args.file:
-        with open(args.file, errors="surrogateescape") as fh:
+    if args.file and args.graph6 is not None:
+        raise HypothesisError("check reads a graph6 string or --file, not both")
+    if args.file or args.graph6 in (None, "-"):
+        # One reader for a file and stdin.  graph6 is printable ASCII, so
+        # every other byte becomes a lone surrogate that read_graph6
+        # refuses at its byte offset.
+        with open(args.file or sys.stdin.fileno(), encoding="ascii",
+                  errors="surrogateescape", closefd=bool(args.file)) as fh:
             text = fh.read()
-    elif args.graph6 in (None, "-"):
-        text = sys.stdin.read()
     else:
         text = args.graph6
     lines = [ln for ln in text.splitlines() if ln.strip()] or [text]
@@ -293,7 +297,7 @@ def _parser() -> argparse.ArgumentParser:
 
     p_check = sub.add_parser("check", help="certify a graph6 graph and report its orbit census")
     p_check.add_argument("graph6", nargs="?", help="graph6 string, or '-' for stdin (default)")
-    p_check.add_argument("--file", help="read graph6 line(s) from a file")
+    p_check.add_argument("--file", help="read graph6 line(s) from a file, not with a graph6 string")
     p_check.add_argument("--human", action="store_true", help="human-readable table instead of JSON")
     p_check.add_argument("--pretty", action="store_true", help="indent JSON output")
     p_check.set_defaults(fn=_cmd_check)

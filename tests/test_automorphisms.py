@@ -130,6 +130,19 @@ def test_stabilizer_examples(circ_10_12, k4):
     assert stabilizer(trivial, 1).order == 1
 
 
+def test_stabilizer_refuses_a_point_outside_the_graph():
+    # K_{1,3}: the centre 0 is fixed by all 6 automorphisms, a leaf by 2.
+    # A negative index must not wrap round to the last leaf.
+    star = _complete_bipartite(1, 3)
+    assert stabilizer(star, 0).order == 6
+    assert stabilizer(star, star.n - 1).order == 2
+    for x in (-1, star.n):
+        with pytest.raises(ValueError, match="not a vertex"):
+            stabilizer(star, x)
+    with pytest.raises(ValueError, match="not a vertex"):
+        stabilizer(Graph(0, ()), 0)
+
+
 def test_is_vertex_transitive(circ_10_12):
     # a graph is vertex-transitive when its census has one vertex orbit
     def transitive(g):
@@ -418,8 +431,10 @@ def test_individualizing_commutes_with_relabelling():
 def test_refined_cell_positions_are_pinned(monkeypatch):
     # The search compares nodes by their cell starts, so a change to the
     # refinement must leave every start where it was, not only every cell
-    # set.  The digest covers the starts after each refinement of these
-    # censuses, in call order.
+    # set.  The digest pins the positions of the one split rule: a touched
+    # cell takes one two-piece split per count, highest count first, each
+    # queued by Hopcroft's two-piece choice.  It covers the starts after
+    # each refinement of these censuses, in call order.
     rng = random.Random(0xE4)
     graphs = [construct_with_orbits(31, 32).graph, construct_with_orbits(9, 10).graph,
               prop2_graph(9, 19).graph, prop3_graph(13).graph, fig3_graph().graph,
@@ -439,4 +454,4 @@ def test_refined_cell_positions_are_pinned(monkeypatch):
     for g in graphs:
         orbit_census(g)
     assert digest.hexdigest() == \
-        "e9070ea8e8a09e7dc0d03d3f5095f45bf361210beec60f6e73a4c93a9fd37ed5"
+        "4171725e8913cf59fed21d3b382290cd71cb294f21bfceb66cb765b37920925c"

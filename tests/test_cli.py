@@ -1,5 +1,6 @@
 import ast
 import concurrent.futures
+import dataclasses
 import hashlib
 import json
 import os
@@ -17,7 +18,7 @@ from oracles import complete_graph
 import nutorbits
 from nutorbits import (CirculantSpec, Graph, circulant, read_graph6, is_nut,
                        orbit_census, write_graph6)
-from nutorbits import cli
+from nutorbits import cli, constructions
 from nutorbits.cli import main
 from nutorbits.constructions import FAMILIES
 from nutorbits.graphs import MAX_ORDER
@@ -61,6 +62,34 @@ def test_check_file_of_undecodable_bytes_exits_2(tmp_path, capsys):
     code, _, err = run_cli(capsys, "check", "--file", str(path))
     assert code == 2
     assert "input error" in err and "byte offset 0" in err
+
+
+def _run_check_process(*argv, stdin=b""):
+    """``nutorbits check`` in a fresh interpreter whose standard streams
+    decode strictly as UTF-8, as under a UTF-8 locale."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONIOENCODING="utf-8", PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-m", "nutorbits.cli", "check", *argv],
+                          input=stdin, env=env, capture_output=True)
+
+
+def test_check_stdin_and_file_read_undecodable_bytes_alike(tmp_path):
+    path = tmp_path / "bad.g6"
+    path.write_bytes(b"A\xff\n")
+    for argv, stdin in (((), b"A\xff\n"), (("-",), b"A\xff\n"),
+                        (("--file", str(path)), b"")):
+        result = _run_check_process(*argv, stdin=stdin)
+        assert result.returncode == 2 and result.stdout == b""
+        assert b"'\\udcff' outside graph6 range (byte offset 1)" in result.stderr
+
+
+def test_check_refuses_a_graph6_string_with_file(tmp_path):
+    path = tmp_path / "k2.g6"
+    path.write_text(write_graph6(complete_graph(2)) + "\n")
+    result = _run_check_process(write_graph6(complete_graph(4)), "--file", str(path))
+    assert result.returncode == 3 and result.stdout == b""
+    assert b"not both" in result.stderr
 
 
 def test_check_reads_files_and_multiple_lines(tmp_path, capsys):
@@ -141,6 +170,37 @@ def test_sweep_prop1_six_rows(capsys):
     assert len(rows) == 6
     assert all(row["verified"] for row in rows)
     assert "0 failures" in err
+
+
+def _wrong_aut_order(monkeypatch):
+    """Make every construction's census report twice its group order."""
+    census = constructions.orbit_census
+
+    def doubled(g):
+        right = census(g)
+        return dataclasses.replace(right, aut_order=2 * right.aut_order)
+
+    monkeypatch.setattr(constructions, "orbit_census", doubled)
+
+
+def test_construct_exits_1_on_a_verification_failure(capsys, monkeypatch):
+    _wrong_aut_order(monkeypatch)
+    code, out, err = run_cli(capsys, "construct", "--variant", "prop1", "--k", "2")
+    assert code == 1 and out == ""
+    assert err.startswith("verification failure: construction ")
+    assert "has |Aut| = 40, expected 20" in err
+
+
+def test_sweep_prints_failure_rows_and_exits_1(capsys, monkeypatch):
+    _wrong_aut_order(monkeypatch)
+    code, out, err = run_cli(capsys, "sweep", "--suite", "prop1", "--k", "2")
+    assert code == 1
+    rows = [json.loads(line) for line in out.splitlines()]
+    assert [list(row) for row in rows] == [["suite", "params", "verified", "error"]] * 2
+    assert [row["params"] for row in rows] == [[2, 5], [2, 7]]
+    assert all(row["suite"] == "prop1" and row["verified"] is False
+               and "|Aut| = " in row["error"] for row in rows)
+    assert "2 instances, 2 failures" in err
 
 
 def test_sweep_prop2_single_k(capsys):

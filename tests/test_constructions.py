@@ -1,3 +1,4 @@
+import dataclasses
 from itertools import islice
 
 import pytest
@@ -217,3 +218,35 @@ def test_certify_refuses_a_disagreeing_character_test(monkeypatch, make, orders)
     monkeypatch.setattr(constructions, "vanishing_subgroups", lambda spec: orders)
     with pytest.raises(VerificationError, match="character test"):
         make()
+
+
+def test_certify_refuses_a_failed_nut_check(monkeypatch):
+    # no spec, so no character test runs before the nut check
+    built = prop1_graph(2, 5)
+    monkeypatch.setattr(constructions, "is_nut", lambda g: dataclasses.replace(
+        built.verdict, nullity=2, is_nut=False))
+    with pytest.raises(VerificationError, match="failed the nut check: nullity=2"):
+        constructions._certify(built.graph, built.provenance, (1, 2, 2))
+
+
+@pytest.mark.parametrize("wrong, message", [
+    (lambda c: dataclasses.replace(c, edge_orbits=(c.edge_orbits[0] + c.edge_orbits[1],)),
+     r"produced orbit counts \(1, 1, 2\), expected \(1, 2, 2\)"),
+    (lambda c: dataclasses.replace(c, aut_order=2 * c.aut_order),
+     r"has \|Aut\| = 40, expected 20"),
+], ids=["counts", "aut_order"])
+def test_certify_refuses_a_wrong_census(monkeypatch, wrong, message):
+    census = constructions.orbit_census
+    monkeypatch.setattr(constructions, "orbit_census", lambda g: wrong(census(g)))
+    with pytest.raises(VerificationError, match=message):
+        prop1_graph(2, 5)
+
+
+def test_certify_refuses_counts_with_o_e_below_o_v_plus_one(monkeypatch):
+    # a census that matches the expected counts (2, 2, 2), which no nut
+    # graph has
+    built = prop1_graph(2, 5)
+    split = dataclasses.replace(built.census, vertex_orbits=((0, 1, 2, 3, 4), (5, 6, 7, 8, 9)))
+    monkeypatch.setattr(constructions, "orbit_census", lambda g: split)
+    with pytest.raises(VerificationError, match=r"violates o_e >= o_v \+ 1: \(2, 2, 2\)"):
+        constructions._certify(built.graph, built.provenance, (2, 2, 2))
