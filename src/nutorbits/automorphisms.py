@@ -34,6 +34,15 @@ sends w to v_i and joins two classes: at most n - 1 generators are kept.
 Each candidate map is checked only at the edges of the points it moves,
 each edge once.
 
+The search can start from seeds: automorphisms the caller knows, such as a
+Cayley graph's translations and inversion.  Each is verified as a
+permutation that maps edges to edges, by the test a candidate map passes.
+A seed joins the union-find, and the generators, when the level loop
+reaches the first level whose chosen vertex it moves: it fixes v_0..v_{i-1},
+so it lies in the stabilizer whose orbits the union-find then keeps.  A
+verified seed joins only points that an automorphism joins, so it can spare
+explores but never change a class, the orbits or the order.
+
 No group element is ever listed.  When level i ends, v_i's class in its
 target cell is its orbit under the stabilizer of v_0..v_{i-1}, since every
 sibling outside it was explored, or is equivalent to one that was, without
@@ -46,6 +55,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
+from .errors import VerificationError
 from .graphs import Graph
 
 Permutation = tuple[int, ...]
@@ -77,16 +87,20 @@ class PermutationGroup:
 
 @dataclass(frozen=True)
 class OrbitCensus:
-    """Vertex/edge/arc orbit partitions of a graph with the group order.
+    """Vertex/edge/arc orbit partitions of a graph with the group order,
+    and generators of the group that give those orbits.
 
     Orbits are sorted tuples ordered by smallest member, so edge orbits are
-    ordered by their lexicographically smallest edge.
+    ordered by their lexicographically smallest edge.  ``generators`` are
+    the search's: its verified seeds and the automorphisms it found.  A
+    construction passes them on as seeds for a graph built from this one.
     """
 
     vertex_orbits: tuple[tuple[int, ...], ...]
     edge_orbits: tuple[tuple[tuple[int, int], ...], ...]
     arc_orbits: tuple[tuple[tuple[int, int], ...], ...]
     aut_order: int
+    generators: tuple[Permutation, ...] = ()
 
     @property
     def o_v(self) -> int:
@@ -284,11 +298,32 @@ def _moved(p: Permutation) -> list[tuple[int, int]]:
     return [(u, pu) for u, pu in enumerate(p) if u != pu]
 
 
-def _search(g: Graph, fixed: Optional[int] = None) -> tuple[list[Permutation], int]:
+def _preserves_edges(adj: Sequence[frozenset[int]], p: Sequence[int]) -> bool:
+    """Whether the bijection p of range(n) maps every edge to an edge.  An
+    edge between two fixed points is its own image, so only the edges at
+    moved points are looked up, an edge between two moved points from its
+    smaller end only: a bijection that maps E into E maps E onto E."""
+    return all(p[v] in adj[pu] for u, pu in enumerate(p) if u != pu
+               for v in adj[u] if v > u or p[v] == v)
+
+
+def _search(g: Graph, fixed: Optional[int] = None,
+            seeds: Iterable[Sequence[int]] = ()) -> tuple[list[Permutation], int]:
     """Generators and order of the automorphisms of g, or of those fixing
     the vertex ``fixed``, by first-path automorphism pruning (see the module
     docstring).  The target cell of a node is its first non-singleton cell
-    of smallest size."""
+    of smallest size.
+
+    ``seeds`` are automorphisms known in advance.  Each must be a
+    permutation of range(n) that preserves the edges (and fixes ``fixed``),
+    or ``VerificationError`` is raised.  A seed that fixes every chosen
+    vertex of the first path fixes its discrete leaf, so it is the identity
+    and is dropped.  Any other seed fixes v_0..v_{i-1} and moves v_i for
+    some level i: it joins the union-find at its moved points, and the
+    generators, when the level loop reaches level i, where every class
+    is an orbit of the stabilizer of v_0..v_{i-1}, which holds it.  A seed
+    only joins points that one automorphism joins, so it spares the
+    explores of the siblings it joins to v_i and changes no class count."""
     n = g.n
     adj = g.neighbors
     part = _Partition(n)
@@ -323,10 +358,7 @@ def _search(g: Graph, fixed: Optional[int] = None) -> tuple[list[Permutation], i
         onto that first-path node cell by cell, in increasing order within
         a cell, and the map is kept if it preserves adjacency; at a leaf
         this tests the relabeled edge set.  The map is a bijection, built
-        from two listings of range(n), and an edge between two fixed
-        points is its own image, so only the edges at moved points are
-        looked up, an edge between two moved points from its smaller end
-        only: a bijection that maps E into E maps E onto E."""
+        from two listings of range(n)."""
         stack = [(node, iter((w,)))]
         while stack:
             parent, todo = stack[-1]
@@ -343,18 +375,33 @@ def _search(g: Graph, fixed: Optional[int] = None) -> tuple[list[Permutation], i
             image = [0] * n
             for a, b in zip(_sorted_cells(child, starts), first_cells[d]):
                 image[a] = b
-            if all(image[v] in adj[pu] for u, pu in enumerate(image) if u != pu
-                   for v in adj[u] if v > u or image[v] == v):
+            if _preserves_edges(adj, image):
                 return tuple(image)
             if d < len(choices):
                 t = choices[d][0]
                 stack.append((child, iter(sorted(child.lab[t:child.ends[t]]))))
         return None
 
+    # each verified seed waits for the first level whose chosen vertex it moves
+    seeded: dict[int, list[Permutation]] = {}
+    for i, p in enumerate(map(tuple, seeds)):
+        if sorted(p) != list(range(n)):
+            raise VerificationError(f"seed {i} is not a permutation of range({n})")
+        if not _preserves_edges(adj, p):
+            raise VerificationError(f"seed {i} maps an edge to a non-edge")
+        if fixed is not None and p[fixed] != fixed:
+            raise VerificationError(f"seed {i} moves the fixed vertex {fixed}")
+        level = next((j for j, (_, v) in enumerate(choices) if p[v] != v), None)
+        if level is not None:
+            seeded.setdefault(level, []).append(p)
+
     root = list(range(n))
     gens: list[Permutation] = []
     order = 1
     for level in reversed(range(len(choices))):
+        for p in seeded.get(level, ()):
+            gens.append(p)
+            _join(root, _moved(p))
         node = nodes[level]
         target, v = choices[level]
         cell = sorted(node.lab[target:node.ends[target]])
@@ -374,12 +421,14 @@ def _search(g: Graph, fixed: Optional[int] = None) -> tuple[list[Permutation], i
     return gens, order
 
 
-def automorphism_group(g: Graph) -> PermutationGroup:
+def automorphism_group(g: Graph, seeds: Iterable[Sequence[int]] = ()
+                       ) -> PermutationGroup:
     """Compute Aut(G): checked generators and the exact order, both from
-    the search."""
+    the search, which starts from the automorphisms ``seeds`` once each is
+    verified."""
     if g.n < 1:
         raise ValueError("automorphism group needs at least one vertex")
-    gens, order = _search(g)
+    gens, order = _search(g, seeds=seeds)
     return PermutationGroup.from_generators(g.n, gens, order)
 
 
@@ -428,10 +477,12 @@ def _classes(keys: Iterable[int], items: Iterable) -> tuple[tuple, ...]:
     return tuple(map(tuple, out.values()))
 
 
-def orbit_census(g: Graph) -> OrbitCensus:
-    """Vertex, edge and arc orbit partitions under Aut(G)."""
-    group = automorphism_group(g)
-    census = OrbitCensus(*orbits_of(g, group.generators), group.order)
+def orbit_census(g: Graph, seeds: Iterable[Sequence[int]] = ()) -> OrbitCensus:
+    """Vertex, edge and arc orbit partitions under Aut(G), from a search
+    seeded with the automorphisms ``seeds`` (see ``_search``)."""
+    group = automorphism_group(g, seeds)
+    census = OrbitCensus(*orbits_of(g, group.generators), group.order,
+                         group.generators)
     if not census.o_e <= census.o_a <= 2 * census.o_e:
         raise AssertionError(f"internal error: orbit counts violate "
                              f"o_e <= o_a <= 2 o_e: {census.counts}")

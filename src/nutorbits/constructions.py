@@ -5,6 +5,9 @@ dispatch, and the realizability predicates.
 Every builder verifies its own output from scratch: the nut certificate is
 recomputed by exact nullspace, the orbit census by the automorphism search,
 and the group order is compared against the formula claimed for the family.
+The search is seeded with the automorphisms the construction guarantees, each
+one verified before use: a Cayley graph's translations and inversion, and a
+subdivision's base generators lifted to its chains.
 A Cayley builder's nullity and verdict must also match its character test.
 A mismatch is an internal consistency failure and aborts loudly; it is never
 a valid outcome.  Each builder refuses, before it builds anything, an order
@@ -21,13 +24,14 @@ from __future__ import annotations
 import inspect
 from dataclasses import dataclass
 from itertools import combinations, count, islice
-from typing import Callable, Iterator, NamedTuple, Optional
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 from .automorphisms import OrbitCensus, orbit_census
 from .errors import (HypothesisError, NotCoveredByThisPaper, NotRealizable,
                      ResourceCapError, VerificationError)
 from .graphs import (MAX_ORDER, AbelianCayleySpec, CirculantSpec, Graph,
-                     cayley_abelian, circulant, subdivide_edges)
+                     cayley_abelian, cayley_automorphisms, circulant,
+                     subdivide_edges, subdivision_lifts)
 from .linalg import NutVerdict, is_nut
 from .polynomials import cyclotomic, vanishing_subgroups
 
@@ -83,7 +87,8 @@ def primes_from(lower_bound: int) -> Iterator[int]:
 def _certify(graph: Graph, provenance: ConstructionParams,
              expected_counts: tuple[int, int, int],
              expected_aut_order: Optional[int] = None,
-             spec: Optional[AbelianCayleySpec] = None) -> VerifiedNut:
+             spec: Optional[AbelianCayleySpec] = None,
+             seeds: Sequence[Sequence[int]] = ()) -> VerifiedNut:
     verdict = is_nut(graph)
     if spec is not None:
         orders = vanishing_subgroups(spec)
@@ -97,7 +102,7 @@ def _certify(graph: Graph, provenance: ConstructionParams,
             f"construction {provenance} failed the nut check: "
             f"nullity={verdict.nullity}, is_full={verdict.is_full} "
             f"(order {graph.n}, size {graph.size})")
-    census = orbit_census(graph)
+    census = orbit_census(graph, seeds)
     if census.counts != expected_counts:
         raise VerificationError(
             f"construction {provenance} produced orbit counts "
@@ -155,7 +160,8 @@ def prop1_graph(k: int, p: Optional[int] = None) -> VerifiedNut:
     spec = AbelianCayleySpec((2 * p,), {(x,) for s in range(1, k + 1)
                                         for x in (s, 2 * p - s)})
     return _certify(graph, ConstructionParams("prop1", k=k, p=p),
-                    (1, k, k), expected_aut_order=4 * p, spec=spec)
+                    (1, k, k), expected_aut_order=4 * p, spec=spec,
+                    seeds=cayley_automorphisms(spec.orders))
 
 
 def prop2_graph(k: int, p: Optional[int] = None) -> VerifiedNut:
@@ -168,7 +174,8 @@ def prop2_graph(k: int, p: Optional[int] = None) -> VerifiedNut:
     spec = AbelianCayleySpec((2 * p, 2), {(x, 0) for s in [*range(2, k), p]
                                           for x in (s, 2 * p - s)} | {(0, 1)})
     return _certify(cayley_abelian(spec), ConstructionParams("prop2", k=k, p=p),
-                    (1, k, k), expected_aut_order=8 * p, spec=spec)
+                    (1, k, k), expected_aut_order=8 * p, spec=spec,
+                    seeds=cayley_automorphisms(spec.orders))
 
 
 def prop3_graph(n: int) -> VerifiedNut:
@@ -180,7 +187,8 @@ def prop3_graph(n: int) -> VerifiedNut:
     spec = AbelianCayleySpec((2 * n, 2, 2), {(1, 0, 0), (2 * n - 1, 0, 0), (n, 0, 0),
                                              (0, 1, 0), (0, 0, 1), (0, 1, 1)})
     return _certify(cayley_abelian(spec), ConstructionParams("prop3", n=n),
-                    (1, 3, 3), expected_aut_order=96 * n, spec=spec)
+                    (1, 3, 3), expected_aut_order=96 * n, spec=spec,
+                    seeds=cayley_automorphisms(spec.orders))
 
 
 def fig3_graph() -> VerifiedNut:
@@ -189,7 +197,7 @@ def fig3_graph() -> VerifiedNut:
     a nut graph with five edge orbits and five arc orbits."""
     spec = AbelianCayleySpec((6, 2), FIG3_CONNECTION)
     return _certify(cayley_abelian(spec), ConstructionParams("fig3"), (1, 5, 5),
-                    spec=spec)
+                    spec=spec, seeds=cayley_automorphisms(spec.orders))
 
 
 def cayley_nut(k: int, p: Optional[int] = None) -> VerifiedNut:
@@ -243,8 +251,9 @@ def subdivided_nut(base: VerifiedNut, orbit_index: int, t: int) -> VerifiedNut:
     provenance = ConstructionParams("subdivided", k=k, t=t,
                                     orbit_index=orbit_index,
                                     base=base.provenance)
+    seeds = subdivision_lifts(base.graph, orbit, 4 * t, census.generators)
     return _certify(graph, provenance, (2 * t + 1, 2 * t + k, 4 * t + k),
-                    expected_aut_order=census.aut_order)
+                    expected_aut_order=census.aut_order, seeds=seeds)
 
 
 def subdivided_cayley(k: int, t: int, p: Optional[int] = None,

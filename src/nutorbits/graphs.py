@@ -160,11 +160,27 @@ def cayley_abelian(spec: AbelianCayleySpec) -> Graph:
     """
     edges = []
     for c in spec.connection:
-        targets = [0]  # the label of u + c, for every u in label order
-        for m, x in zip(spec.orders, c):
-            targets = [t * m + (y + x) % m for t in targets for y in range(m)]
-        edges.extend(enumerate(targets))
+        edges.extend(enumerate(_affine(spec.orders, 1, c)))
     return Graph.from_edges(prod(spec.orders), edges)
+
+
+def _affine(orders: Sequence[int], sign: int, c: Sequence[int]) -> list[int]:
+    """The label of sign * u + c, for every u in label order."""
+    targets = [0]
+    for m, x in zip(orders, c):
+        targets = [t * m + (sign * y + x) % m for t in targets for y in range(m)]
+    return targets
+
+
+def cayley_automorphisms(orders: Sequence[int]) -> list[tuple[int, ...]]:
+    """The translation by each factor's unit vector, then the inversion
+    x -> -x, as permutations of ``cayley_abelian``'s labels.  Each is an
+    automorphism of every Cayley graph of Z_{m_1} x ... x Z_{m_d}, the
+    inversion because a connection set is closed under negation."""
+    d = len(orders)
+    units = [tuple(int(i == j) for j in range(d)) for i in range(d)]
+    return ([tuple(_affine(orders, 1, e)) for e in units]
+            + [tuple(_affine(orders, -1, (0,) * d))])
 
 
 def subdivide_edges(g: Graph, targets: Iterable[tuple[int, int]], s: int) -> Graph:
@@ -193,6 +209,26 @@ def subdivide_edges(g: Graph, targets: Iterable[tuple[int, int]], s: int) -> Gra
         nxt += s
         edges.extend(zip(chain, chain[1:]))
     return Graph.from_edges(nxt, edges)
+
+
+def subdivision_lifts(g: Graph, targets: Iterable[tuple[int, int]], s: int,
+                      perms: Iterable[Sequence[int]]) -> list[tuple[int, ...]]:
+    """Each automorphism p of g that maps the target edges onto themselves,
+    lifted to ``subdivide_edges(g, targets, s)``: it acts as p on g's
+    vertices and carries the chain of each target edge (u, v) onto the
+    chain of (p[u], p[v]), reversed when p[u] > p[v]."""
+    # the first chain vertex of each target edge, in sorted edge order
+    first = {e: g.n + i * s for i, e in enumerate(
+        sorted({(u, v) if u < v else (v, u) for u, v in targets}))}
+    lifts = []
+    for p in perms:
+        lift = list(p)
+        for u, v in first:
+            pu, pv = p[u], p[v]
+            b = first[(pu, pv) if pu < pv else (pv, pu)]
+            lift += range(b, b + s) if pu < pv else range(b + s - 1, b - 1, -1)
+        lifts.append(tuple(lift))
+    return lifts
 
 
 # ---------------------------------------------------------------------------

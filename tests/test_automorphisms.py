@@ -214,8 +214,8 @@ def test_census_orbits_agree_with_closure_oracle(family, monkeypatch):
     # search returned
     searched = []
 
-    def recording(g):
-        searched.append(automorphism_group(g))
+    def recording(g, seeds=()):
+        searched.append(automorphism_group(g, seeds))
         return searched[-1]
 
     monkeypatch.setattr(automorphisms, "automorphism_group", recording)

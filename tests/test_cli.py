@@ -176,8 +176,8 @@ def _wrong_aut_order(monkeypatch):
     """Make every construction's census report twice its group order."""
     census = constructions.orbit_census
 
-    def doubled(g):
-        right = census(g)
+    def doubled(g, seeds=()):
+        right = census(g, seeds)
         return dataclasses.replace(right, aut_order=2 * right.aut_order)
 
     monkeypatch.setattr(constructions, "orbit_census", doubled)
@@ -189,6 +189,12 @@ def test_construct_exits_1_on_a_verification_failure(capsys, monkeypatch):
     assert code == 1 and out == ""
     assert err.startswith("verification failure: construction ")
     assert "has |Aut| = 40, expected 20" in err
+
+
+def test_construct_exits_1_on_a_seed_that_breaks_an_edge(capsys, swapped_chain_lift):
+    code, out, err = run_cli(capsys, "construct", "--r", "3", "--k", "5")
+    assert code == 1 and out == ""
+    assert err.startswith("verification failure:")
 
 
 def test_sweep_prints_failure_rows_and_exits_1(capsys, monkeypatch):

@@ -1,17 +1,20 @@
 import dataclasses
-from itertools import islice
+from itertools import combinations, islice, product
 
 import pytest
-from oracles import adjacency_matrix
+from oracles import adjacency_matrix, orbit_partition
 
-from nutorbits import (CirculantSpec, HypothesisError, NotCoveredByThisPaper,
-                       NotRealizable, VerificationError, cayley_nut,
+from nutorbits import (AbelianCayleySpec, CirculantSpec, HypothesisError,
+                       NotCoveredByThisPaper, NotRealizable, VerificationError,
+                       automorphisms, cayley_abelian, cayley_nut,
                        cayley_nut_edge_orbits, circulant, constructions,
                        construct_with_orbits, fig3_graph, nut_realizable,
-                       primes_from, prop1_graph, prop2_graph, prop3_graph,
-                       subdivided_nut)
+                       orbit_census, primes_from, prop1_graph, prop2_graph,
+                       prop3_graph, subdivided_nut)
+from nutorbits.automorphisms import identity
 from nutorbits.constructions import (FAMILIES, ConstructionParams, build,
                                      is_prime)
+from nutorbits.graphs import cayley_automorphisms
 
 
 def test_primes_from():
@@ -237,7 +240,7 @@ def test_certify_refuses_a_failed_nut_check(monkeypatch):
 ], ids=["counts", "aut_order"])
 def test_certify_refuses_a_wrong_census(monkeypatch, wrong, message):
     census = constructions.orbit_census
-    monkeypatch.setattr(constructions, "orbit_census", lambda g: wrong(census(g)))
+    monkeypatch.setattr(constructions, "orbit_census", lambda g, seeds=(): wrong(census(g, seeds)))
     with pytest.raises(VerificationError, match=message):
         prop1_graph(2, 5)
 
@@ -247,6 +250,111 @@ def test_certify_refuses_counts_with_o_e_below_o_v_plus_one(monkeypatch):
     # graph has
     built = prop1_graph(2, 5)
     split = dataclasses.replace(built.census, vertex_orbits=((0, 1, 2, 3, 4), (5, 6, 7, 8, 9)))
-    monkeypatch.setattr(constructions, "orbit_census", lambda g: split)
+    monkeypatch.setattr(constructions, "orbit_census", lambda g, seeds=(): split)
     with pytest.raises(VerificationError, match=r"violates o_e >= o_v \+ 1: \(2, 2, 2\)"):
         constructions._certify(built.graph, built.provenance, (2, 2, 2))
+
+
+# ---------------------------------------------------------------------------
+# Censuses seeded with the automorphisms a construction guarantees
+# ---------------------------------------------------------------------------
+
+# every construct form of the byte-identity corpus in tests/test_cli.py
+CORPUS_FORMS = [
+    ("dispatch", {"r": 3, "k": 5}), ("subdiv", {"k": 2, "t": 1}),
+    ("prop1", {"k": 2}), ("prop2", {"k": 5}), ("prop3", {"n": 5}), ("fig3", {}),
+    ("dispatch", {"r": 1, "k": 12}), ("dispatch", {"r": 3, "k": 8}),
+    ("dispatch", {"r": 9, "k": 10}), ("dispatch", {"r": 21, "k": 22}),
+    ("dispatch", {"r": 31, "k": 32}), ("prop2", {"k": 9, "p": 19}),
+    ("prop3", {"n": 13}),
+]
+
+
+def _assert_seeds_change_nothing(g, seeded):
+    unseeded = orbit_census(g)
+    assert seeded.vertex_orbits == unseeded.vertex_orbits
+    assert seeded.edge_orbits == unseeded.edge_orbits
+    assert seeded.arc_orbits == unseeded.arc_orbits
+    assert seeded.aut_order == unseeded.aut_order
+    # the orbits are those of the group the census's generators generate
+    gens = seeded.generators
+    assert list(seeded.vertex_orbits) == orbit_partition(gens, range(g.n), lambda p, v: p[v])
+    assert list(seeded.edge_orbits) == orbit_partition(
+        gens, g.edges, lambda p, e: tuple(sorted((p[e[0]], p[e[1]]))))
+    assert list(seeded.arc_orbits) == orbit_partition(
+        gens, g.arcs(), lambda p, a: (p[a[0]], p[a[1]]))
+
+
+@pytest.mark.parametrize("form, params", CORPUS_FORMS,
+                         ids=["-".join([f, *(f"{k}{v}" for k, v in p.items())])
+                              for f, p in CORPUS_FORMS])
+def test_seeds_leave_every_corpus_construction_census_unchanged(form, params):
+    built = build(form, **params)
+    _assert_seeds_change_nothing(built.graph, built.census)
+
+
+@pytest.mark.parametrize("make", [lambda: prop2_graph(5, 11), lambda: prop3_graph(5),
+                                  fig3_graph], ids=["prop2(5,11)", "prop3(5)", "fig3"])
+def test_seeds_leave_every_subdivision_census_unchanged(make):
+    base = make()
+    for index in range(base.census.o_e):
+        built = subdivided_nut(base, index, 1)
+        _assert_seeds_change_nothing(built.graph, built.census)
+
+
+@pytest.mark.parametrize("orders", [(2, 2, 2), (4, 2), (6, 2)])
+def test_seeds_leave_every_small_cayley_census_unchanged(orders):
+    # every connection set closed under negation, so disconnected and
+    # edgeless Cayley graphs too
+    elements = list(product(*map(range, orders)))
+    pairs = {frozenset({x, tuple((-y) % m for y, m in zip(x, orders))})
+             for x in elements[1:]}
+    seeds = cayley_automorphisms(orders)
+    for size in range(len(pairs) + 1):
+        for chosen in combinations(sorted(pairs, key=sorted), size):
+            g = cayley_abelian(AbelianCayleySpec(orders, set().union(*chosen)))
+            _assert_seeds_change_nothing(g, orbit_census(g, seeds))
+    if orders == (2, 2, 2):
+        # in Z_2^3 the inversion is the identity, and the search drops it
+        q3 = cayley_abelian(AbelianCayleySpec(orders, {(1, 0, 0), (0, 1, 0), (0, 0, 1)}))
+        assert seeds[-1] == identity(8)
+        gens, order = automorphisms._search(q3, seeds=seeds)
+        assert order == 48 and identity(8) not in gens
+        assert all(p in gens for p in seeds[:-1])
+
+
+def test_census_refuses_a_seed_that_is_not_a_permutation():
+    g = circulant(CirculantSpec(10, {1, 2}))
+    for seed in [(0,) * 10, tuple(range(9)), tuple(range(1, 11))]:
+        with pytest.raises(VerificationError, match="not a permutation"):
+            orbit_census(g, [seed])
+
+
+def test_census_refuses_a_seed_that_breaks_an_edge(swapped_chain_lift):
+    g = circulant(CirculantSpec(10, {1, 2}))
+    with pytest.raises(VerificationError, match="maps an edge to a non-edge"):
+        orbit_census(g, [(1, 0) + tuple(range(2, 10))])
+    with pytest.raises(VerificationError, match="maps an edge to a non-edge"):
+        construct_with_orbits(3, 5)
+
+
+@pytest.mark.parametrize("make, calls", [
+    (lambda: construct_with_orbits(31, 32), 6), (lambda: construct_with_orbits(21, 22), 6),
+    (lambda: construct_with_orbits(9, 10), 6), (lambda: construct_with_orbits(3, 8), 6),
+    (lambda: construct_with_orbits(1, 12), 3), (lambda: prop2_graph(9, 19), 3),
+    (lambda: prop3_graph(13), 7), (fig3_graph, 3),
+], ids=["r31k32", "r21k22", "r9k10", "r3k8", "r1k12", "prop2(9,19)", "prop3(13)", "fig3"])
+def test_seeds_spare_the_construct_ladder_refinements(monkeypatch, make, calls):
+    # Unseeded, these builds refine 12, 12, 12, 12, 6, 7, 11 and 7 times:
+    # the seeds spare every explore but prop3's, whose translations and
+    # inversion generate 16n of its 96n automorphisms.
+    counted = []
+    refine = automorphisms._refine
+
+    def counting(adj, part, splitters):
+        counted.append(1)
+        refine(adj, part, splitters)
+
+    monkeypatch.setattr(automorphisms, "_refine", counting)
+    make()
+    assert len(counted) == calls
