@@ -1,7 +1,7 @@
 """Graph automorphism groups from scratch.  The orbit census is one
 union-find over the vertices and arcs, fed by each generator only at the
-points it moves and the arcs there; the search keeps its orbits in the same
-union-find.
+points it moves and the arcs there; the search keeps its orbits in a
+union-find of its own over the vertices, joined by the same routine.
 
 The search is a small canonical-labeling engine: equitable refinement of an
 ordered partition, with backtracking over a target cell.  The partition is
@@ -314,16 +314,17 @@ def _search(g: Graph, fixed: Optional[int] = None,
     docstring).  The target cell of a node is its first non-singleton cell
     of smallest size.
 
-    ``seeds`` are automorphisms known in advance.  Each must be a
-    permutation of range(n) that preserves the edges (and fixes ``fixed``),
-    or ``VerificationError`` is raised.  A seed that fixes every chosen
-    vertex of the first path fixes its discrete leaf, so it is the identity
-    and is dropped.  Any other seed fixes v_0..v_{i-1} and moves v_i for
-    some level i: it joins the union-find at its moved points, and the
-    generators, when the level loop reaches level i, where every class
-    is an orbit of the stabilizer of v_0..v_{i-1}, which holds it.  A seed
-    only joins points that one automorphism joins, so it spares the
-    explores of the siblings it joins to v_i and changes no class count."""
+    ``seeds`` are automorphisms known in advance, for the search of the
+    whole group only.  Each must be a permutation of range(n) that
+    preserves the edges, or ``VerificationError`` is raised.  A seed that
+    fixes every chosen vertex of the first path fixes its discrete leaf, so
+    it is the identity and is dropped.  Any other seed fixes v_0..v_{i-1}
+    and moves v_i for some level i: it joins the union-find at its moved
+    points, and the generators, when the level loop reaches level i, where
+    every class is an orbit of the stabilizer of v_0..v_{i-1}, which holds
+    it.  A seed only joins points that one automorphism joins, so it spares
+    the explores of the siblings it joins to v_i and changes no class
+    count."""
     n = g.n
     adj = g.neighbors
     part = _Partition(n)
@@ -389,8 +390,6 @@ def _search(g: Graph, fixed: Optional[int] = None,
             raise VerificationError(f"seed {i} is not a permutation of range({n})")
         if not _preserves_edges(adj, p):
             raise VerificationError(f"seed {i} maps an edge to a non-edge")
-        if fixed is not None and p[fixed] != fixed:
-            raise VerificationError(f"seed {i} moves the fixed vertex {fixed}")
         level = next((j for j, (_, v) in enumerate(choices) if p[v] != v), None)
         if level is not None:
             seeded.setdefault(level, []).append(p)

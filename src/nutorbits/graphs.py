@@ -89,7 +89,8 @@ class Graph:
 class CirculantSpec:
     """Order and connection offsets of the circulant graph Circ(n, S).
 
-    Offsets must be distinct integers in 1..n//2 and S must be nonempty.
+    n must be a positive integer, the offsets distinct integers in 1..n//2,
+    and S nonempty.
     """
 
     n: int
@@ -98,8 +99,8 @@ class CirculantSpec:
     def __init__(self, n: int, offsets: Iterable[int]):
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "offsets", frozenset(offsets))
-        if n < 1:
-            raise SpecificationError(f"circulant order must be positive, got {n}")
+        if not isinstance(n, int) or n < 1:
+            raise SpecificationError(f"circulant order must be a positive integer, got {n!r}")
         if not self.offsets:
             raise SpecificationError("connection set must be nonempty")
         for s in self.offsets:
@@ -110,8 +111,9 @@ class CirculantSpec:
 
 @dataclass(frozen=True)
 class AbelianCayleySpec:
-    """Cayley graph data for Z_{m_1} x ... x Z_{m_d}: cyclic factor orders
-    plus a connection set of nonzero group elements closed under negation."""
+    """Cayley graph data for Z_{m_1} x ... x Z_{m_d}: positive integer factor
+    orders plus a connection set of nonzero group elements, integer tuples,
+    closed under negation."""
 
     orders: tuple[int, ...]
     connection: frozenset[tuple[int, ...]]
@@ -119,13 +121,16 @@ class AbelianCayleySpec:
     def __init__(self, orders: Iterable[int], connection: Iterable[tuple[int, ...]]):
         object.__setattr__(self, "orders", tuple(orders))
         object.__setattr__(self, "connection", frozenset(map(tuple, connection)))
+        if not all(isinstance(m, int) for m in self.orders):
+            raise SpecificationError(f"factor orders must be integers, got {self.orders}")
         if not self.orders or any(m < 1 for m in self.orders):
             raise SpecificationError(f"factor orders must be positive, got {self.orders}")
         orders, connection = self.orders, self.connection
         d, zero = len(orders), (0,) * len(orders)
         for c in connection:
-            # x % m == x exactly when 0 <= x < m
-            if len(c) != d or tuple(map(mod, c, orders)) != c:
+            # for an integer x, x % m == x exactly when 0 <= x < m
+            if (len(c) != d or not all(isinstance(x, int) for x in c)
+                    or tuple(map(mod, c, orders)) != c):
                 raise SpecificationError(f"connection element {c!r} is not a group element")
             if c == zero:
                 raise SpecificationError("connection set must exclude the identity")

@@ -455,3 +455,9 @@ def test_refined_cell_positions_are_pinned(monkeypatch):
         orbit_census(g)
     assert digest.hexdigest() == \
         "4171725e8913cf59fed21d3b382290cd71cb294f21bfceb66cb765b37920925c"
+
+
+def test_automorphism_group_refuses_the_empty_graph():
+    with pytest.raises(ValueError) as err:
+        automorphism_group(Graph(0, ()))
+    assert str(err.value) == "automorphism group needs at least one vertex"

@@ -333,6 +333,12 @@ def test_check_order_zero_exits_2(capsys):
     assert "order 0" in err
 
 
+def test_check_unreadable_file_exits_2(capsys, tmp_path):
+    code, out, err = run_cli(capsys, "check", "--file", str(tmp_path / "missing.g6"))
+    assert code == 2 and out == ""
+    assert err.startswith("input error: [Errno 2] ")
+
+
 def test_check_refuses_orders_above_the_cap(capsys):
     n = MAX_ORDER + 1
     header = "~" + "".join(chr(63 + ((n >> s) & 63)) for s in (12, 6, 0))

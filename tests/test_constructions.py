@@ -358,3 +358,25 @@ def test_seeds_spare_the_construct_ladder_refinements(monkeypatch, make, calls):
     monkeypatch.setattr(automorphisms, "_refine", counting)
     make()
     assert len(counted) == calls
+
+
+def test_cayley_nut_refuses_a_prime_for_k_3():
+    with pytest.raises(HypothesisError) as err:
+        cayley_nut(3, p=5)
+    assert str(err.value) == ("k = 3 uses the box-K4 family; its size "
+                              "parameter is n, not a prime p")
+
+
+def test_subdivided_nut_refuses_a_base_with_more_arc_than_edge_orbits():
+    # every abelian Cayley base has o_e = o_a, so the census is edited
+    base = prop1_graph(2)
+    census = dataclasses.replace(base.census, edge_orbits=base.census.edge_orbits[:1])
+    with pytest.raises(HypothesisError) as err:
+        subdivided_nut(dataclasses.replace(base, census=census), 0, 1)
+    assert str(err.value) == "base must have o_e = o_a, got (1, 2)"
+
+
+def test_cayley_nut_edge_orbits_refuses_a_negative_count():
+    with pytest.raises(ValueError) as err:
+        cayley_nut_edge_orbits(-1)
+    assert str(err.value) == "orbit counts are nonnegative, got -1"

@@ -62,6 +62,13 @@ def test_circulant_offset_validation(bad_offset):
         CirculantSpec(10, {1, bad_offset})
 
 
+@pytest.mark.parametrize("order", [0, -4, 10.0])
+def test_circulant_order_validation(order):
+    with pytest.raises(SpecificationError) as err:
+        CirculantSpec(order, {1})
+    assert str(err.value) == f"circulant order must be a positive integer, got {order!r}"
+
+
 def test_circulant_requires_nonempty_connection():
     with pytest.raises(SpecificationError):
         CirculantSpec(10, set())
@@ -143,6 +150,10 @@ def test_cayley_abelian_validation():
     ((6, 2), {(0, 0)}, "connection set must exclude the identity"),
     ((6, 2), {(1, 1)}, "connection set not closed under negation: (1, 1) present, "
                        "(5, 1) missing"),
+    # non-integer data is refused here, not by a TypeError in a later layer
+    ((5,), {(1.5,), (3.5,)}, "connection element (1.5,) is not a group element"),
+    ((5,), {(1.0,), (4.0,)}, "connection element (1.0,) is not a group element"),
+    ((5.0,), {(1,), (4,)}, "factor orders must be integers, got (5.0,)"),
 ])
 def test_cayley_abelian_validation_messages(orders, connection, message):
     with pytest.raises(SpecificationError) as err:
@@ -371,3 +382,17 @@ def test_write_dot_with_and_without_orbits(c4):
     assert "0 -- 1;" in plain and plain.startswith("graph G {")
     colored = write_dot(c4, edge_orbits=[c4.edges])
     assert colored.count('color="#e41a1c"') == 4
+
+
+@pytest.mark.parametrize("build,message", [
+    (lambda: Graph(-1, ()), "vertex count must be nonnegative"),
+    (lambda: Graph(3, ((1, 2), (0, 1))), "edges must be strictly sorted"),
+    (lambda: subdivide_edges(Graph(2, ((0, 1),)), [], -1),
+     "subdivision count must be nonnegative, got -1"),
+    (lambda: write_graph6(Graph(258048, ())),
+     "graph6 writer supports orders up to 258047, got 258048"),
+])
+def test_graph_layer_refusals(build, message):
+    with pytest.raises(ValueError) as err:
+        build()
+    assert str(err.value) == message

@@ -518,3 +518,9 @@ def test_rational_reconstruction_modulo_8191_on_every_residue():
                                  if gcd(num, den) == 1)
     assert [linalg._reconstruct(x, 13) for x in range(p)] == [fractions.get(x)
                                                               for x in range(p)]
+
+
+def test_kernel_basis_refuses_a_non_square_matrix():
+    with pytest.raises(ValueError) as err:
+        kernel_basis([[1, 2]])
+    assert str(err.value) == "matrix must be square"
