@@ -23,9 +23,9 @@ from .errors import (Graph6ParseError, HypothesisError, InputError,
 from .graphs import (AbelianCayleySpec, CirculantSpec, Graph, cayley_abelian,
                      circulant, read_graph6, subdivide_edges, write_dot,
                      write_graph6)
-from .linalg import NutVerdict, is_nut, kernel_basis
+from .linalg import NutVerdict, is_nut
 from .polynomials import (circulant_is_nut_symbolic, cyclotomic,
-                          vanishing_orders, vanishing_subgroups)
+                          vanishing_subgroups)
 
 __all__ = [
     "AbelianCayleySpec", "CirculantSpec", "ConstructionParams", "Graph",
@@ -36,9 +36,8 @@ __all__ = [
     "automorphism_group", "cayley_abelian", "cayley_nut",
     "cayley_nut_edge_orbits", "circulant", "circulant_is_nut_symbolic",
     "construct_with_orbits", "cyclotomic", "fig3_graph", "is_nut",
-    "kernel_basis", "nut_realizable",
-    "orbit_census", "primes_from", "prop1_graph",
-    "prop2_graph", "prop3_graph", "read_graph6",
-    "stabilizer", "subdivide_edges", "subdivided_nut", "vanishing_orders",
-    "vanishing_subgroups", "write_dot", "write_graph6",
+    "nut_realizable", "orbit_census", "primes_from", "prop1_graph",
+    "prop2_graph", "prop3_graph", "read_graph6", "stabilizer",
+    "subdivide_edges", "subdivided_nut", "vanishing_subgroups", "write_dot",
+    "write_graph6",
 ]

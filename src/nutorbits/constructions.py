@@ -85,8 +85,7 @@ def primes_from(lower_bound: int) -> Iterator[int]:
 
 
 def _certify(graph: Graph, provenance: ConstructionParams,
-             expected_counts: tuple[int, int, int],
-             expected_aut_order: Optional[int] = None,
+             expected_counts: tuple[int, int, int], expected_aut_order: int,
              spec: Optional[AbelianCayleySpec] = None,
              seeds: Sequence[Sequence[int]] = ()) -> VerifiedNut:
     """Verify ``graph`` as a nut graph with the expected census; a Cayley
@@ -110,7 +109,7 @@ def _certify(graph: Graph, provenance: ConstructionParams,
         raise VerificationError(
             f"construction {provenance} produced orbit counts "
             f"{census.counts}, expected {expected_counts}")
-    if expected_aut_order is not None and census.aut_order != expected_aut_order:
+    if census.aut_order != expected_aut_order:
         raise VerificationError(
             f"construction {provenance} has |Aut| = {census.aut_order}, "
             f"expected {expected_aut_order}")
@@ -120,9 +119,10 @@ def _certify(graph: Graph, provenance: ConstructionParams,
     return VerifiedNut(graph, verdict, census, provenance)
 
 
-def _check_order(n: int) -> None:
+def _check_order(n: int, at_least: bool = False) -> None:
     if n > MAX_ORDER:
-        raise ResourceCapError(f"a construction of order {n} exceeds the order "
+        order = f"at least {n}" if at_least else n
+        raise ResourceCapError(f"a construction of order {order} exceeds the order "
                                f"cap of {MAX_ORDER} vertices")
 
 
@@ -188,9 +188,12 @@ def prop3_graph(n: int) -> VerifiedNut:
 def fig3_graph() -> VerifiedNut:
     """The Cayley graph for Z6 x Z2 with connection set
     {(1,0),(2,0),(4,0),(5,0),(0,1),(1,1),(3,1),(5,1)}: order 12, 8-regular,
-    a nut graph with five edge orbits and five arc orbits."""
+    a nut graph with five edge orbits and five arc orbits, whose 24
+    automorphisms are its 12 translations, each with and without the
+    inversion."""
     spec = AbelianCayleySpec((6, 2), FIG3_CONNECTION)
-    return _certify(cayley_abelian(spec), ConstructionParams("fig3"), (1, 5, 5), spec=spec)
+    return _certify(cayley_abelian(spec), ConstructionParams("fig3"), (1, 5, 5),
+                    expected_aut_order=24, spec=spec)
 
 
 def cayley_nut(k: int, p: Optional[int] = None) -> VerifiedNut:
@@ -255,8 +258,12 @@ def subdivided_cayley(k: int, t: int, p: Optional[int] = None,
 
     By default the smallest edge orbit is subdivided (ties broken by
     lexicographically smallest edge), which keeps the output small; any
-    orbit would do.
+    orbit would do.  The base has degree at least k, so order n >= k + 1,
+    and each of its edge orbits meets every vertex, so holds at least n / 2
+    edges: an output order of at least (k + 1)(1 + 2t) is refused before
+    the base is built.
     """
+    _check_order((k + 1) * (1 + 2 * t), at_least=True)
     base = cayley_nut(k, p)
     if orbit is None:
         sizes = [len(o) for o in base.census.edge_orbits]

@@ -1,4 +1,5 @@
-"""Exact linear algebra on integer matrices, over Z.
+"""Exact kernels over Z of symmetric integer matrices, given by sparse rows
+that are also their columns (row j is column j): the nut certificate.
 
 Kernels are certified modularly: elimination modulo a Mersenne prime
 P = 2^q - 1 gives the nullity d = n - rank_P and the d reduced echelon
@@ -46,12 +47,10 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from math import gcd, lcm, prod
-from typing import Sequence
 
 from .errors import ResourceCapError
 from .graphs import Graph
 
-IntMatrix = Sequence[Sequence[int]]
 IntVector = tuple[int, ...]
 # an elimination's pivot columns, users and weights (see _eliminate_mod_p)
 Eliminated = tuple[list[int], list[list[int]], list[list[int]]]
@@ -97,13 +96,6 @@ class NutVerdict:
     kernel_basis: tuple[IntVector, ...]
     is_full: bool
     is_nut: bool
-
-
-def _check_square(a: IntMatrix) -> int:
-    n = len(a)
-    if any(len(row) != n for row in a):
-        raise ValueError("matrix must be square")
-    return n
 
 
 def _eliminate_mod_p(rows: list[dict[int, int]], n: int, q: int) -> Eliminated:
@@ -248,14 +240,14 @@ def _reconstruct(x: int, q: int) -> tuple[int, int] | None:
     return (r1, t1) if t1 > 0 else (-r1, -t1)
 
 
-def _modular_kernel(rows: list[dict[int, int]], cols: list[dict[int, int]],
-                    n: int, q: int) -> list[IntVector] | None:
-    """The reduced echelon kernel basis of the n-column sparse integer
-    matrix ``rows``, whose columns are ``cols`` (row -> entry), each vector
-    scaled to its primitive integer multiple, certified modulo 2^q - 1 and
-    verified over Z; None when rational reconstruction or the integer check
-    fails.  One vector per free column of the one elimination, whichever
-    rows it ends on.
+def _modular_kernel(rows: list[dict[int, int]], n: int,
+                    q: int) -> list[IntVector] | None:
+    """The reduced echelon kernel basis of the symmetric n x n sparse
+    integer matrix ``rows`` (column -> entry; row j is column j), each
+    vector scaled to its primitive integer multiple, certified modulo
+    2^q - 1 and verified over Z; None when rational reconstruction or the
+    integer check fails.  One vector per free column of the one
+    elimination, whichever rows it ends on.
 
     The vector with 1 at free column f costs its support: each nonzero x_j
     is pushed on to the pivots in ``users[j]``, which are walked in
@@ -289,7 +281,7 @@ def _modular_kernel(rows: list[dict[int, int]], cols: list[dict[int, int]],
         ints = [num * (denom // d) for num, d in pairs]
         product = [0] * n
         for j, e in zip(support, ints):
-            for i, a in cols[j].items():
+            for i, a in rows[j].items():  # column j
                 product[i] += a * e
         if any(product):
             return None
@@ -301,14 +293,13 @@ def _modular_kernel(rows: list[dict[int, int]], cols: list[dict[int, int]],
     return basis
 
 
-def _kernel(rows: list[dict[int, int]], cols: list[dict[int, int]],
-            n: int) -> list[IntVector]:
-    """The primitive reduced echelon kernel basis of the n-column sparse
-    integer matrix ``rows``, whose columns are ``cols``: certified modulo
+def _kernel(rows: list[dict[int, int]], n: int) -> list[IntVector]:
+    """The primitive reduced echelon kernel basis of the symmetric n x n
+    sparse integer matrix ``rows`` (row j is column j): certified modulo
     2^13 - 1, else modulo 2^61 - 1, else modulo the first Mersenne prime
     past the Hadamard bound, where it cannot fail."""
     for q in MERSENNE_EXPONENTS[:2]:
-        basis = _modular_kernel(rows, cols, n, q)
+        basis = _modular_kernel(rows, n, q)
         if basis is not None:
             return basis
     # h2 bounds the square of every minor of the matrix
@@ -319,34 +310,12 @@ def _kernel(rows: list[dict[int, int]], cols: list[dict[int, int]],
             f"matrix entries too large: the squared Hadamard bound has "
             f"{h2.bit_length()} bits, past the largest modulus "
             f"2^{MERSENNE_EXPONENTS[-1]} - 1")
-    basis = _modular_kernel(rows, cols, n, q)
+    basis = _modular_kernel(rows, n, q)
     if basis is None:
         raise AssertionError(
             f"internal error: kernel certificate failed modulo 2^{q} - 1, "
             f"past the Hadamard bound")
     return basis
-
-
-def kernel_basis(a: IntMatrix) -> list[IntVector]:
-    """Basis of the right kernel of a square integer matrix: the reduced
-    echelon basis, each vector scaled to its primitive integer multiple
-    (coprime entries, first nonzero entry positive).  The reduced echelon
-    form is unique, so the basis is canonical.
-
-    The basis is certified modulo the prime 2^13 - 1, lifted by rational
-    reconstruction and verified to satisfy A v = 0 over Z, each vector on
-    its support only: the product is summed over the columns of ``a`` where
-    v is nonzero, which is why ``a`` is transposed once.  Should any step
-    fail, the certificate reruns modulo 2^61 - 1, and then modulo the first
-    Mersenne prime past the Hadamard bound of ``a``, where every step
-    succeeds; entries so large that the bound passes every listed prime
-    raise ResourceCapError.  The elimination moves from sparse dict rows to
-    packed integer rows once its live rows are dense, which changes no
-    basis (see the module docstring)."""
-    n = _check_square(a)
-    rows = [{j: x for j, x in enumerate(row) if x} for row in a]
-    cols = [{i: row[j] for i, row in enumerate(a) if row[j]} for j in range(n)]
-    return _kernel(rows, cols, n)
 
 
 def is_nut(g: Graph) -> NutVerdict:
@@ -355,7 +324,7 @@ def is_nut(g: Graph) -> NutVerdict:
     rows: list[dict[int, int]] = [{} for _ in range(g.n)]
     for u, v in g.edges:
         rows[u][v] = rows[v][u] = 1
-    basis = _kernel(rows, rows, g.n)  # adjacency rows are its columns
+    basis = _kernel(rows, g.n)
     nullity = len(basis)
     is_full = nullity == 1 and all(e != 0 for e in basis[0])
     return NutVerdict(

@@ -111,21 +111,15 @@ def vanishing_subgroups(spec: AbelianCayleySpec) -> tuple[int, ...]:
     return tuple(sorted(_vanishing(spec.orders, columns)))
 
 
-def vanishing_orders(n: int, offsets: Iterable[int]) -> frozenset[int]:
-    """Exactly which orders d | n of n-th roots of unity are zeros of the
-    symbol polynomial of Circ(n, S): ``vanishing_subgroups`` of Z_n, which
-    has one cyclic subgroup of each order d | n."""
-    spec = CirculantSpec(n, offsets)
-    return frozenset(_vanishing((n,), [list({x for s in spec.offsets for x in (s, n - s)})]))
-
-
 def circulant_is_nut_symbolic(n: int, offsets: Iterable[int]) -> bool:
-    """Symbolic nut test for Circ(n, S), with no linear algebra.
+    """Symbolic nut test for Circ(n, S), with no linear algebra: whether
+    the ``vanishing_subgroups`` of Z_n, which has one cyclic subgroup of
+    each order d | n, are exactly (2,).
 
     The adjacency kernel is one-dimensional with a full vector exactly when
     the only vanishing root order is 2 (the alternating vector): order 1
     cannot vanish because the symbol at 1 equals the degree, and any other
     order d contributes phi(d) >= 2 zero eigenvalues.
     """
-    return vanishing_orders(n, offsets) == {2}
-
+    spec = CirculantSpec(n, offsets)
+    return _vanishing((n,), [list({x for s in spec.offsets for x in (s, n - s)})]) == [2]

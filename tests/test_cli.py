@@ -416,6 +416,23 @@ def test_construct_refuses_orders_above_the_cap(capsys, argv):
     assert f"cap of {MAX_ORDER}" in err
 
 
+@pytest.mark.parametrize("argv, bound", [
+    (("--r", "3", "--k", "2000"), 1999 * 3),
+    (("--variant", "subdiv", "--k", "1998", "--t", "1"), 1999 * 3),
+])
+def test_subdivision_refuses_an_over_cap_order_before_building_its_base(
+        capsys, monkeypatch, argv, bound):
+    # a base of degree k has order n >= k + 1, and the subdivided order is
+    # at least n (1 + 2t)
+    def refuse(k, p=None):
+        raise AssertionError("base built")
+
+    monkeypatch.setattr(constructions, "cayley_nut", refuse)
+    code, out, err = run_cli(capsys, "construct", *argv)
+    assert code == 4 and out == ""
+    assert f"order at least {bound} exceeds the order cap of {MAX_ORDER}" in err
+
+
 @pytest.mark.parametrize("argv, unread", [
     (("prop3", "--k", "5"), "--k"),
     (("subdiv", "--k", "4"), "--k"),
@@ -532,11 +549,10 @@ def test_public_surface_is_pinned():
         "automorphism_group", "cayley_abelian", "cayley_nut",
         "cayley_nut_edge_orbits", "circulant", "circulant_is_nut_symbolic",
         "construct_with_orbits", "cyclotomic", "fig3_graph", "is_nut",
-        "kernel_basis", "nut_realizable",
-        "orbit_census", "primes_from", "prop1_graph",
-        "prop2_graph", "prop3_graph", "read_graph6",
-        "stabilizer", "subdivide_edges", "subdivided_nut", "vanishing_orders",
-        "vanishing_subgroups", "write_dot", "write_graph6",
+        "nut_realizable", "orbit_census", "primes_from", "prop1_graph",
+        "prop2_graph", "prop3_graph", "read_graph6", "stabilizer",
+        "subdivide_edges", "subdivided_nut", "vanishing_subgroups", "write_dot",
+        "write_graph6",
     ]
 
 

@@ -75,6 +75,7 @@ def test_fig3():
     assert built.graph.n == 12
     assert set(built.graph.degree_sequence()) == {8}
     assert built.census.counts == (1, 5, 5)
+    assert built.census.aut_order == 24
     assert built.verdict.is_nut
 
 
@@ -229,7 +230,7 @@ def test_certify_refuses_a_failed_nut_check(monkeypatch):
     monkeypatch.setattr(constructions, "is_nut", lambda g: dataclasses.replace(
         built.verdict, nullity=2, is_nut=False))
     with pytest.raises(VerificationError, match="failed the nut check: nullity=2"):
-        constructions._certify(built.graph, built.provenance, (1, 2, 2))
+        constructions._certify(built.graph, built.provenance, (1, 2, 2), 20)
 
 
 @pytest.mark.parametrize("wrong, message", [
@@ -252,7 +253,7 @@ def test_certify_refuses_counts_with_o_e_below_o_v_plus_one(monkeypatch):
     split = dataclasses.replace(built.census, vertex_orbits=((0, 1, 2, 3, 4), (5, 6, 7, 8, 9)))
     monkeypatch.setattr(constructions, "orbit_census", lambda g, seeds=(): split)
     with pytest.raises(VerificationError, match=r"violates o_e >= o_v \+ 1: \(2, 2, 2\)"):
-        constructions._certify(built.graph, built.provenance, (2, 2, 2))
+        constructions._certify(built.graph, built.provenance, (2, 2, 2), 20)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,5 @@
 import random
-from itertools import product
+from itertools import combinations, product
 from math import gcd, prod
 
 import pytest
@@ -7,8 +7,7 @@ from oracles import adjacency_matrix, gcd_criterion, poly_mul, residual
 
 from nutorbits import (AbelianCayleySpec, CirculantSpec, SpecificationError,
                        cayley_abelian, circulant, circulant_is_nut_symbolic,
-                       cyclotomic, is_nut, vanishing_orders,
-                       vanishing_subgroups)
+                       cyclotomic, is_nut, vanishing_subgroups)
 from nutorbits.polynomials import _monic_reduce
 
 
@@ -73,6 +72,21 @@ def test_symbol_values_are_eigenvalue_endpoints():
         assert residual(a, alternating) == [at_minus_one * x for x in alternating]
 
 
+def vanishing_orders(n, offsets):
+    """The orders d | n of the n-th roots of unity that are zeros of the
+    symbol of Circ(n, S): the vanishing subgroups of Z_n, which has one
+    cyclic subgroup of each order d | n."""
+    return set(vanishing_subgroups(AbelianCayleySpec(
+        (n,), {(x,) for s in offsets for x in (s, n - s)})))
+
+
+def _small_circulants(nmax):
+    for n in range(1, nmax + 1):
+        pool = range(1, n // 2 + 1)
+        for size in range(1, len(pool) + 1):
+            yield from ((n, offs) for offs in combinations(pool, size))
+
+
 def test_vanishing_orders_examples():
     assert vanishing_orders(10, {1, 2}) == {2}
     assert vanishing_orders(4, {1}) == {4}
@@ -90,6 +104,15 @@ def test_circulant_is_nut_symbolic_examples():
     for n, offs in ((9, {100}), (9, set()), (10, {100}), (10, set())):
         with pytest.raises(SpecificationError):
             circulant_is_nut_symbolic(n, offs)
+
+
+def test_symbolic_test_is_one_vanishing_subgroup_of_order_2():
+    verdicts = set()
+    for n, offs in _small_circulants(16):
+        expected = vanishing_orders(n, offs) == {2}
+        assert circulant_is_nut_symbolic(n, offs) == expected, (n, offs)
+        verdicts.add(expected)
+    assert verdicts == {False, True}
 
 
 def test_gcd_criterion_examples():
