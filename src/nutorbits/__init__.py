@@ -12,11 +12,10 @@ __version__ = "0.1.0"
 
 from .automorphisms import (OrbitCensus, Permutation, PermutationGroup,
                             automorphism_group, orbit_census, stabilizer)
-from .constructions import (ConstructionParams, VerifiedNut, cayley_nut,
-                            cayley_nut_edge_orbits, construct_with_orbits,
-                            fig3_graph, nut_realizable, primes_from,
-                            prop1_graph, prop2_graph, prop3_graph,
-                            subdivided_nut)
+from .constructions import (VerifiedNut, cayley_nut, cayley_nut_edge_orbits,
+                            construct_with_orbits, fig3_graph, nut_realizable,
+                            primes_from, prop1_graph, prop2_graph,
+                            prop3_graph, subdivided_nut)
 from .errors import (Graph6ParseError, HypothesisError, InputError,
                      NotCoveredByThisPaper, NotRealizable, ResourceCapError,
                      SpecificationError, VerificationError)
@@ -28,7 +27,7 @@ from .polynomials import (circulant_is_nut_symbolic, cyclotomic,
                           vanishing_subgroups)
 
 __all__ = [
-    "AbelianCayleySpec", "CirculantSpec", "ConstructionParams", "Graph",
+    "AbelianCayleySpec", "CirculantSpec", "Graph",
     "Graph6ParseError", "HypothesisError", "InputError",
     "NotCoveredByThisPaper", "NotRealizable", "NutVerdict", "OrbitCensus",
     "Permutation", "PermutationGroup", "ResourceCapError", "SpecificationError",

@@ -52,8 +52,7 @@ these class sizes down the first path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import VerificationError
 from .graphs import Graph
@@ -65,8 +64,7 @@ def identity(n: int) -> Permutation:
     return tuple(range(n))
 
 
-@dataclass(frozen=True)
-class PermutationGroup:
+class PermutationGroup(NamedTuple):
     degree: int
     generators: tuple[Permutation, ...]
     order: int
@@ -85,8 +83,7 @@ class PermutationGroup:
         return cls(degree, gens, order)
 
 
-@dataclass(frozen=True)
-class OrbitCensus:
+class OrbitCensus(NamedTuple):
     """Vertex/edge/arc orbit partitions of a graph with the group order,
     and generators of the group that give those orbits.
 

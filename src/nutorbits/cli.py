@@ -19,12 +19,11 @@ import os
 import sys
 import time
 from contextlib import ExitStack
-from dataclasses import asdict
 from typing import Optional
 
 from . import __version__
 from .automorphisms import OrbitCensus, orbit_census
-from .constructions import FAMILIES, ConstructionParams, build
+from .constructions import FAMILIES, build
 from .errors import (HypothesisError, InputError, NotCoveredByThisPaper,
                      NotRealizable, ResourceCapError, SpecificationError,
                      VerificationError)
@@ -81,17 +80,8 @@ def _census_payload(c: OrbitCensus) -> dict:
     }
 
 
-def _provenance_payload(p: Optional[ConstructionParams]) -> Optional[dict]:
-    """The record's fields in order, without those that are None; a record
-    held in a field nests as an object."""
-    if p is None:
-        return None
-    return asdict(p, dict_factory=lambda items: {key: value for key, value in items
-                                                 if value is not None})
-
-
 def _report(command: str, params: dict, g: Graph, verdict: NutVerdict,
-            census: OrbitCensus, provenance: Optional[ConstructionParams],
+            census: OrbitCensus, provenance: Optional[dict],
             elapsed: float) -> dict:
     return {
         "schema": SCHEMA,
@@ -100,7 +90,7 @@ def _report(command: str, params: dict, g: Graph, verdict: NutVerdict,
         "graph": _graph_payload(g),
         "nut": _verdict_payload(verdict),
         "census": _census_payload(census),
-        "provenance": _provenance_payload(provenance),
+        "provenance": provenance,
         "timing_ms": round(elapsed * 1000.0, 1),
     }
 

@@ -22,7 +22,6 @@ signature, whose names are the ``nutorbits construct`` flags, and calls it.
 from __future__ import annotations
 
 import inspect
-from dataclasses import dataclass
 from itertools import combinations, count, islice
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
@@ -39,27 +38,15 @@ FIG3_CONNECTION = frozenset(
     {(i, 0) for i in (1, 2, 4, 5)} | {(i, 1) for i in (0, 1, 3, 5)})
 
 
-@dataclass(frozen=True)
-class ConstructionParams:
-    """Provenance record for a verified construction."""
-
-    variant: str  # prop1 | prop2 | prop3 | fig3 | subdivided
-    k: Optional[int] = None
-    p: Optional[int] = None
-    n: Optional[int] = None
-    t: Optional[int] = None
-    orbit_index: Optional[int] = None
-    base: Optional["ConstructionParams"] = None
-
-
-@dataclass(frozen=True)
-class VerifiedNut:
-    """A graph together with its recomputed nut certificate and census."""
+class VerifiedNut(NamedTuple):
+    """A graph together with its recomputed nut certificate and census, and
+    the builder's parameters as the report prints them: ``variant`` (prop1,
+    prop2, prop3, fig3 or subdivided) first, then the family's parameters."""
 
     graph: Graph
     verdict: NutVerdict
     census: OrbitCensus
-    provenance: ConstructionParams
+    provenance: dict
 
 
 def is_prime(n: int) -> bool:
@@ -84,7 +71,7 @@ def primes_from(lower_bound: int) -> Iterator[int]:
             yield n
 
 
-def _certify(graph: Graph, provenance: ConstructionParams,
+def _certify(graph: Graph, provenance: dict,
              expected_counts: tuple[int, int, int], expected_aut_order: int,
              spec: Optional[AbelianCayleySpec] = None,
              seeds: Sequence[Sequence[int]] = ()) -> VerifiedNut:
@@ -156,7 +143,7 @@ def prop1_graph(k: int, p: Optional[int] = None) -> VerifiedNut:
     graph = circulant(CirculantSpec(2 * p, frozenset(range(1, k + 1))))
     spec = AbelianCayleySpec((2 * p,), {(x,) for s in range(1, k + 1)
                                         for x in (s, 2 * p - s)})
-    return _certify(graph, ConstructionParams("prop1", k=k, p=p),
+    return _certify(graph, {"variant": "prop1", "k": k, "p": p},
                     (1, k, k), expected_aut_order=4 * p, spec=spec)
 
 
@@ -169,7 +156,7 @@ def prop2_graph(k: int, p: Optional[int] = None) -> VerifiedNut:
     [p] = _primes("prop2", k, p)
     spec = AbelianCayleySpec((2 * p, 2), {(x, 0) for s in [*range(2, k), p]
                                           for x in (s, 2 * p - s)} | {(0, 1)})
-    return _certify(cayley_abelian(spec), ConstructionParams("prop2", k=k, p=p),
+    return _certify(cayley_abelian(spec), {"variant": "prop2", "k": k, "p": p},
                     (1, k, k), expected_aut_order=8 * p, spec=spec)
 
 
@@ -181,7 +168,7 @@ def prop3_graph(n: int) -> VerifiedNut:
     _check_order(8 * n)
     spec = AbelianCayleySpec((2 * n, 2, 2), {(1, 0, 0), (2 * n - 1, 0, 0), (n, 0, 0),
                                              (0, 1, 0), (0, 0, 1), (0, 1, 1)})
-    return _certify(cayley_abelian(spec), ConstructionParams("prop3", n=n),
+    return _certify(cayley_abelian(spec), {"variant": "prop3", "n": n},
                     (1, 3, 3), expected_aut_order=96 * n, spec=spec)
 
 
@@ -192,7 +179,7 @@ def fig3_graph() -> VerifiedNut:
     automorphisms are its 12 translations, each with and without the
     inversion."""
     spec = AbelianCayleySpec((6, 2), FIG3_CONNECTION)
-    return _certify(cayley_abelian(spec), ConstructionParams("fig3"), (1, 5, 5),
+    return _certify(cayley_abelian(spec), {"variant": "fig3"}, (1, 5, 5),
                     expected_aut_order=24, spec=spec)
 
 
@@ -244,9 +231,8 @@ def subdivided_nut(base: VerifiedNut, orbit_index: int, t: int) -> VerifiedNut:
     _check_order(base.graph.n + 4 * t * len(orbit))
     k = census.o_e
     graph = subdivide_edges(base.graph, orbit, 4 * t)
-    provenance = ConstructionParams("subdivided", k=k, t=t,
-                                    orbit_index=orbit_index,
-                                    base=base.provenance)
+    provenance = {"variant": "subdivided", "k": k, "t": t,
+                  "orbit_index": orbit_index, "base": base.provenance}
     seeds = subdivision_lifts(base.graph, orbit, 4 * t, census.generators)
     return _certify(graph, provenance, (2 * t + 1, 2 * t + k, 4 * t + k),
                     expected_aut_order=census.aut_order, seeds=seeds)

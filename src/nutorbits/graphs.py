@@ -37,12 +37,17 @@ class Graph:
     edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        if self.n < 0:
+        n = self.n
+        if type(n) is not int:
+            raise ValueError(f"vertex count must be an int, got {n!r}")
+        if n < 0:
             raise ValueError("vertex count must be nonnegative")
         prev = None
         for e in self.edges:
             u, v = e
-            if not (0 <= u < v < self.n):
+            if type(u) is not int or type(v) is not int:
+                raise ValueError(f"edge {e!r} has an endpoint that is not an int")
+            if not (0 <= u < v < n):
                 raise ValueError(f"edge {e!r} out of range or not (min, max) normalized")
             if prev is not None and e <= prev:
                 raise ValueError("edges must be strictly sorted")

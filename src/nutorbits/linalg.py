@@ -45,8 +45,8 @@ every rung that certifies gives the same basis.  No tolerances anywhere.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from math import gcd, lcm, prod
+from typing import NamedTuple
 
 from .errors import ResourceCapError
 from .graphs import Graph
@@ -87,8 +87,7 @@ PACKED_FILL_DIVISOR = 5
 HANDOVER_MIN_COLUMNS = 32
 
 
-@dataclass(frozen=True)
-class NutVerdict:
+class NutVerdict(NamedTuple):
     """Outcome of a nut-graph check: the adjacency kernel together with the
     fullness flag.  ``is_full`` is meaningful when the nullity is 1."""
 

@@ -1,6 +1,5 @@
 import ast
 import concurrent.futures
-import dataclasses
 import hashlib
 import json
 import os
@@ -16,8 +15,8 @@ import pytest
 from oracles import complete_graph
 
 import nutorbits
-from nutorbits import (CirculantSpec, Graph, circulant, read_graph6, is_nut,
-                       orbit_census, write_graph6)
+from nutorbits import (CirculantSpec, Graph, cayley_nut, circulant, read_graph6,
+                       is_nut, orbit_census, write_graph6)
 from nutorbits import cli, constructions
 from nutorbits.cli import main
 from nutorbits.constructions import FAMILIES
@@ -178,7 +177,7 @@ def _wrong_aut_order(monkeypatch):
 
     def doubled(g, seeds=()):
         right = census(g, seeds)
-        return dataclasses.replace(right, aut_order=2 * right.aut_order)
+        return right._replace(aut_order=2 * right.aut_order)
 
     monkeypatch.setattr(constructions, "orbit_census", doubled)
 
@@ -541,7 +540,7 @@ def test_public_surface_is_pinned():
     # the names the CLI, the builders and the two realizability statements
     # use; a helper only the tests need belongs in tests/oracles.py
     assert nutorbits.__all__ == [
-        "AbelianCayleySpec", "CirculantSpec", "ConstructionParams", "Graph",
+        "AbelianCayleySpec", "CirculantSpec", "Graph",
         "Graph6ParseError", "HypothesisError", "InputError",
         "NotCoveredByThisPaper", "NotRealizable", "NutVerdict", "OrbitCensus",
         "Permutation", "PermutationGroup", "ResourceCapError", "SpecificationError",
@@ -703,7 +702,7 @@ def test_check_report_bytes_are_pinned(capsys, name, seed, digest):
 
 # Every construct form with its defaults, then the construct-ladder argvs
 # (its fig3 rung is the fig3 form's).
-@pytest.mark.parametrize("argv, digest", [
+_CONSTRUCT_CORPUS = [
     (("--r", "3", "--k", "5"),
      "f9951f1d08010240ca9ee50142e00f84eec160627778a3079ae0fba3953db983"),
     (("--variant", "subdiv", "--k", "2", "--t", "1"),
@@ -730,11 +729,34 @@ def test_check_report_bytes_are_pinned(capsys, name, seed, digest):
      "ed1dd8a774436c69bfb36de9b2b53efb6d462ca2f42440f3c3be3b797088ae83"),
     (("--variant", "prop3", "--n", "13"),
      "9090e1af2cd4cde3d3279a470d19269e67fc2bcbfd55b26e2d8d702682f122c6"),
-])
+]
+
+
+@pytest.mark.parametrize("argv, digest", _CONSTRUCT_CORPUS)
 def test_construct_report_bytes_are_pinned(capsys, argv, digest):
     code, out, _ = run_cli(capsys, "construct", *argv)
     assert code == 0
     assert _report_digest(out) == digest
+
+
+@pytest.mark.parametrize("argv", [argv for argv, _ in _CONSTRUCT_CORPUS])
+def test_report_provenance_is_the_builders_dict(capsys, monkeypatch, argv):
+    built = []
+
+    def recorded(form, **params):
+        built.append(constructions.build(form, **params))
+        return built[0]
+
+    monkeypatch.setattr(cli, "build", recorded)
+    code, out, _ = run_cli(capsys, "construct", *argv)
+    assert code == 0
+    provenance = json.loads(out)["provenance"]
+    assert provenance == built[0].provenance
+    # the same keys in the same order, which the report's bytes depend on
+    assert json.dumps(provenance) == json.dumps(built[0].provenance)
+    if provenance["variant"] == "subdivided":
+        assert list(provenance) == ["variant", "k", "t", "orbit_index", "base"]
+        assert provenance["base"] == cayley_nut(provenance["k"]).provenance
 
 
 # The tables and indented JSON, with a kernel of one vector and of two.

@@ -1,4 +1,3 @@
-import dataclasses
 from itertools import combinations, islice, product
 
 import pytest
@@ -12,8 +11,7 @@ from nutorbits import (AbelianCayleySpec, CirculantSpec, HypothesisError,
                        orbit_census, primes_from, prop1_graph, prop2_graph,
                        prop3_graph, subdivided_nut)
 from nutorbits.automorphisms import identity
-from nutorbits.constructions import (FAMILIES, ConstructionParams, build,
-                                     is_prime)
+from nutorbits.constructions import FAMILIES, build, is_prime
 from nutorbits.graphs import cayley_automorphisms
 
 
@@ -30,7 +28,7 @@ def test_prop1_instances():
     assert built.verdict.is_nut
     assert built.census.counts == (1, 2, 2)
     assert built.census.aut_order == 20
-    assert built.provenance.variant == "prop1"
+    assert built.provenance["variant"] == "prop1"
 
     built = prop1_graph(4, 7)
     assert built.graph.n == 14 and built.census.counts == (1, 4, 4)
@@ -80,10 +78,10 @@ def test_fig3():
 
 
 def test_cayley_nut_dispatch():
-    assert cayley_nut(2).provenance.variant == "prop1"
+    assert cayley_nut(2).provenance["variant"] == "prop1"
     assert cayley_nut(2).graph.n == 10
-    assert cayley_nut(3).provenance.variant == "prop3"
-    assert cayley_nut(5).provenance.variant == "prop2"
+    assert cayley_nut(3).provenance["variant"] == "prop3"
+    assert cayley_nut(5).provenance["variant"] == "prop2"
     assert cayley_nut(4).census.counts == (1, 4, 4)
     # explicit primes exhibit other members of the family
     assert cayley_nut(2, p=7).graph.n == 14
@@ -94,12 +92,12 @@ def test_cayley_nut_dispatch():
 
 
 def test_defaults_are_the_smallest_admissible_choices():
-    assert prop1_graph(4).provenance.p == 7
-    assert prop2_graph(5).provenance.p == 11
+    assert prop1_graph(4).provenance["p"] == 7
+    assert prop2_graph(5).provenance["p"] == 11
     sweep = FAMILIES["subdiv"].sweep
     built = build("subdiv", **sweep.fixed, **sweep.cases(1, 2)[0])
-    assert built.provenance.base == ConstructionParams("prop1", k=2, p=5)
-    assert built.provenance.orbit_index == 0
+    assert built.provenance["base"] == {"variant": "prop1", "k": 2, "p": 5}
+    assert built.provenance["orbit_index"] == 0
     assert built.graph == subdivided_nut(prop1_graph(2, 5), 0, 1).graph
 
 
@@ -133,8 +131,8 @@ def test_construct_with_orbits_dispatch():
     assert construct_with_orbits(1, 4).graph == prop1_graph(4, 7).graph
     built = construct_with_orbits(3, 5)
     assert built.census.counts == (3, 5, 7)
-    assert built.provenance.variant == "subdivided"
-    assert built.provenance.base.variant == "prop3"
+    assert built.provenance["variant"] == "subdivided"
+    assert built.provenance["base"]["variant"] == "prop3"
 
 
 def test_large_subdivision_is_certified():
@@ -227,16 +225,16 @@ def test_certify_refuses_a_disagreeing_character_test(monkeypatch, make, orders)
 def test_certify_refuses_a_failed_nut_check(monkeypatch):
     # no spec, so no character test runs before the nut check
     built = prop1_graph(2, 5)
-    monkeypatch.setattr(constructions, "is_nut", lambda g: dataclasses.replace(
-        built.verdict, nullity=2, is_nut=False))
+    monkeypatch.setattr(constructions, "is_nut",
+                        lambda g: built.verdict._replace(nullity=2, is_nut=False))
     with pytest.raises(VerificationError, match="failed the nut check: nullity=2"):
         constructions._certify(built.graph, built.provenance, (1, 2, 2), 20)
 
 
 @pytest.mark.parametrize("wrong, message", [
-    (lambda c: dataclasses.replace(c, edge_orbits=(c.edge_orbits[0] + c.edge_orbits[1],)),
+    (lambda c: c._replace(edge_orbits=(c.edge_orbits[0] + c.edge_orbits[1],)),
      r"produced orbit counts \(1, 1, 2\), expected \(1, 2, 2\)"),
-    (lambda c: dataclasses.replace(c, aut_order=2 * c.aut_order),
+    (lambda c: c._replace(aut_order=2 * c.aut_order),
      r"has \|Aut\| = 40, expected 20"),
 ], ids=["counts", "aut_order"])
 def test_certify_refuses_a_wrong_census(monkeypatch, wrong, message):
@@ -250,7 +248,7 @@ def test_certify_refuses_counts_with_o_e_below_o_v_plus_one(monkeypatch):
     # a census that matches the expected counts (2, 2, 2), which no nut
     # graph has
     built = prop1_graph(2, 5)
-    split = dataclasses.replace(built.census, vertex_orbits=((0, 1, 2, 3, 4), (5, 6, 7, 8, 9)))
+    split = built.census._replace(vertex_orbits=((0, 1, 2, 3, 4), (5, 6, 7, 8, 9)))
     monkeypatch.setattr(constructions, "orbit_census", lambda g, seeds=(): split)
     with pytest.raises(VerificationError, match=r"violates o_e >= o_v \+ 1: \(2, 2, 2\)"):
         constructions._certify(built.graph, built.provenance, (2, 2, 2), 20)
@@ -368,12 +366,22 @@ def test_cayley_nut_refuses_a_prime_for_k_3():
                               "parameter is n, not a prime p")
 
 
+def test_answer_records_are_immutable():
+    built = prop1_graph(2, 5)
+    group = automorphisms.automorphism_group(built.graph)
+    for record, field in [(built.verdict, "nullity"), (built.census, "aut_order"),
+                          (group, "order"), (built, "provenance")]:
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+        assert getattr(record, field) is not None
+
+
 def test_subdivided_nut_refuses_a_base_with_more_arc_than_edge_orbits():
     # every abelian Cayley base has o_e = o_a, so the census is edited
     base = prop1_graph(2)
-    census = dataclasses.replace(base.census, edge_orbits=base.census.edge_orbits[:1])
+    census = base.census._replace(edge_orbits=base.census.edge_orbits[:1])
     with pytest.raises(HypothesisError) as err:
-        subdivided_nut(dataclasses.replace(base, census=census), 0, 1)
+        subdivided_nut(base._replace(census=census), 0, 1)
     assert str(err.value) == "base must have o_e = o_a, got (1, 2)"
 
 

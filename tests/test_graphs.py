@@ -387,6 +387,9 @@ def test_write_dot_with_and_without_orbits(c4):
 @pytest.mark.parametrize("build,message", [
     (lambda: Graph(-1, ()), "vertex count must be nonnegative"),
     (lambda: Graph(3, ((1, 2), (0, 1))), "edges must be strictly sorted"),
+    (lambda: Graph(2.5, ()), "vertex count must be an int, got 2.5"),
+    (lambda: Graph(3, ((0.0, 1.0),)), "edge (0.0, 1.0) has an endpoint that is not an int"),
+    (lambda: Graph(3, ((0, 1), (1, 2.0))), "edge (1, 2.0) has an endpoint that is not an int"),
     (lambda: subdivide_edges(Graph(2, ((0, 1),)), [], -1),
      "subdivision count must be nonnegative, got -1"),
     (lambda: write_graph6(Graph(258048, ())),
