@@ -44,52 +44,29 @@ EXIT_CAP = 4
 
 
 # ---------------------------------------------------------------------------
-# Report payloads
+# Reports
 # ---------------------------------------------------------------------------
-
-
-def _graph_payload(g: Graph) -> dict:
-    return {
-        "order": g.n,
-        "size": g.size,
-        "degree_sequence": g.degree_sequence(),
-        "graph6": write_graph6(g),
-    }
 
 
 # The kernel and the orbits go to json.dumps as the tuples they are
 # computed as; it writes tuples as arrays, as it writes lists.
-def _verdict_payload(v: NutVerdict) -> dict:
-    return {
-        "is_nut": v.is_nut,
-        "nullity": v.nullity,
-        "is_full": v.is_full,
-        "kernel": v.kernel_basis,
-    }
-
-
-def _census_payload(c: OrbitCensus) -> dict:
-    return {
-        "o_v": c.o_v,
-        "o_e": c.o_e,
-        "o_a": c.o_a,
-        "aut_order": c.aut_order,
-        "vertex_orbits": c.vertex_orbits,
-        "edge_orbits": c.edge_orbits,
-        "arc_orbits": c.arc_orbits,
-    }
-
-
-def _report(command: str, params: dict, g: Graph, verdict: NutVerdict,
+def _report(command: str, params: dict, graph: Graph, verdict: NutVerdict,
             census: OrbitCensus, provenance: Optional[dict],
             elapsed: float) -> dict:
     return {
         "schema": SCHEMA,
         "command": command,
         "params": params,
-        "graph": _graph_payload(g),
-        "nut": _verdict_payload(verdict),
-        "census": _census_payload(census),
+        "graph": {"order": graph.n, "size": graph.size,
+                  "degree_sequence": graph.degree_sequence(),
+                  "graph6": write_graph6(graph)},
+        "nut": {"is_nut": verdict.is_nut, "nullity": verdict.nullity,
+                "is_full": verdict.is_full, "kernel": verdict.kernel_basis},
+        "census": {"o_v": census.o_v, "o_e": census.o_e, "o_a": census.o_a,
+                   "aut_order": census.aut_order,
+                   "vertex_orbits": census.vertex_orbits,
+                   "edge_orbits": census.edge_orbits,
+                   "arc_orbits": census.arc_orbits},
         "provenance": provenance,
         "timing_ms": round(elapsed * 1000.0, 1),
     }
@@ -119,6 +96,13 @@ def _human_summary(report: dict) -> str:
     return "\n".join(lines)
 
 
+def _print_report(report: dict, args) -> None:
+    if args.human:
+        print(_human_summary(report))
+    else:
+        _emit(report, args.pretty)
+
+
 # ---------------------------------------------------------------------------
 # check
 # ---------------------------------------------------------------------------
@@ -143,14 +127,9 @@ def _cmd_check(args) -> int:
         if g.n == 0:
             raise InputError(f"graph {line.strip()!r} has order 0; "
                              "check needs at least one vertex")
-        verdict = is_nut(g)
-        census = orbit_census(g)
-        report = _report("check", {"input": line.strip()}, g, verdict, census,
-                         None, time.perf_counter() - start)
-        if args.human:
-            print(_human_summary(report))
-        else:
-            _emit(report, args.pretty)
+        report = _report("check", {"input": line.strip()}, g, is_nut(g),
+                         orbit_census(g), None, time.perf_counter() - start)
+        _print_report(report, args)
     return EXIT_OK
 
 
@@ -167,19 +146,14 @@ def _cmd_construct(args) -> int:
         raise HypothesisError("pass exactly one of --r (with --k) and --variant")
     built = build(params.get("variant", "dispatch"),
                   **{key: value for key, value in params.items() if key != "variant"})
-    report = _report("construct", params, built.graph, built.verdict,
-                     built.census, built.provenance,
-                     time.perf_counter() - start)
+    report = _report("construct", params, *built, time.perf_counter() - start)
     if args.out:
         with open(args.out + ".g6", "w") as fh:
             fh.write(write_graph6(built.graph) + "\n")
         with open(args.out + ".dot", "w") as fh:
             fh.write(write_dot(built.graph, built.census.edge_orbits))
         print(f"wrote {args.out}.g6 and {args.out}.dot", file=sys.stderr)
-    if args.human:
-        print(_human_summary(report))
-    else:
-        _emit(report, args.pretty)
+    _print_report(report, args)
     return EXIT_OK
 
 

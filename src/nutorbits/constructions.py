@@ -120,7 +120,7 @@ def _primes(family: str, k: int, p: Optional[int] = None,
     row = FAMILIES[family]
     floor = row.prime_floor(k)
     if p is None:
-        _check_order(row.order_scale * floor)  # no prime search past the cap
+        _check_order(row.order_scale * floor, at_least=True)  # no prime search past the cap
     primes = []
     for q in [p] if p is not None else islice(primes_from(floor), number):
         _check_order(row.order_scale * q)  # before trial division on a large q
@@ -183,6 +183,23 @@ def fig3_graph() -> VerifiedNut:
                     expected_aut_order=24, spec=spec)
 
 
+def _cayley_base(k: int, p: Optional[int]) -> tuple[str, dict, int]:
+    """The construct form and parameters ``cayley_nut(k, p)`` builds, with
+    k and p checked and the default prime chosen, and the order it builds."""
+    if k < 2:
+        raise NotRealizable(
+            f"no Cayley nut graph has {k} edge orbits: nut graphs satisfy "
+            "o_e >= o_v + 1 >= 2, and k >= 2 is achievable")
+    if k == 3:
+        if p is not None:
+            raise HypothesisError("k = 3 uses the box-K4 family; its size "
+                                  "parameter is n, not a prime p")
+        return "prop3", {"n": 5}, 40
+    form = "prop2" if k % 2 else "prop1"
+    [p] = _primes(form, k, p)
+    return form, {"k": k, "p": p}, FAMILIES[form].order_scale * p
+
+
 def cayley_nut(k: int, p: Optional[int] = None) -> VerifiedNut:
     """A Cayley nut graph with k edge orbits and k arc orbits, for any
     k >= 2.
@@ -192,18 +209,17 @@ def cayley_nut(k: int, p: Optional[int] = None) -> VerifiedNut:
     prime parameter is the smallest admissible one; pass ``p`` to sample
     other members of the (infinite) family.
     """
-    if k < 2:
-        raise NotRealizable(
-            f"no Cayley nut graph has {k} edge orbits: nut graphs satisfy "
-            "o_e >= o_v + 1 >= 2, and k >= 2 is achievable")
-    if k % 2 == 0:
-        return prop1_graph(k, p)
-    if k == 3:
-        if p is not None:
-            raise HypothesisError("k = 3 uses the box-K4 family; its size "
-                                  "parameter is n, not a prime p")
-        return prop3_graph(5)
-    return prop2_graph(k, p)
+    form, params, _ = _cayley_base(k, p)
+    return FAMILIES[form].build(**params)
+
+
+def _check_subdivision(t: int, orbit_index: Optional[int], k: int) -> None:
+    """Refuse t < 1, or an orbit index outside a base's k edge orbits."""
+    if t < 1:
+        raise HypothesisError(f"t must be a positive integer, got {t}")
+    if orbit_index is not None and not (0 <= orbit_index < k):
+        raise HypothesisError(
+            f"orbit index {orbit_index} out of range for {k} edge orbits")
 
 
 def subdivided_nut(base: VerifiedNut, orbit_index: int, t: int) -> VerifiedNut:
@@ -215,18 +231,14 @@ def subdivided_nut(base: VerifiedNut, orbit_index: int, t: int) -> VerifiedNut:
     ``orbit_index`` selects among edge orbits ordered by lexicographically
     smallest edge.
     """
-    if t < 1:
-        raise HypothesisError(f"t must be a positive integer, got {t}")
     census = base.census
+    _check_subdivision(t, orbit_index, census.o_e)
     if census.o_v != 1:
         raise HypothesisError(
             f"base must be vertex-transitive, got o_v = {census.o_v}")
     if census.o_e != census.o_a:
         raise HypothesisError(
             f"base must have o_e = o_a, got ({census.o_e}, {census.o_a})")
-    if not (0 <= orbit_index < census.o_e):
-        raise HypothesisError(
-            f"orbit index {orbit_index} out of range for {census.o_e} edge orbits")
     orbit = census.edge_orbits[orbit_index]
     _check_order(base.graph.n + 4 * t * len(orbit))
     k = census.o_e
@@ -244,12 +256,16 @@ def subdivided_cayley(k: int, t: int, p: Optional[int] = None,
 
     By default the smallest edge orbit is subdivided (ties broken by
     lexicographically smallest edge), which keeps the output small; any
-    orbit would do.  The base has degree at least k, so order n >= k + 1,
-    and each of its edge orbits meets every vertex, so holds at least n / 2
-    edges: an output order of at least (k + 1)(1 + 2t) is refused before
-    the base is built.
+    orbit would do.  The order cap, t and the orbit index are checked
+    before the base is built.  Each edge orbit of a base of order n is a
+    union of translation classes of n edges, or n / 2 for an involution,
+    which the even-k connection set lacks: an output order of at least
+    n(1 + 4t) for even k, n(1 + 2t) for odd k, is refused.  Both bounds are
+    exact for the default orbit.
     """
-    _check_order((k + 1) * (1 + 2 * t), at_least=True)
+    n = _cayley_base(k, p)[2]
+    _check_order(n * (1 + (2 if k % 2 else 4) * t), at_least=True)
+    _check_subdivision(t, orbit, k)  # a cayley_nut(k) base has k edge orbits
     base = cayley_nut(k, p)
     if orbit is None:
         sizes = [len(o) for o in base.census.edge_orbits]

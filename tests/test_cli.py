@@ -415,21 +415,48 @@ def test_construct_refuses_orders_above_the_cap(capsys, argv):
     assert f"cap of {MAX_ORDER}" in err
 
 
+def _refuse_base(k, p=None):
+    raise AssertionError("base built")
+
+
+# the base of cayley_nut(k) has order n = 2p for even k, 4p for odd k >= 5;
+# its smallest edge orbit holds n edges for even k and n / 2 for odd k, so
+# the subdivided order is at least n (1 + 4t) or n (1 + 2t)
 @pytest.mark.parametrize("argv, bound", [
-    (("--r", "3", "--k", "2000"), 1999 * 3),
-    (("--variant", "subdiv", "--k", "1998", "--t", "1"), 1999 * 3),
+    (("--r", "3", "--k", "2000"), 20030),  # p = 2003
+    (("--variant", "subdiv", "--k", "1998", "--t", "1"), 20030),
+    (("--r", "3", "--k", "1300"), 13010),  # p = 1301
+    (("--variant", "subdiv", "--k", "1364", "--t", "1"), 13670),  # p = 1367
+    (("--variant", "subdiv", "--k", "660", "--t", "1"), 6730),  # p = 673
+    (("--variant", "subdiv", "--k", "169", "--t", "1", "--orbit", "999"), 4164),  # p = 347
+    (("--variant", "subdiv", "--k", "3000", "--t", "1"), 6004),  # the base alone, p >= 3002
 ])
 def test_subdivision_refuses_an_over_cap_order_before_building_its_base(
         capsys, monkeypatch, argv, bound):
-    # a base of degree k has order n >= k + 1, and the subdivided order is
-    # at least n (1 + 2t)
-    def refuse(k, p=None):
-        raise AssertionError("base built")
-
-    monkeypatch.setattr(constructions, "cayley_nut", refuse)
+    monkeypatch.setattr(constructions, "cayley_nut", _refuse_base)
     code, out, err = run_cli(capsys, "construct", *argv)
     assert code == 4 and out == ""
     assert f"order at least {bound} exceeds the order cap of {MAX_ORDER}" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("--variant", "subdiv", "--k", "1364", "--t", "0"), "t must be a positive integer, got 0"),
+    (("--variant", "subdiv", "--k", "400", "--t", "1", "--orbit", "999"),
+     "orbit index 999 out of range for 400 edge orbits"),
+])
+def test_subdivision_refuses_t_and_orbit_before_building_its_base(
+        capsys, monkeypatch, argv, message):
+    monkeypatch.setattr(constructions, "cayley_nut", _refuse_base)
+    code, out, err = run_cli(capsys, "construct", *argv)
+    assert code == 3 and out == ""
+    assert message in err
+
+
+def test_subdivision_at_the_cap_builds_its_base(monkeypatch):
+    # p = 409: the output order is 818 * 5 = 4090, under the cap
+    monkeypatch.setattr(constructions, "cayley_nut", _refuse_base)
+    with pytest.raises(AssertionError, match="base built"):
+        main(["construct", "--variant", "subdiv", "--k", "400", "--t", "1"])
 
 
 @pytest.mark.parametrize("argv, unread", [
@@ -669,11 +696,11 @@ _PINNED_GRAPHS = {
 }
 
 
-def _report_digest(out: str) -> str:
-    """SHA-256 of one report, one-line or indented, with its timing_ms
-    entry removed."""
+def _report_digest(out: str, reports: int = 1) -> str:
+    """SHA-256 of ``reports`` reports, one-line or indented, with their
+    timing_ms entries removed."""
     stripped, count = re.subn(r',\s*"timing_ms": ?[0-9.]+', "", out)
-    assert count == 1
+    assert count == reports
     return hashlib.sha256(stripped.encode()).hexdigest()
 
 
@@ -775,6 +802,37 @@ def test_human_and_pretty_output_bytes_are_pinned(capsys, argv, digest):
         assert _report_digest(out) == digest
     else:
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_construct_out_file_bytes_are_pinned(tmp_path, capsys):
+    code, _, _ = run_cli(capsys, "construct", "--variant", "fig3",
+                         "--out", str(tmp_path / "out"))
+    assert code == 0
+    digests = {ext: hashlib.sha256((tmp_path / f"out.{ext}").read_bytes()).hexdigest()
+               for ext in ("g6", "dot")}
+    assert digests == {
+        "g6": "ec52fc404ff57e5ba57b93f24bbd52e0f94292e4875392ec65bc233902d8c988",
+        "dot": "1b6da552c5706a507fd56feee2e98ece884b71ca2b1035a79925521b521fcc53",
+    }
+
+
+def test_check_pretty_bytes_are_pinned(capsys):
+    g6 = write_graph6(_relabelled(*_PINNED_GRAPHS["Petersen"], 1))
+    code, out, _ = run_cli(capsys, "check", "--pretty", g6)
+    assert code == 0
+    assert _report_digest(out) == (
+        "857f9e51fe90ff72b7acbdade41210cb2d9b9fee0da7f5d079f286f256f6314e")
+
+
+def test_check_file_bytes_are_pinned(tmp_path, capsys):
+    # two graph6 lines with a blank line between them: two reports
+    path = tmp_path / "two.g6"
+    path.write_text(write_graph6(_relabelled(*_PINNED_GRAPHS["K5,5"], 1)) + "\n\n"
+                    + write_graph6(_relabelled(*_PINNED_GRAPHS["C40"], 2)) + "\n")
+    code, out, _ = run_cli(capsys, "check", "--file", str(path))
+    assert code == 0
+    assert _report_digest(out, reports=2) == (
+        "240cd0985b2d7a5e3654492724f8589d977a96544b978f531f5104e79420e965")
 
 
 # The default sweep of each suite; rows carry no timings by default.

@@ -4,14 +4,14 @@ import pytest
 from oracles import adjacency_matrix, orbit_partition
 
 from nutorbits import (AbelianCayleySpec, CirculantSpec, HypothesisError,
-                       NotCoveredByThisPaper, NotRealizable, VerificationError,
-                       automorphisms, cayley_abelian, cayley_nut,
-                       cayley_nut_edge_orbits, circulant, constructions,
-                       construct_with_orbits, fig3_graph, nut_realizable,
-                       orbit_census, primes_from, prop1_graph, prop2_graph,
-                       prop3_graph, subdivided_nut)
+                       NotCoveredByThisPaper, NotRealizable, ResourceCapError,
+                       VerificationError, automorphisms, cayley_abelian,
+                       cayley_nut, cayley_nut_edge_orbits, circulant,
+                       constructions, construct_with_orbits, fig3_graph,
+                       nut_realizable, orbit_census, primes_from, prop1_graph,
+                       prop2_graph, prop3_graph, subdivided_nut)
 from nutorbits.automorphisms import identity
-from nutorbits.constructions import FAMILIES, build, is_prime
+from nutorbits.constructions import FAMILIES, build, is_prime, subdivided_cayley
 from nutorbits.graphs import cayley_automorphisms
 
 
@@ -389,3 +389,16 @@ def test_cayley_nut_edge_orbits_refuses_a_negative_count():
     with pytest.raises(ValueError) as err:
         cayley_nut_edge_orbits(-1)
     assert str(err.value) == "orbit counts are nonnegative, got -1"
+
+
+@pytest.mark.parametrize("k", range(2, 13))
+def test_subdivision_refuses_from_the_default_orbits_exact_order(monkeypatch, k):
+    # the smallest edge orbit of a base of order n holds n edges for even k
+    # and n / 2 for odd k; one vertex under that order, the cap refuses it
+    for t in (1, 2):
+        order = subdivided_cayley(k, t).graph.n
+        assert order == cayley_nut(k).graph.n * (1 + (2 if k % 2 else 4) * t)
+        monkeypatch.setattr(constructions, "MAX_ORDER", order - 1)
+        with pytest.raises(ResourceCapError, match=f"order at least {order} exceeds"):
+            subdivided_cayley(k, t)
+        monkeypatch.undo()
