@@ -330,14 +330,13 @@ def _search(g: Graph, fixed: Optional[int] = None,
     else:   # cells {fixed} and the rest, at positions 0 and 1
         _refine(adj, part, [part.individualize(fixed), 1])
 
-    # the first path: each node's partition, shape and sorted cells, and
-    # the target cell start and chosen vertex of each node above the leaf
-    nodes, shapes, first_cells = [part], [], []
+    # the first path: each node's partition and shape, and the target cell
+    # start and chosen vertex of each node above the leaf
+    nodes, shapes = [part], []
     choices: list[tuple[int, int]] = []
     while True:
         starts = _cell_starts(part)
         shapes.append(starts)
-        first_cells.append(_sorted_cells(part, starts))
         if len(starts) == n:
             break
         ends = part.ends
@@ -347,6 +346,9 @@ def _search(g: Graph, fixed: Optional[int] = None,
         part = part.copy()
         _refine(adj, part, [part.individualize(v)])
         nodes.append(part)
+    # each node's sorted cells, listed when explore first maps a child onto
+    # it: a level its seeds make tight never lists them
+    first_cells: list[Optional[list[int]]] = [None] * len(nodes)
 
     def explore(node: _Partition, w: int, depth: int) -> Optional[Permutation]:
         """An automorphism fixing the first ``depth`` chosen vertices and
@@ -370,8 +372,11 @@ def _search(g: Graph, fixed: Optional[int] = None,
             starts = _cell_starts(child)
             if starts != shapes[d]:
                 continue
+            cells = first_cells[d]
+            if cells is None:
+                cells = first_cells[d] = _sorted_cells(nodes[d], shapes[d])
             image = [0] * n
-            for a, b in zip(_sorted_cells(child, starts), first_cells[d]):
+            for a, b in zip(_sorted_cells(child, starts), cells):
                 image[a] = b
             if _preserves_edges(adj, image):
                 return tuple(image)

@@ -73,10 +73,12 @@ def _report(command: str, params: dict, graph: Graph, verdict: NutVerdict,
 
 
 def _emit(obj: dict, pretty: bool) -> None:
+    # a report or sweep row is a freshly built tree, never cyclic, so the
+    # encoder's cycle check is skipped
     if pretty:
-        print(json.dumps(obj, indent=2))
+        print(json.dumps(obj, indent=2, check_circular=False))
     else:
-        print(json.dumps(obj, separators=(",", ":")))
+        print(json.dumps(obj, separators=(",", ":"), check_circular=False))
 
 
 def _human_summary(report: dict) -> str:

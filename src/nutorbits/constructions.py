@@ -183,9 +183,14 @@ def fig3_graph() -> VerifiedNut:
                     expected_aut_order=24, spec=spec)
 
 
-def _cayley_base(k: int, p: Optional[int]) -> tuple[str, dict, int]:
+def _cayley_base(k: int, p: Optional[int]) -> tuple[str, dict, int, list[int]]:
     """The construct form and parameters ``cayley_nut(k, p)`` builds, with
-    k and p checked and the default prime chosen, and the order it builds."""
+    k and p checked and the default prime chosen, the order n it builds and
+    the sizes of its k edge orbits, in census order.  Each offset s of a
+    circulant factor gives n edges, or n / 2 for the involution s = p: for
+    even k, n edges in every orbit; for odd k >= 5, n / 2 for the K2 edges
+    (index 0) and for s = p (index k - 1).  The k = 3 base, Circ(10, {1, 5})
+    box K4, has 60 K4 edges, 40 at offset 1 and 20 at offset 5."""
     if k < 2:
         raise NotRealizable(
             f"no Cayley nut graph has {k} edge orbits: nut graphs satisfy "
@@ -194,10 +199,12 @@ def _cayley_base(k: int, p: Optional[int]) -> tuple[str, dict, int]:
         if p is not None:
             raise HypothesisError("k = 3 uses the box-K4 family; its size "
                                   "parameter is n, not a prime p")
-        return "prop3", {"n": 5}, 40
+        return "prop3", {"n": 5}, 40, [60, 40, 20]
     form = "prop2" if k % 2 else "prop1"
     [p] = _primes(form, k, p)
-    return form, {"k": k, "p": p}, FAMILIES[form].order_scale * p
+    n = FAMILIES[form].order_scale * p
+    sizes = [n // 2] + [n] * (k - 2) + [n // 2] if k % 2 else [n] * k
+    return form, {"k": k, "p": p}, n, sizes
 
 
 def cayley_nut(k: int, p: Optional[int] = None) -> VerifiedNut:
@@ -209,7 +216,7 @@ def cayley_nut(k: int, p: Optional[int] = None) -> VerifiedNut:
     prime parameter is the smallest admissible one; pass ``p`` to sample
     other members of the (infinite) family.
     """
-    form, params, _ = _cayley_base(k, p)
+    form, params, _, _ = _cayley_base(k, p)
     return FAMILIES[form].build(**params)
 
 
@@ -257,20 +264,19 @@ def subdivided_cayley(k: int, t: int, p: Optional[int] = None,
     By default the smallest edge orbit is subdivided (ties broken by
     lexicographically smallest edge), which keeps the output small; any
     orbit would do.  The order cap, t and the orbit index are checked
-    before the base is built.  Each edge orbit of a base of order n is a
-    union of translation classes of n edges, or n / 2 for an involution,
-    which the even-k connection set lacks: an output order of at least
-    n(1 + 4t) for even k, n(1 + 2t) for odd k, is refused.  Both bounds are
-    exact for the default orbit.
+    before the base is built, from the base's order n and edge orbit sizes
+    (see ``_cayley_base``): first the smallest orbit's output order, at
+    least n(1 + 4t) for even k and n(1 + 2t) for odd k, then t and the
+    index, then an explicit orbit's exact output order.
     """
-    n = _cayley_base(k, p)[2]
-    _check_order(n * (1 + (2 if k % 2 else 4) * t), at_least=True)
+    _, _, n, sizes = _cayley_base(k, p)
+    _check_order(n + 4 * t * min(sizes), at_least=True)
     _check_subdivision(t, orbit, k)  # a cayley_nut(k) base has k edge orbits
-    base = cayley_nut(k, p)
     if orbit is None:
-        sizes = [len(o) for o in base.census.edge_orbits]
         orbit = sizes.index(min(sizes))
-    return subdivided_nut(base, orbit, t)
+    else:
+        _check_order(n + 4 * t * sizes[orbit])
+    return subdivided_nut(cayley_nut(k, p), orbit, t)
 
 
 def construct_with_orbits(r: int, k: int) -> VerifiedNut:

@@ -3,8 +3,8 @@ that are also their columns (row j is column j): the nut certificate.
 
 Kernels are certified modularly: elimination modulo a Mersenne prime
 P = 2^q - 1 gives the nullity d = n - rank_P and the d reduced echelon
-kernel vectors, lifted entry by entry to rationals by rational
-reconstruction.  Every lifted vector, scaled to its primitive integer
+kernel vectors, lifted to rationals by rational reconstruction of each
+distinct residue.  Every lifted vector, scaled to its primitive integer
 multiple, is checked to satisfy A v = 0 over Z, which makes the answer
 exact: rank over Q is at least rank mod P, so the nullity is at most d, and
 d independent verified vectors give at least d.
@@ -19,16 +19,19 @@ then on rows packed into one integer each.  No live row then holds a
 column above the current one, so the rows go over as they stand and the
 pivot columns do not change.
 
-Each kernel vector costs its support, not n or the nonzeros of A.  The
-elimination hands back its pivot rows transposed, each column with the
-pivots whose rows hold it, so back-substitution pushes each nonzero entry
-on to the pivots it feeds, in increasing column order, and passes over the
-zeros; every pivot's pending sum is the one row-by-row substitution takes,
-in another order.  Only the nonzero entries are reconstructed: 0 lifts to
-0/1, which moves neither the common denominator nor the gcd.  A v is
-summed over the support as the columns v_j A[:, j]: the whole product over
-Z, at the cost of the support's column degrees.  At full rank none of this
-is set up.
+Each kernel vector costs a few n-entry lists and a walk over the pivot
+columns above its free column, plus work in its support; the nonzeros of A
+outside the support are never read.  The elimination hands back its pivot
+rows transposed, each column with the pivots whose rows hold it, so
+back-substitution walks the pivot columns in increasing order over one
+n-entry list of pending sums, pushes each nonzero entry on to the pivots it
+feeds and passes over the zeros; every pivot's pending sum is the one
+row-by-row substitution takes, in another order.  Only the distinct nonzero
+residues of a vector are reconstructed, each once: 0 lifts to 0/1, which
+moves neither the common denominator nor the gcd, and a vector of entries
++-1 takes two lifts whatever its support.  A v is summed over the support
+as the columns v_j A[:, j]: the whole product over Z, at the cost of the
+support's column degrees.  At full rank none of this is set up.
 
 The moduli form a ladder.  The first try is q = 13: every residue and
 every product of two fits one 30-bit CPython digit, and fractions with numerator and
@@ -45,6 +48,7 @@ every rung that certifies gives the same basis.  No tolerances anywhere.
 from __future__ import annotations
 
 from bisect import bisect_right
+from itertools import chain
 from math import gcd, lcm, prod
 from typing import NamedTuple
 
@@ -104,12 +108,22 @@ def _eliminate_mod_p(rows: list[dict[int, int]], n: int, q: int) -> Eliminated:
     Returns the pivot columns in order and, when they are fewer than n, the
     pivot rows' other entries / pivot transposed for back-substitution:
     ``users[j]`` lists the pivot columns whose row holds column j and
-    ``weights[j]`` those entries, in parallel.  At full rank both are []."""
+    ``weights[j]`` those entries, in parallel.  At full rank both are [].
+
+    The dict rows skip work their input makes idle.  Rows whose entries
+    all lie in 1..p-1, as every adjacency matrix's do, are copied as they
+    stand; otherwise each row is reduced and its zeros dropped.  A column
+    with one or two holders picks the sparsest with no keyed search, and a
+    pivot entry of 1 leaves the pivot row's tail as it stands, with no
+    inverse or scaling."""
     if n <= PACKED_MAX_COLUMNS and PACKED_FILL_DIVISOR * min(
             (len(row) for row in rows if n - 1 in row), default=0) >= n:
         return _eliminate_packed(rows, n, q)  # dense from the start
     p = (1 << q) - 1
-    rows = [{j: x % p for j, x in row.items() if x % p} for row in rows]
+    if all(0 < x < p for x in set(chain.from_iterable(map(dict.values, rows)))):
+        rows = list(map(dict.copy, rows))  # reduced already, as adjacency rows are
+    else:
+        rows = [{j: x % p for j, x in row.items() if x % p} for row in rows]
     col_rows: dict[int, set[int]] = {}
     for i, row in enumerate(rows):
         for j in row:
@@ -120,17 +134,27 @@ def _eliminate_mod_p(rows: list[dict[int, int]], n: int, q: int) -> Eliminated:
         holders = col_rows.pop(c)
         if not holders:
             continue
-        i = min(holders, key=lambda k: (len(rows[k]), k))
+        if len(holders) == 1:
+            [i] = holders
+        elif len(holders) == 2:  # most columns of a sparse matrix
+            a, b = holders
+            i = a if (len(rows[a]), a) < (len(rows[b]), b) else b
+        else:
+            i = min(holders, key=lambda k: (len(rows[k]), k))
         if (HANDOVER_MIN_COLUMNS <= c + 1 <= PACKED_MAX_COLUMNS
                 and PACKED_FILL_DIVISOR * len(rows[i]) > c):
             block = _eliminate_packed([row for row in rows if row], c + 1, q)
             break
         holders.discard(i)
         row, rows[i] = rows[i], {}
-        inverse = pow(row.pop(c), -1, p)
+        lead = row.pop(c)
         for j in row:
             col_rows[j].discard(i)
-        tail = [(j, x * inverse % p) for j, x in row.items()]
+        if lead == 1:
+            tail = list(row.items())
+        else:
+            inverse = pow(lead, -1, p)
+            tail = [(j, x * inverse % p) for j, x in row.items()]
         for k in holders:
             other = rows[k]
             factor = p - other.pop(c)
@@ -248,11 +272,12 @@ def _modular_kernel(rows: list[dict[int, int]], n: int,
     integer check fails.  One vector per free column of the one
     elimination, whichever rows it ends on.
 
-    The vector with 1 at free column f costs its support: each nonzero x_j
-    is pushed on to the pivots in ``users[j]``, which are walked in
-    increasing column order from f, and only the support is reconstructed
-    and summed, column by column, into A v (see the module docstring).  At
-    full rank it returns [] before any of this is set up."""
+    The vector with 1 at free column f walks the pivot columns above f in
+    increasing order, pushing each nonzero x_j on to the pivots in
+    ``users[j]``.  Each distinct residue of its support is reconstructed
+    once, and the support is summed, column by column, into A v (see the
+    module docstring).  At full rank it returns [] before any of this is
+    set up."""
     p = (1 << q) - 1
     columns, users, weights = _eliminate_mod_p(rows, n, q)
     if len(columns) == n:
@@ -273,18 +298,19 @@ def _modular_kernel(rows: list[dict[int, int]], n: int,
                 residues.append(x)
                 for k, a in zip(users[c], weights[c]):
                     pending[k] += a * x
-        pairs = [_reconstruct(x, q) for x in residues]
-        if None in pairs:
+        lifts = {x: _reconstruct(x, q) for x in set(residues)}
+        if None in lifts.values():
             return None
-        denom = lcm(*(d for _, d in pairs))
-        ints = [num * (denom // d) for num, d in pairs]
+        denom = lcm(*(d for _, d in lifts.values()))
+        scaled = {x: num * (denom // d) for x, (num, d) in lifts.items()}
+        ints = [scaled[x] for x in residues]
         product = [0] * n
         for j, e in zip(support, ints):
             for i, a in rows[j].items():  # column j
                 product[i] += a * e
         if any(product):
             return None
-        divisor = gcd(*ints)  # positive: the leading entry, at f, is denom
+        divisor = gcd(*scaled.values())  # positive: the leading entry, at f, is denom
         v = [0] * n
         for j, e in zip(support, ints):
             v[j] = e // divisor

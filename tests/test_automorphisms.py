@@ -10,9 +10,10 @@ from oracles import (cartesian_product, chain_order, coarsest_equitable_partitio
 
 from nutorbits import (AbelianCayleySpec, CirculantSpec, Graph, automorphism_group,
                        cayley_abelian, circulant, construct_with_orbits, fig3_graph,
-                       orbit_census, prop2_graph, prop3_graph, stabilizer)
+                       orbit_census, prop2_graph, prop3_graph, stabilizer, write_graph6)
 from nutorbits import automorphisms
 from nutorbits.automorphisms import _cell_starts, _Partition, _refine, identity
+from nutorbits.cli import main
 
 
 def test_permutation_helpers():
@@ -318,6 +319,24 @@ def test_search_accepts_automorphisms_above_the_leaves(monkeypatch):
     cen = orbit_census(Graph.from_edges(n, [(2 * i, 2 * i + 1) for i in range(n // 2)]))
     assert (cen.counts, cen.aut_order) == ((1, 1, 1), 2 ** (n // 2) * factorial(n // 2))
     assert len(calls) <= 2 * n
+
+
+def test_first_path_cells_are_sorted_only_when_explored(capsys, monkeypatch):
+    # every level of the seeded subdivision is tight, so nothing is
+    # explored; Petersen's search explores
+    calls = []
+    sorted_cells = automorphisms._sorted_cells
+
+    def counting(*args):
+        calls.append(None)
+        return sorted_cells(*args)
+
+    monkeypatch.setattr(automorphisms, "_sorted_cells", counting)
+    construct_with_orbits(9, 10)
+    assert calls == []
+    assert main(["check", write_graph6(PETERSEN)]) == 0
+    capsys.readouterr()
+    assert calls
 
 
 def test_orders_agree_with_networkx_vf2():

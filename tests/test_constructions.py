@@ -402,3 +402,23 @@ def test_subdivision_refuses_from_the_default_orbits_exact_order(monkeypatch, k)
         with pytest.raises(ResourceCapError, match=f"order at least {order} exceeds"):
             subdivided_cayley(k, t)
         monkeypatch.undo()
+
+
+@pytest.mark.parametrize("k, p", [(k, None) for k in range(2, 16)]
+                         + [(4, 11), (5, 13), (7, 23), (9, 29)])
+def test_base_edge_orbit_sizes_are_known_before_the_build(k, p):
+    # the sizes a subdivision refuses from are those of the built census
+    _, _, n, sizes = constructions._cayley_base(k, p)
+    base = cayley_nut(k, p)
+    assert base.graph.n == n
+    assert [len(orbit) for orbit in base.census.edge_orbits] == sizes
+
+
+@pytest.mark.parametrize("k, orbit", [(3, 0), (3, 1), (5, 2), (7, 5)])
+def test_subdivision_refuses_an_explicit_orbits_exact_order(monkeypatch, k, orbit):
+    # orbits larger than the smallest, refused from their own size
+    order = subdivided_cayley(k, 1, orbit=orbit).graph.n
+    monkeypatch.setattr(constructions, "MAX_ORDER", order - 1)
+    monkeypatch.setattr(constructions, "cayley_nut", lambda k, p=None: pytest.fail("base built"))
+    with pytest.raises(ResourceCapError, match=f"order {order} exceeds"):
+        subdivided_cayley(k, 1, orbit=orbit)

@@ -324,6 +324,7 @@ def test_eliminations_agree_on_random_integer_matrices(monkeypatch):
     # some vanish mod p
     rng = random.Random(14)
     nullities = set()
+    matrices = []
     for trial in range(120):
         n = rng.randint(1, 12)
         r = rng.randint(0, n)
@@ -335,6 +336,15 @@ def test_eliminations_agree_on_random_integer_matrices(monkeypatch):
             a[i][j] += shift
             if i != j:
                 a[j][i] += shift
+        matrices.append(a)
+    # the dict rows copy rank-one (1, 2, 3, 4)^T (1, 2, 3, 4) as it stands,
+    # every entry in 1..8190; (1, 8192, 8191, 2)^T (...) has entries 0 and 1
+    # mod 8191 and past it, which the filtering copy reduces
+    for v in ((1, 2, 3, 4), (1, 8192, 8191, 2)):
+        matrices.append(_symmetric_product([[x] for x in v], [1]))
+    assert all(0 < x < 8191 for row in matrices[-2] for x in row)
+    assert {8191 * 8192, 8192} <= {x for row in matrices[-1] for x in row}
+    for a in matrices:
         basis = _on_both_paths(monkeypatch, a, over_q=False)
         assert basis == [primitive(v) for v in EXACT_KERNEL(a)], a
         nullities.add(len(basis))
