@@ -113,7 +113,7 @@ def _eliminate_mod_p(rows: list[dict[int, int]], n: int, q: int) -> Eliminated:
     The dict rows skip work their input makes idle.  Rows whose entries
     all lie in 1..p-1, as every adjacency matrix's do, are copied as they
     stand; otherwise each row is reduced and its zeros dropped.  A column
-    with one or two holders picks the sparsest with no keyed search, and a
+    with two holders picks the sparser with no keyed search, and a
     pivot entry of 1 leaves the pivot row's tail as it stands, with no
     inverse or scaling."""
     if n <= PACKED_MAX_COLUMNS and PACKED_FILL_DIVISOR * min(
@@ -134,9 +134,7 @@ def _eliminate_mod_p(rows: list[dict[int, int]], n: int, q: int) -> Eliminated:
         holders = col_rows.pop(c)
         if not holders:
             continue
-        if len(holders) == 1:
-            [i] = holders
-        elif len(holders) == 2:  # most columns of a sparse matrix
+        if len(holders) == 2:  # most columns of a sparse matrix
             a, b = holders
             i = a if (len(rows[a]), a) < (len(rows[b]), b) else b
         else:

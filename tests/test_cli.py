@@ -453,22 +453,21 @@ def test_subdivision_refuses_t_and_orbit_before_building_its_base(
 
 
 def test_subdivision_refuses_an_explicit_orbit_from_its_size(capsys, monkeypatch):
-    # p = 211, n = 844: orbit 1 holds n edges, so the output has 844 * 5 =
-    # 4220 vertices; orbit 0 holds n / 2 and passes, at 844 * 3 = 2532
+    # p = 211, n = 844: orbit 1 holds n edges, so the output has 844 * 5 = 4220 vertices
     monkeypatch.setattr(constructions, "cayley_nut", _refuse_base)
     code, out, err = run_cli(capsys, "construct", "--variant", "subdiv", "--k", "101",
                              "--t", "1", "--orbit", "1")
     assert code == 4 and out == ""
     assert f"order 4220 exceeds the order cap of {MAX_ORDER}" in err
-    with pytest.raises(AssertionError, match="base built"):
-        main(["construct", "--variant", "subdiv", "--k", "101", "--t", "1", "--orbit", "0"])
 
 
 def test_subdivision_at_the_cap_builds_its_base(monkeypatch):
-    # p = 409: the output order is 818 * 5 = 4090, under the cap
+    # p = 409: the output order is 818 * 5 = 4090, under the cap; p = 211:
+    # orbit 0 holds n / 2 = 422 edges, so the output order is 844 * 3 = 2532
     monkeypatch.setattr(constructions, "cayley_nut", _refuse_base)
-    with pytest.raises(AssertionError, match="base built"):
-        main(["construct", "--variant", "subdiv", "--k", "400", "--t", "1"])
+    for args in (("--k", "400", "--t", "1"), ("--k", "101", "--t", "1", "--orbit", "0")):
+        with pytest.raises(AssertionError, match="base built"):
+            main(["construct", "--variant", "subdiv", *args])
 
 
 @pytest.mark.parametrize("argv, unread", [
