@@ -16,12 +16,11 @@ above ``graphs.MAX_ORDER``.
 ``FAMILIES`` is the one table of construct forms and sweep suites: each row
 gives the builder, the prime floor of a prime family and the sweep range.
 ``build(form, **params)`` checks the parameters against the builder's
-signature, whose names are the ``nutorbits construct`` flags, and calls it.
+parameters, whose names are the ``nutorbits construct`` flags, and calls it.
 """
 
 from __future__ import annotations
 
-import inspect
 from itertools import combinations, count, islice
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
@@ -368,10 +367,11 @@ def build(form: str, **params) -> VerifiedNut:
     as the builder's parameters, which are the ``nutorbits construct`` flags;
     an unread one, or a missing one without a default, is rejected."""
     builder = FAMILIES[form].build
-    signature = inspect.signature(builder).parameters
-    unread = [f"--{name}" for name in params if name not in signature]
-    missing = [f"--{name}" for name, parameter in signature.items()
-               if parameter.default is parameter.empty and name not in params]
+    code = builder.__code__  # every builder's parameters are positional
+    names = code.co_varnames[:code.co_argcount]
+    required = names[:len(names) - len(builder.__defaults__ or ())]
+    unread = [f"--{name}" for name in params if name not in names]
+    missing = [f"--{name}" for name in required if name not in params]
     if unread or missing:
         raise HypothesisError(f"{form} does not read {', '.join(unread)}" if unread
                               else f"{form} needs {', '.join(missing)}")

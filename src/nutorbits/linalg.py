@@ -17,7 +17,11 @@ rest, yields that form as it stands.  It runs on sparse dict rows until
 the live rows are dense (see PACKED_MAX_COLUMNS and HANDOVER_MIN_COLUMNS),
 then on rows packed into one integer each.  No live row then holds a
 column above the current one, so the rows go over as they stand and the
-pivot columns do not change.
+pivot columns do not change.  A graph held as neighbour bitmasks (see
+``graphs``) whose rows are dense from the start is packed straight from
+its masks, a byte at a time, by looking up each nibble in a small table
+of that nibble spread over four slots; its dict rows are built only for
+the dict elimination and for the check of a singular matrix.
 
 Each kernel vector costs a few n-entry lists and a walk over the pivot
 columns above its free column, plus work in its support; the nonzeros of A
@@ -48,12 +52,13 @@ every rung that certifies gives the same basis.  No tolerances anywhere.
 from __future__ import annotations
 
 from bisect import bisect_right
+from functools import lru_cache
 from itertools import chain
 from math import gcd, lcm, prod
-from typing import NamedTuple
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import ResourceCapError
-from .graphs import Graph
+from .graphs import Graph, bit_positions
 
 IntVector = tuple[int, ...]
 # an elimination's pivot columns, users and weights (see _eliminate_mod_p)
@@ -101,6 +106,18 @@ class NutVerdict(NamedTuple):
     is_nut: bool
 
 
+def _mask_rows(masks: Sequence[int]) -> list[dict[int, int]]:
+    """The dict rows of the 0/1 matrix whose row i has bit j of
+    ``masks[i]`` as its entry in column j."""
+    return [dict.fromkeys(bit_positions(mask), 1) for mask in masks]
+
+
+def _packs_from_start(n: int, holders: Iterable[int]) -> bool:
+    """Whether the elimination of n columns runs packed from the start:
+    ``holders`` are the entry counts of the rows that hold column n - 1."""
+    return n <= PACKED_MAX_COLUMNS and PACKED_FILL_DIVISOR * min(holders, default=0) >= n
+
+
 def _eliminate_mod_p(rows: list[dict[int, int]], n: int, q: int) -> Eliminated:
     """Forward elimination modulo p = 2^q - 1 of the n-column sparse rows
     ``rows`` (column -> entry), from the last column down, each on a sparsest
@@ -116,8 +133,7 @@ def _eliminate_mod_p(rows: list[dict[int, int]], n: int, q: int) -> Eliminated:
     with two holders picks the sparser with no keyed search, and a
     pivot entry of 1 leaves the pivot row's tail as it stands, with no
     inverse or scaling."""
-    if n <= PACKED_MAX_COLUMNS and PACKED_FILL_DIVISOR * min(
-            (len(row) for row in rows if n - 1 in row), default=0) >= n:
+    if _packs_from_start(n, (len(row) for row in rows if n - 1 in row)):
         return _eliminate_packed(rows, n, q)  # dense from the start
     p = (1 << q) - 1
     if all(0 < x < p for x in set(chain.from_iterable(map(dict.values, rows)))):
@@ -182,11 +198,54 @@ def _eliminate_mod_p(rows: list[dict[int, int]], n: int, q: int) -> Eliminated:
     return columns, users, weights
 
 
-def _eliminate_packed(rows: list[dict[int, int]], n: int, q: int) -> Eliminated:
+@lru_cache(maxsize=None)
+def _spread(w: int) -> list[int]:
+    """Entry x: the bits of the nibble x spread over four slots of w bits,
+    bit b to slot 3 - b.  Sixteen integers of up to 4w bits, about 1 KB a
+    width; a table of the 256 bytes packs the cross-oracle masks about a
+    third faster (5.7 against 8.7 ms a round) but keeps 15 KB a width."""
+    table = [0]
+    for b in range(4):  # entries x + 2^b add bit b
+        table += [t | 1 << w * (3 - b) for t in table]
+    return table
+
+
+def _packed_rows(rows: Optional[list[dict[int, int]]], n: int, q: int, w: int,
+                 masks: Optional[Sequence[int]] = None) -> list[int]:
+    """The nonzero rows reduced modulo p = 2^q - 1, each packed into one
+    integer with column j in the slot of w bits at bit w (n - 1 - j).  Dict
+    rows are packed entry by entry.  A mask is padded with zero columns to
+    whole bytes and packed a byte at a time, lowest columns (the highest
+    slots) first, each byte by a lookup of each nibble in the slot width's
+    table."""
+    p = (1 << q) - 1
+    live = []
+    if masks is None:
+        for row in rows:
+            y = 0
+            for j, x in row.items():
+                y += x % p << w * (n - 1 - j)
+            if y:
+                live.append(y)
+        return live
+    table, width = _spread(w), (n + 7) // 8
+    pad, step, half = 8 * width - n, 8 * w, 4 * w
+    for mask in masks:
+        if mask:
+            y = 0
+            for x in (mask << pad).to_bytes(width, "little"):
+                y = y << step | table[x & 15] << half | table[x >> 4]
+            live.append(y)
+    return live
+
+
+def _eliminate_packed(rows: Optional[list[dict[int, int]]], n: int, q: int,
+                      masks: Optional[Sequence[int]] = None) -> Eliminated:
     """Forward elimination modulo p = 2^q - 1 on rows packed into one
     integer each, column j in the slot of W = 2q + 2 + n.bit_length() bits
     at bit W (n - 1 - j), so the last column comes first.  Returns what
-    ``_eliminate_mod_p`` returns, on the same pivot columns.
+    ``_eliminate_mod_p`` returns, on the same pivot columns.  The rows come
+    as dict rows or as the 0/1 ``masks`` (see ``_packed_rows``).
 
     A row update y + (p - f) prow is one multiply and one add over the
     whole row and is left unreduced.  Pivot rows keep their slots at most
@@ -207,13 +266,7 @@ def _eliminate_packed(rows: list[dict[int, int]], n: int, q: int) -> Eliminated:
     def fold(x: int) -> int:
         return (x & lo) + (x >> q & lo) + (x >> 2 * q & hi)
 
-    live = []
-    for row in rows:
-        y = 0
-        for j, x in row.items():
-            y += x % p << w * (n - 1 - j)
-        if y:
-            live.append(y)
+    live = _packed_rows(rows, n, q, w, masks)
     pivots = []
     for c in range(n - 1, -1, -1):
         for k, y in enumerate(live):
@@ -261,8 +314,8 @@ def _reconstruct(x: int, q: int) -> tuple[int, int] | None:
     return (r1, t1) if t1 > 0 else (-r1, -t1)
 
 
-def _modular_kernel(rows: list[dict[int, int]], n: int,
-                    q: int) -> list[IntVector] | None:
+def _modular_kernel(rows: Optional[list[dict[int, int]]], n: int, q: int,
+                    masks: Optional[Sequence[int]] = None) -> list[IntVector] | None:
     """The reduced echelon kernel basis of the symmetric n x n sparse
     integer matrix ``rows`` (column -> entry; row j is column j), each
     vector scaled to its primitive integer multiple, certified modulo
@@ -275,11 +328,17 @@ def _modular_kernel(rows: list[dict[int, int]], n: int,
     ``users[j]``.  Each distinct residue of its support is reconstructed
     once, and the support is summed, column by column, into A v (see the
     module docstring).  At full rank it returns [] before any of this is
-    set up."""
+    set up.  The 0/1 rows ``masks`` (see ``_kernel``) go packed as they
+    stand, and are read into dict rows only for the check."""
     p = (1 << q) - 1
-    columns, users, weights = _eliminate_mod_p(rows, n, q)
+    if masks is None:
+        columns, users, weights = _eliminate_mod_p(rows, n, q)
+    else:
+        columns, users, weights = _eliminate_packed(rows, n, q, masks)
     if len(columns) == n:
         return []
+    if masks is not None:
+        rows = _mask_rows(masks)
     ascending = columns[::-1]
     basis = []
     for f in sorted(set(range(n)).difference(ascending)):
@@ -316,24 +375,34 @@ def _modular_kernel(rows: list[dict[int, int]], n: int,
     return basis
 
 
-def _kernel(rows: list[dict[int, int]], n: int) -> list[IntVector]:
+def _kernel(rows: Optional[list[dict[int, int]]], n: int,
+            masks: Optional[Sequence[int]] = None) -> list[IntVector]:
     """The primitive reduced echelon kernel basis of the symmetric n x n
     sparse integer matrix ``rows`` (row j is column j): certified modulo
     2^13 - 1, else modulo 2^61 - 1, else modulo the first Mersenne prime
-    past the Hadamard bound, where it cannot fail."""
+    past the Hadamard bound, where it cannot fail.  A symmetric 0/1 matrix
+    may come as ``masks`` instead, bit j of ``masks[i]`` its entry (i, j),
+    with ``rows`` None: they are packed as they stand if the elimination
+    runs packed from the start, and read into dict rows otherwise."""
+    if masks is not None and not _packs_from_start(
+            n, (mask.bit_count() for mask in masks if mask >> n - 1)):
+        rows, masks = _mask_rows(masks), None
     for q in MERSENNE_EXPONENTS[:2]:
-        basis = _modular_kernel(rows, n, q)
+        basis = _modular_kernel(rows, n, q, masks)
         if basis is not None:
             return basis
     # h2 bounds the square of every minor of the matrix
-    h2 = prod(max(1, sum(x * x for x in row.values())) for row in rows)
+    if masks is None:
+        h2 = prod(max(1, sum(x * x for x in row.values())) for row in rows)
+    else:
+        h2 = prod(max(1, mask.bit_count()) for mask in masks)
     q = next((q for q in MERSENNE_EXPONENTS[2:] if h2 < 1 << (q - 1)), None)
     if q is None:
         raise ResourceCapError(
             f"matrix entries too large: the squared Hadamard bound has "
             f"{h2.bit_length()} bits, past the largest modulus "
             f"2^{MERSENNE_EXPONENTS[-1]} - 1")
-    basis = _modular_kernel(rows, n, q)
+    basis = _modular_kernel(rows, n, q, masks)
     if basis is None:
         raise AssertionError(
             f"internal error: kernel certificate failed modulo 2^{q} - 1, "
@@ -343,11 +412,15 @@ def _kernel(rows: list[dict[int, int]], n: int) -> list[IntVector]:
 
 def is_nut(g: Graph) -> NutVerdict:
     """Certify the nut property of a graph: adjacency nullity 1 with a full
-    kernel vector, on at least two vertices."""
-    rows: list[dict[int, int]] = [{} for _ in range(g.n)]
-    for u, v in g.edges:
-        rows[u][v] = rows[v][u] = 1
-    basis = _kernel(rows, g.n)
+    kernel vector, on at least two vertices.  A graph that holds masks is
+    certified from them, and one that holds edges from dict rows."""
+    masks = g.held_masks()
+    rows: Optional[list[dict[int, int]]] = None
+    if masks is None:
+        rows = [{} for _ in range(g.n)]
+        for u, v in g.edges:
+            rows[u][v] = rows[v][u] = 1
+    basis = _kernel(rows, g.n, masks)
     nullity = len(basis)
     is_full = nullity == 1 and all(e != 0 for e in basis[0])
     return NutVerdict(

@@ -1,13 +1,19 @@
+import copy
+import pathlib
+import pickle
 import random
+import subprocess
+import sys
 from itertools import combinations
 
 import pytest
 from oracles import cartesian_product, complete_graph, reference_read_graph6
 
+import nutorbits
 from nutorbits import (AbelianCayleySpec, CirculantSpec, Graph,
                        Graph6ParseError, ResourceCapError, SpecificationError,
-                       cayley_abelian, circulant, read_graph6, subdivide_edges,
-                       write_dot, write_graph6)
+                       cayley_abelian, circulant, graphs, read_graph6,
+                       subdivide_edges, write_dot, write_graph6)
 from nutorbits.graphs import MAX_ORDER
 
 
@@ -54,6 +60,96 @@ def test_circulant_edges_match_the_modular_definition():
         for offsets in sets + [set(half)]:
             expected = Graph.from_edges(n, [(i, (i + s) % n) for i in range(n) for s in offsets])
             assert circulant(CirculantSpec(n, offsets)) == expected
+
+
+def _edge_built_circulant(n, offsets):
+    """Circ(n, S) from its edge list, sorted and validated by ``Graph``."""
+    return Graph(n, tuple(sorted({tuple(sorted((i, (i + s) % n)))
+                                  for i in range(n) for s in offsets})))
+
+
+def _same_graph(g, h):
+    assert g == h and hash(g) == hash(h) and repr(g) == repr(h)
+    assert g.edges == h.edges and g.masks == h.masks and g.neighbors == h.neighbors
+
+
+# each builds every circulant in one form: masks, or edges
+BOTH_FORMS = pytest.mark.parametrize("fill_divisor, form", [
+    (MAX_ORDER, "masks"), (0, "edges")], ids=["masks", "edges"])
+
+
+@BOTH_FORMS
+def test_circulant_forms_equal_the_edge_built_graph(monkeypatch, fill_divisor, form):
+    # every spec of order at most 18, in the form the divisor forces
+    monkeypatch.setattr(graphs, "MASK_FILL_DIVISOR", fill_divisor)
+    for n in range(2, 19):
+        pool = range(1, n // 2 + 1)
+        for size in range(1, len(pool) + 1):
+            for offsets in combinations(pool, size):
+                g = circulant(CirculantSpec(n, offsets))
+                assert (g.held_masks() is not None) == (form == "masks")
+                _same_graph(g, _edge_built_circulant(n, offsets))
+
+
+@BOTH_FORMS
+@pytest.mark.parametrize("n, offsets", [
+    (4078, {1, 2}), (4077, {1, 5, 2038}), (4078, {3, 2039}), (9, {4}), (8, {4})])
+def test_large_circulant_forms_equal_the_edge_built_graph(monkeypatch, fill_divisor,
+                                                          form, n, offsets):
+    # an odd order, and the involution s = n/2, whose edges are not doubled
+    monkeypatch.setattr(graphs, "MASK_FILL_DIVISOR", fill_divisor)
+    _same_graph(circulant(CirculantSpec(n, offsets)), _edge_built_circulant(n, offsets))
+
+
+def test_bit_positions_match_a_scan_bit_by_bit():
+    rng = random.Random(64)
+    for length in [0, 1, 2, 17, 63, 64, 65, 66, 130, 422]:
+        for fill in (1, 2, 3, 4, 8, 64):
+            mask = sum(1 << i for i in range(length) if rng.randrange(fill) == 0)
+            assert graphs.bit_positions(mask) == [i for i in range(length) if mask >> i & 1]
+
+
+def test_circulant_holds_masks_exactly_on_dense_specs():
+    # degree at least n / 5: Circ(10, {1}) (degree 2) and Circ(20, {1, 2})
+    # (degree 4) hold masks, Circ(11, {1}) and Circ(21, {1, 2}) edges
+    for n, offsets, dense in [(10, {1}, True), (11, {1}, False), (20, {1, 2}, True),
+                              (21, {1, 2}, False), (10, {5}, False), (4078, {1, 2}, False),
+                              (422, range(1, 201), True)]:
+        g = circulant(CirculantSpec(n, offsets))
+        assert (g.held_masks() is not None) == dense, (n, offsets)
+        assert ("edges" in vars(g)) != dense
+
+
+def test_specs_and_graphs_compare_hash_and_print_by_their_fields():
+    spec = CirculantSpec(10, [1, 2, 2])
+    assert spec == CirculantSpec(10, {2, 1}) and hash(spec) == hash((10, frozenset({1, 2})))
+    assert spec != CirculantSpec(10, {1}) and spec != (10, frozenset({1, 2}))
+    assert repr(spec) == "CirculantSpec(n=10, offsets=frozenset({1, 2}))"
+    cayley = AbelianCayleySpec([4], [[1], [3]])
+    assert cayley == AbelianCayleySpec((4,), {(3,), (1,)})
+    assert hash(cayley) == hash(((4,), frozenset({(1,), (3,)})))
+    assert repr(cayley) == f"AbelianCayleySpec(orders=(4,), connection={cayley.connection!r})"
+    g = Graph(3, ((0, 1),))
+    assert repr(g) == "Graph(n=3, edges=((0, 1),))" and hash(g) == hash((3, ((0, 1),)))
+    assert g != Graph(4, ((0, 1),)) and g != (3, ((0, 1),))
+    masked = circulant(CirculantSpec(10, {1, 2}))
+    for value in (spec, cayley, g, masked):
+        assert pickle.loads(pickle.dumps(value)) == copy.deepcopy(value) == value
+    for value, name in [(spec, "n"), (cayley, "orders"), (g, "edges")]:
+        with pytest.raises(AttributeError):
+            setattr(value, name, None)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    # -S: no site packages, whose .pth files may import either
+    probe = ("import sys, nutorbits.cli; "
+             "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    src = pathlib.Path(nutorbits.__file__).parent.parent
+    out = subprocess.run([sys.executable, "-S", "-c", probe], check=True, text=True,
+                         capture_output=True, env={"PYTHONPATH": str(src)})
+    assert out.stdout.strip() == "[]"
 
 
 @pytest.mark.parametrize("bad_offset", [0, 6, -1])

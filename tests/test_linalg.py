@@ -11,7 +11,8 @@ from oracles import (adjacency_matrix, bareiss_echelon, complete_graph,
 from nutorbits import linalg
 from nutorbits import (CirculantSpec, Graph, ResourceCapError, circulant,
                        construct_with_orbits, is_nut)
-from nutorbits.graphs import MAX_ORDER, AbelianCayleySpec, cayley_abelian
+from nutorbits.graphs import (MAX_ORDER, AbelianCayleySpec, cayley_abelian,
+                              read_graph6, write_graph6)
 from nutorbits.linalg import MERSENNE_EXPONENTS
 
 EXACT_KERNEL = exact_kernel
@@ -171,11 +172,11 @@ def _record_tries(monkeypatch, fail_first_tries):
     tried = []
     certify = linalg._modular_kernel
 
-    def spy(rows, n, q):
+    def spy(rows, n, q, masks=None):
         tried.append(q)
         if fail_first_tries and q in FIRST_TRIES:
             return None
-        return certify(rows, n, q)
+        return certify(rows, n, q, masks)
 
     monkeypatch.setattr(linalg, "_modular_kernel", spy)
     return tried
@@ -424,9 +425,9 @@ def _handed_over(monkeypatch, g):
     rows handed to the packed elimination."""
     handed = []
 
-    def spy(rows, n, q, inner=linalg._eliminate_packed):
+    def spy(rows, n, q, masks=None, inner=linalg._eliminate_packed):
         handed.append(n)
-        return inner(rows, n, q)
+        return inner(rows, n, q, masks)
 
     monkeypatch.setattr(linalg, "_eliminate_packed", spy)
     return is_nut(g), handed
@@ -479,6 +480,67 @@ def test_random_cubic_graph_hands_over_a_strict_tail(monkeypatch):
         _dict_rows_throughout(m)
         assert is_nut(g) == verdict
         assert is_nut(twin).kernel_basis == expected
+
+
+# -- graphs held as neighbour bitmasks ----------------------------------------
+
+def _random_masks(n, rng):
+    """n rows of n 0/1 entries as bitmasks, with a zero row, a full row and
+    the first and last columns alone among random rows of every fill."""
+    randoms = [rng.getrandbits(n) & rng.getrandbits(n) >> rng.randrange(n) for _ in range(n)]
+    return ([0, (1 << n) - 1, 1, 1 << n - 1] + randoms)[:n]
+
+
+@pytest.mark.parametrize("q", [13, 61, 89])
+def test_masks_pack_like_their_dict_rows(q):
+    rng = random.Random(q)
+    for n in [*range(1, 41), 255, 256]:
+        w = 2 * q + 2 + n.bit_length()
+        masks = _random_masks(n, rng)
+        rows = [{j: 1 for j in range(n) if mask >> j & 1} for mask in masks]
+        assert linalg._mask_rows(masks) == rows
+        assert linalg._packed_rows(None, n, q, w, masks) == linalg._packed_rows(rows, n, q, w)
+
+
+def _edge_rows(g):
+    rows = [{} for _ in range(g.n)]
+    for u, v in g.edges:
+        rows[u][v] = rows[v][u] = 1
+    return rows
+
+
+def test_mask_kernel_equals_the_dict_row_kernel_on_every_cross_oracle_circulant():
+    # the masks of the sparse specs, which circulant builds as edges, are
+    # read into dict rows; those of the dense ones are packed as they stand
+    for g in _all_circulants(18, step=2):
+        expected = linalg._kernel(_edge_rows(g), g.n)
+        assert linalg._kernel(None, g.n, g.masks) == expected
+        assert list(is_nut(g).kernel_basis) == expected
+
+
+def test_is_nut_reads_a_dense_circulant_from_its_masks_alone(monkeypatch):
+    # no edge tuple, neighbour sets or dict rows, except the rows that the
+    # check over Z of a singular matrix reads; an edge-built graph gets no masks
+    calls = []
+
+    def spy(masks, inner=linalg._mask_rows):
+        calls.append(len(masks))
+        return inner(masks)
+
+    monkeypatch.setattr(linalg, "_mask_rows", spy)
+    held = 0
+    for g in _all_circulants(18, step=2):
+        calls.clear()
+        verdict = is_nut(g)
+        if g.held_masks() is None:
+            assert "masks" not in vars(g)
+            continue
+        held += 1
+        assert "edges" not in vars(g) and "neighbors" not in vars(g)
+        assert calls == ([g.n] if verdict.nullity else [])
+    assert held == 965
+    g = read_graph6(write_graph6(circulant(CirculantSpec(40, {1}))))
+    assert is_nut(g).nullity == 2 and g.held_masks() is None
 
 
 def test_is_nut_builds_no_dense_matrix():
