@@ -2,16 +2,14 @@
 
 A graph is its order n and its adjacency on the dense labels 0..n-1; two
 graphs are equal iff both agree.  It holds its adjacency in the form it
-was built in and derives the other on first read.  One form is the sorted
-edge tuple, which ``Graph(n, edges)`` validates edge by edge and which
-``read_graph6``, ``cayley_abelian``, ``subdivide_edges`` and ``circulant``
-on sparse specs build.  The other is one neighbour bitmask per vertex,
-which ``circulant`` builds on dense specs by rotating vertex 0's offset
-mask; ``is_nut`` packs such masks straight into its elimination.  A
-circulant's masks and edges need no per-edge check: a validated
-``CirculantSpec`` has offsets in 1..n/2, so no vertex is its own
-neighbour, and rotation keeps the masks symmetric.  Cayley graphs label
-their group elements in row-major order, so a label gives its coordinates.
+was built in.  One form is the sorted edge tuple, which ``read_graph6``,
+``cayley_abelian``, ``subdivide_edges`` and ``circulant`` on sparse specs
+build.  The other is one neighbour bitmask per vertex, which ``circulant``
+builds on dense specs by rotating vertex 0's offset mask; ``is_nut`` packs
+such masks straight into its elimination.  Every builder makes its output
+valid by construction and hands it to ``Graph._unchecked``.  Cayley graphs
+label their group elements in row-major order, so a label gives its
+coordinates.
 """
 
 from __future__ import annotations
@@ -26,22 +24,22 @@ from typing import Iterable, Optional, Sequence
 from .errors import Graph6ParseError, ResourceCapError, SpecificationError
 
 # The cap bounds order, not time or memory; ROADMAP item 4 sets the caps.
-# The worst accepted inputs measured on Python 3.11.7 and one Xeon core:
-# is_nut on G(1000, 0.01) takes 10 s, and the orbit census of the
-# edgeless graph of order 2400 takes 5.7 s and peaks at 376 MB resident.
+# The baseline table of ROADMAP.md gives the time and peak memory of the
+# slowest inputs ``check`` accepts under it.
 MAX_ORDER = 4096
 
-# ``circulant`` builds masks when its degree is at least n / MASK_FILL_DIVISOR,
-# and edges below.  A mask is n bits whatever the degree, and reading one back
-# into edges or dict rows costs time per bit, so masks pay where ``is_nut``
-# packs them as they stand, on rows that hold at least a fifth of the columns,
+# A row that holds at least a fifth of the columns is dense: ``circulant``
+# builds masks from degree n / DENSE_ROW_DIVISOR and edges below, and
+# ``linalg`` packs the rows of an elimination once they are dense.  A mask is
+# n bits whatever the degree, and reading one back into edges or dict rows
+# costs time per bit, so masks pay where ``is_nut`` packs them as they stand,
 # and on large dense rows.  is_nut(circulant(spec)) built as masks / as edges,
 # in ms (least CPU time of 6-10 alternating calls, Python 3.11, 2 shared
 # cores): Circ(34, {1..12}) 0.56 / 0.75, Circ(256, {1..32}) 22.9 / 27.1; below
 # a fifth, where they stay edges, Circ(24, {1, 2}) 0.22 / 0.20, Circ(40, {1, 2,
 # 3}) 0.44 / 0.40, Circ(256, {1..16}) 13.3 / 13.5, Circ(1024, {1..40}) 144 /
 # 154 and Circ(4078, {1, 2}) 217 / 28.
-MASK_FILL_DIVISOR = 5
+DENSE_ROW_DIVISOR = 5
 
 
 class _Frozen:
@@ -91,17 +89,30 @@ def bit_positions(mask: int) -> list[int]:
     return list(compress(count(), bin(mask).encode()[:1:-1].translate(_DIGIT_BYTES)))
 
 
+def _normalized(edges: Iterable[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
+    """The distinct edges as (min, max) pairs, sorted; a self-loop is
+    refused."""
+    norm = set()
+    for u, v in edges:
+        if u == v:
+            raise ValueError(f"self-loop at vertex {u}")
+        norm.add((u, v) if u < v else (v, u))
+    return tuple(sorted(norm))
+
+
 class Graph(_Frozen):
     """Undirected simple graph on vertices 0..n-1.
 
     ``edges`` is sorted with (min, max) normalization, so every graph has a
-    canonical iteration order; bit v of ``masks[u]`` is set iff uv is an
-    edge.  A graph holds the form it was built in and derives the other,
-    and ``neighbors``, on first read.  Instances are immutable; all
-    operations on them are pure.
+    canonical iteration order.  ``masks``, bit v of ``masks[u]`` set iff uv
+    is an edge, is None unless a builder made them; ``edges``, if not built,
+    and ``neighbors`` are derived on first read.  ``Graph(n, edges)`` and
+    ``from_edges`` check their input; the builders use ``_unchecked``.
+    Instances are immutable; all operations on them are pure.
     """
 
     _fields = ("n", "edges")
+    masks: Optional[tuple[int, ...]] = None
 
     def __init__(self, n: int, edges: tuple[tuple[int, int], ...]):
         if type(n) is not int:
@@ -122,8 +133,8 @@ class Graph(_Frozen):
 
     @classmethod
     def _unchecked(cls, n: int, **form) -> "Graph":
-        """A graph of order n holding ``edges`` or ``masks`` as given, for
-        builders whose output is valid by construction."""
+        """A graph of order n holding ``edges`` or ``masks`` as given: the
+        constructor of the builders, whose output is valid by construction."""
         g = cls.__new__(cls)
         g.__dict__.update(n=n, **form)
         return g
@@ -132,30 +143,12 @@ class Graph(_Frozen):
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
         """Build a graph from an arbitrary edge iterable, normalizing order
         and dropping duplicates.  Self-loops are rejected."""
-        norm = set()
-        for u, v in edges:
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
-            norm.add((u, v) if u < v else (v, u))
-        return cls(n, tuple(sorted(norm)))
+        return cls(n, _normalized(edges))
 
     @cached_property
     def edges(self) -> tuple[tuple[int, int], ...]:
         return tuple([(u, u + 1 + v) for u, mask in enumerate(self.masks)
                       for v in bit_positions(mask >> u + 1)])
-
-    @cached_property
-    def masks(self) -> tuple[int, ...]:
-        masks = [0] * self.n
-        for u, v in self.edges:
-            masks[u] |= 1 << v
-            masks[v] |= 1 << u
-        return tuple(masks)
-
-    def held_masks(self) -> Optional[tuple[int, ...]]:
-        """``masks`` if the graph holds them, built or derived, else None:
-        for a reader that takes either form and should derive neither."""
-        return self.__dict__.get("masks")
 
     @cached_property
     def neighbors(self) -> tuple[frozenset[int], ...]:
@@ -241,14 +234,15 @@ class AbelianCayleySpec(_Frozen):
 def circulant(spec: CirculantSpec) -> Graph:
     """Circ(n, S): vertex i is adjacent to i +- s (mod n) for every s in S.
 
-    A dense spec (see ``MASK_FILL_DIVISOR``) gives masks: vertex 0's has
+    A dense spec (see ``DENSE_ROW_DIVISOR``) gives masks: vertex 0's has
     bits s and n - s for every s in S, and vertex i's is that mask rotated
     i places up, read off the doubled mask.  A sparse one gives edges:
     offset s gives (i, i + s) for i < n - s and, unless 2s = n makes them
     the same edges, (j, j + n - s) for j < s; no two offsets give a common
-    edge, since they lie in 1..n/2.  Either form is valid by construction."""
+    edge, since they lie in 1..n/2, and none makes a vertex its own
+    neighbour.  Rotation keeps the masks symmetric."""
     n, offsets = spec.n, spec.offsets
-    if MASK_FILL_DIVISOR * (2 * len(offsets) - (2 * max(offsets) == n)) >= n:
+    if DENSE_ROW_DIVISOR * (2 * len(offsets) - (2 * max(offsets) == n)) >= n:
         first = 0
         for s in offsets:
             first |= 1 << s | 1 << n - s
@@ -277,7 +271,7 @@ def cayley_abelian(spec: AbelianCayleySpec) -> Graph:
     edges = []
     for c in spec.connection:
         edges.extend(enumerate(_affine(spec.orders, 1, c)))
-    return Graph.from_edges(prod(spec.orders), edges)
+    return Graph._unchecked(prod(spec.orders), edges=_normalized(edges))
 
 
 def _affine(orders: Sequence[int], sign: int, c: Sequence[int]) -> list[int]:
@@ -309,22 +303,26 @@ def subdivide_edges(g: Graph, targets: Iterable[tuple[int, int]], s: int) -> Gra
     """
     if s < 0:
         raise ValueError(f"subdivision count must be nonnegative, got {s}")
+    first = _chain_starts(g.n, targets, s)
     edge_set = set(g.edges)
-    norm = set()
-    for u, v in targets:
-        e = (u, v) if u < v else (v, u)
+    for e in first:
         if e not in edge_set:
             raise ValueError(f"target {e!r} is not an edge of the graph")
-        norm.add(e)
-    if s == 0 or not norm:
+    if s == 0 or not first:
         return g
-    edges = [e for e in g.edges if e not in norm]
-    nxt = g.n
-    for u, v in sorted(norm):
-        chain = [u] + list(range(nxt, nxt + s)) + [v]
-        nxt += s
-        edges.extend(zip(chain, chain[1:]))
-    return Graph.from_edges(nxt, edges)
+    edges = [e for e in g.edges if e not in first]
+    for (u, v), b in first.items():
+        chain = [u, *range(b, b + s), v]
+        edges += zip(chain, chain[1:])
+    return Graph._unchecked(g.n + len(first) * s, edges=_normalized(edges))
+
+
+def _chain_starts(n: int, targets: Iterable[tuple[int, int]],
+                  s: int) -> dict[tuple[int, int], int]:
+    """Each target edge, (min, max) normalized, in sorted order, to the
+    label n + i s of the first vertex of its chain of s."""
+    return {e: n + i * s for i, e in enumerate(
+        sorted({(u, v) if u < v else (v, u) for u, v in targets}))}
 
 
 def subdivision_lifts(g: Graph, targets: Iterable[tuple[int, int]], s: int,
@@ -333,9 +331,7 @@ def subdivision_lifts(g: Graph, targets: Iterable[tuple[int, int]], s: int,
     lifted to ``subdivide_edges(g, targets, s)``: it acts as p on g's
     vertices and carries the chain of each target edge (u, v) onto the
     chain of (p[u], p[v]), reversed when p[u] > p[v]."""
-    # the first chain vertex of each target edge, in sorted edge order
-    first = {e: g.n + i * s for i, e in enumerate(
-        sorted({(u, v) if u < v else (v, u) for u, v in targets}))}
+    first = _chain_starts(g.n, targets, s)
     lifts = []
     for p in perms:
         lift = list(p)
@@ -428,7 +424,7 @@ def read_graph6(text: str) -> Graph:
                 while j * (j + 1) // 2 <= k:
                     j += 1
                 edges.append((k - j * (j - 1) // 2, j))
-    return Graph(n, tuple(sorted(edges)))
+    return Graph._unchecked(n, edges=tuple(sorted(edges)))
 
 
 # DOT output; one color class per edge orbit when a partition is supplied.

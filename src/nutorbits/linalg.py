@@ -17,11 +17,12 @@ rest, yields that form as it stands.  It runs on sparse dict rows until
 the live rows are dense (see PACKED_MAX_COLUMNS and HANDOVER_MIN_COLUMNS),
 then on rows packed into one integer each.  No live row then holds a
 column above the current one, so the rows go over as they stand and the
-pivot columns do not change.  A graph held as neighbour bitmasks (see
+pivot columns do not change.  A graph built as neighbour bitmasks (see
 ``graphs``) whose rows are dense from the start is packed straight from
 its masks, a byte at a time, by looking up each nibble in a small table
 of that nibble spread over four slots; its dict rows are built only for
-the dict elimination and for the check of a singular matrix.
+the dict elimination, and the check of a singular matrix reads the masks
+of each kernel vector's support.
 
 Each kernel vector costs a few n-entry lists and a walk over the pivot
 columns above its free column, plus work in its support; the nonzeros of A
@@ -58,7 +59,7 @@ from math import gcd, lcm, prod
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import ResourceCapError
-from .graphs import Graph, bit_positions
+from .graphs import DENSE_ROW_DIVISOR, Graph, bit_positions
 
 IntVector = tuple[int, ...]
 # an elimination's pivot columns, users and weights (see _eliminate_mod_p)
@@ -73,16 +74,16 @@ MERSENNE_EXPONENTS = (13, 61, 89, 107, 127, 521, 607, 1279, 2203, 2281, 3217, 42
                       4423, 9689, 9941, 11213, 19937, 21701, 23209, 44497, 86243)
 
 # The dict rows go packed at the first column c with c + 1 at most
-# PACKED_MAX_COLUMNS whose sparsest live holder has at least
-# (c + 1) / PACKED_FILL_DIVISOR entries.  Packed rows cost about c^3 W bit
-# operations whatever the fill, dict rows what the fill makes them.  In ms,
-# packed / dict rows / handover modulo 2^13 - 1 (best of 3, Python 3.11,
-# 2 shared cores): G(160, 0.5) 20 / 304 / 21; G(300, 0.05) 69 / 743 / 76;
-# random cubic, order 600, 200 / 126 / 24; Circ(400, {1..25}) relabelled
-# 144 / 89 / 86; G(256, 0.2) 40 / 1086 / 90 (its sparsest rows hold under
-# a fifth); K_96 5.8 / 5.9 / 5.5, K_256 77 / 45 / 78, K_800 1585 / 392 / 332.
+# PACKED_MAX_COLUMNS whose sparsest live holder is dense, with at least
+# (c + 1) / DENSE_ROW_DIVISOR entries (see ``graphs``).  Packed rows cost
+# about c^3 W bit operations whatever the fill, dict rows what the fill
+# makes them.  In ms, packed / dict rows / handover modulo 2^13 - 1 (best
+# of 3, Python 3.11, 2 shared cores): G(160, 0.5) 20 / 304 / 21; G(300,
+# 0.05) 69 / 743 / 76; random cubic, order 600, 200 / 126 / 24; Circ(400,
+# {1..25}) relabelled 144 / 89 / 86; G(256, 0.2) 40 / 1086 / 90 (its
+# sparsest rows hold under a fifth); K_96 5.8 / 5.9 / 5.5, K_256 77 / 45 /
+# 78, K_800 1585 / 392 / 332.
 PACKED_MAX_COLUMNS = 256
-PACKED_FILL_DIVISOR = 5
 
 # A handover after the first pivot also needs c + 1 at least
 # HANDOVER_MIN_COLUMNS: on narrower live blocks short dict rows cost less
@@ -115,7 +116,7 @@ def _mask_rows(masks: Sequence[int]) -> list[dict[int, int]]:
 def _packs_from_start(n: int, holders: Iterable[int]) -> bool:
     """Whether the elimination of n columns runs packed from the start:
     ``holders`` are the entry counts of the rows that hold column n - 1."""
-    return n <= PACKED_MAX_COLUMNS and PACKED_FILL_DIVISOR * min(holders, default=0) >= n
+    return n <= PACKED_MAX_COLUMNS and DENSE_ROW_DIVISOR * min(holders, default=0) >= n
 
 
 def _eliminate_mod_p(rows: list[dict[int, int]], n: int, q: int) -> Eliminated:
@@ -156,7 +157,7 @@ def _eliminate_mod_p(rows: list[dict[int, int]], n: int, q: int) -> Eliminated:
         else:
             i = min(holders, key=lambda k: (len(rows[k]), k))
         if (HANDOVER_MIN_COLUMNS <= c + 1 <= PACKED_MAX_COLUMNS
-                and PACKED_FILL_DIVISOR * len(rows[i]) > c):
+                and DENSE_ROW_DIVISOR * len(rows[i]) > c):
             block = _eliminate_packed([row for row in rows if row], c + 1, q)
             break
         holders.discard(i)
@@ -329,7 +330,7 @@ def _modular_kernel(rows: Optional[list[dict[int, int]]], n: int, q: int,
     once, and the support is summed, column by column, into A v (see the
     module docstring).  At full rank it returns [] before any of this is
     set up.  The 0/1 rows ``masks`` (see ``_kernel``) go packed as they
-    stand, and are read into dict rows only for the check."""
+    stand, and the check reads the masks of the support alone."""
     p = (1 << q) - 1
     if masks is None:
         columns, users, weights = _eliminate_mod_p(rows, n, q)
@@ -337,8 +338,6 @@ def _modular_kernel(rows: Optional[list[dict[int, int]]], n: int, q: int,
         columns, users, weights = _eliminate_packed(rows, n, q, masks)
     if len(columns) == n:
         return []
-    if masks is not None:
-        rows = _mask_rows(masks)
     ascending = columns[::-1]
     basis = []
     for f in sorted(set(range(n)).difference(ascending)):
@@ -362,9 +361,13 @@ def _modular_kernel(rows: Optional[list[dict[int, int]]], n: int, q: int,
         scaled = {x: num * (denom // d) for x, (num, d) in lifts.items()}
         ints = [scaled[x] for x in residues]
         product = [0] * n
-        for j, e in zip(support, ints):
-            for i, a in rows[j].items():  # column j
-                product[i] += a * e
+        for j, e in zip(support, ints):  # column j
+            if masks is None:
+                for i, a in rows[j].items():
+                    product[i] += a * e
+            else:
+                for i in bit_positions(masks[j]):
+                    product[i] += e
         if any(product):
             return None
         divisor = gcd(*scaled.values())  # positive: the leading entry, at f, is denom
@@ -412,9 +415,9 @@ def _kernel(rows: Optional[list[dict[int, int]]], n: int,
 
 def is_nut(g: Graph) -> NutVerdict:
     """Certify the nut property of a graph: adjacency nullity 1 with a full
-    kernel vector, on at least two vertices.  A graph that holds masks is
-    certified from them, and one that holds edges from dict rows."""
-    masks = g.held_masks()
+    kernel vector, on at least two vertices.  A graph built as masks is
+    certified from them, and any other from dict rows of its edges."""
+    masks = g.masks
     rows: Optional[list[dict[int, int]]] = None
     if masks is None:
         rows = [{} for _ in range(g.n)]

@@ -7,9 +7,10 @@ under the generators one image at a time, the kernel oracle eliminates
 fraction-free (Bareiss) over the integers instead of modulo a prime, the
 residual multiplies a matrix by a vector in plain sums, and the graph6
 oracle walks its input one character at a time.  Complete graphs,
-cartesian products and dense adjacency matrices are written from their
-definitions, a map is checked against the edge set, and the gcd criterion
-decides the consecutive-offset circulants by arithmetic alone.
+cartesian products, dense adjacency matrices and neighbour bitmasks are
+written from their definitions, a map is checked against the edge set, and
+the gcd criterion decides the consecutive-offset circulants by arithmetic
+alone.
 """
 
 from fractions import Fraction
@@ -33,6 +34,16 @@ def cartesian_product(g: Graph, h: Graph) -> Graph:
     edges = [(a * nh + b, a * nh + b2) for a in range(g.n) for b, b2 in h.edges]
     edges += [(a * nh + b, a2 * nh + b) for a, a2 in g.edges for b in range(nh)]
     return Graph.from_edges(g.n * nh, edges)
+
+
+def edge_masks(g: Graph) -> tuple[int, ...]:
+    """One neighbour bitmask per vertex: bit v of entry u is set for every
+    edge uv of ``g.edges``."""
+    masks = [0] * g.n
+    for u, v in g.edges:
+        masks[u] |= 1 << v
+        masks[v] |= 1 << u
+    return tuple(masks)
 
 
 def adjacency_matrix(g: Graph) -> list[list[int]]:

@@ -1,3 +1,4 @@
+import ast
 import copy
 import pathlib
 import pickle
@@ -7,7 +8,7 @@ import sys
 from itertools import combinations
 
 import pytest
-from oracles import cartesian_product, complete_graph, reference_read_graph6
+from oracles import cartesian_product, complete_graph, edge_masks, reference_read_graph6
 
 import nutorbits
 from nutorbits import (AbelianCayleySpec, CirculantSpec, Graph,
@@ -70,7 +71,9 @@ def _edge_built_circulant(n, offsets):
 
 def _same_graph(g, h):
     assert g == h and hash(g) == hash(h) and repr(g) == repr(h)
-    assert g.edges == h.edges and g.masks == h.masks and g.neighbors == h.neighbors
+    assert g.edges == h.edges and g.neighbors == h.neighbors
+    assert Graph(g.n, g.edges) == g
+    assert g.masks is None or g.masks == edge_masks(h)
 
 
 # each builds every circulant in one form: masks, or edges
@@ -81,13 +84,13 @@ BOTH_FORMS = pytest.mark.parametrize("fill_divisor, form", [
 @BOTH_FORMS
 def test_circulant_forms_equal_the_edge_built_graph(monkeypatch, fill_divisor, form):
     # every spec of order at most 18, in the form the divisor forces
-    monkeypatch.setattr(graphs, "MASK_FILL_DIVISOR", fill_divisor)
+    monkeypatch.setattr(graphs, "DENSE_ROW_DIVISOR", fill_divisor)
     for n in range(2, 19):
         pool = range(1, n // 2 + 1)
         for size in range(1, len(pool) + 1):
             for offsets in combinations(pool, size):
                 g = circulant(CirculantSpec(n, offsets))
-                assert (g.held_masks() is not None) == (form == "masks")
+                assert (g.masks is not None) == (form == "masks")
                 _same_graph(g, _edge_built_circulant(n, offsets))
 
 
@@ -97,8 +100,19 @@ def test_circulant_forms_equal_the_edge_built_graph(monkeypatch, fill_divisor, f
 def test_large_circulant_forms_equal_the_edge_built_graph(monkeypatch, fill_divisor,
                                                           form, n, offsets):
     # an odd order, and the involution s = n/2, whose edges are not doubled
-    monkeypatch.setattr(graphs, "MASK_FILL_DIVISOR", fill_divisor)
+    monkeypatch.setattr(graphs, "DENSE_ROW_DIVISOR", fill_divisor)
     _same_graph(circulant(CirculantSpec(n, offsets)), _edge_built_circulant(n, offsets))
+
+
+def test_no_module_builds_a_graph_through_the_checked_constructors():
+    # Graph(n, edges) and Graph.from_edges check outside input; the
+    # package's builders make valid graphs and go through Graph._unchecked
+    package = pathlib.Path(nutorbits.__file__).parent
+    calls = [f"{path.name}:{node.lineno}" for path in sorted(package.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Call)
+             and ast.unparse(node.func) in ("Graph", "Graph.from_edges")]
+    assert calls == []
 
 
 def test_bit_positions_match_a_scan_bit_by_bit():
@@ -116,7 +130,7 @@ def test_circulant_holds_masks_exactly_on_dense_specs():
                               (21, {1, 2}, False), (10, {5}, False), (4078, {1, 2}, False),
                               (422, range(1, 201), True)]:
         g = circulant(CirculantSpec(n, offsets))
-        assert (g.held_masks() is not None) == dense, (n, offsets)
+        assert (g.masks is not None) == dense, (n, offsets)
         assert ("edges" in vars(g)) != dense
 
 
@@ -282,6 +296,8 @@ def test_cayley_abelian_validation_agrees_with_the_definition():
             assert not valid, (orders, connection)
         else:
             assert valid and spec.connection == connection, (orders, connection)
+            g = cayley_abelian(spec)
+            assert Graph(g.n, g.edges) == g
             accepted += 1
     assert 40 <= accepted <= 360
 
@@ -295,6 +311,7 @@ def test_subdivide_edges(circ_10_12):
     orbit = [(v, (v + 1) % 10) for v in range(10)]
     g = subdivide_edges(circ_10_12, orbit, 4)
     assert g.n == 50 and g.size == 60
+    assert Graph(one.n, one.edges) == one and Graph(g.n, g.edges) == g
     # original degrees unchanged, all new vertices have degree 2
     assert [len(g.neighbors[v]) for v in range(10)] == [4] * 10
     assert all(len(g.neighbors[v]) == 2 for v in range(10, 50))
@@ -402,7 +419,8 @@ def test_graph6_fuzzed_round_trips_and_error_offsets():
     @given(cases())
     def check(case):
         g, text, at, bad = case
-        assert read_graph6(text) == g
+        h = read_graph6(text)
+        assert Graph(h.n, h.edges) == h == g
         with pytest.raises(Graph6ParseError) as err:
             read_graph6(text[:at] + bad + text[at + 1:])
         assert err.value.offset == at
@@ -454,7 +472,8 @@ def test_graph6_reader_agrees_with_reference_on_mutated_strings():
     def agree(text):
         expected = reference_read_graph6(text, MAX_ORDER)
         if isinstance(expected, Graph):
-            assert read_graph6(text) == expected
+            g = read_graph6(text)
+            assert Graph(g.n, g.edges) == g == expected
             return
         kind, message, offset = expected
         with pytest.raises(errors[kind]) as err:

@@ -6,7 +6,7 @@ from math import gcd
 
 import pytest
 from oracles import (adjacency_matrix, bareiss_echelon, complete_graph,
-                     exact_kernel, primitive, residual)
+                     edge_masks, exact_kernel, primitive, residual)
 
 from nutorbits import linalg
 from nutorbits import (CirculantSpec, Graph, ResourceCapError, circulant,
@@ -514,33 +514,27 @@ def test_mask_kernel_equals_the_dict_row_kernel_on_every_cross_oracle_circulant(
     # read into dict rows; those of the dense ones are packed as they stand
     for g in _all_circulants(18, step=2):
         expected = linalg._kernel(_edge_rows(g), g.n)
-        assert linalg._kernel(None, g.n, g.masks) == expected
+        assert linalg._kernel(None, g.n, edge_masks(g)) == expected
         assert list(is_nut(g).kernel_basis) == expected
 
 
 def test_is_nut_reads_a_dense_circulant_from_its_masks_alone(monkeypatch):
-    # no edge tuple, neighbour sets or dict rows, except the rows that the
-    # check over Z of a singular matrix reads; an edge-built graph gets no masks
+    # no edge tuple, neighbour sets or dict rows, not even for the check
+    # over Z of a singular matrix; an edge-built graph gets no masks
     calls = []
-
-    def spy(masks, inner=linalg._mask_rows):
-        calls.append(len(masks))
-        return inner(masks)
-
-    monkeypatch.setattr(linalg, "_mask_rows", spy)
-    held = 0
+    monkeypatch.setattr(linalg, "_mask_rows", calls.append)
+    held = singular = 0
     for g in _all_circulants(18, step=2):
-        calls.clear()
         verdict = is_nut(g)
-        if g.held_masks() is None:
+        if g.masks is None:
             assert "masks" not in vars(g)
             continue
         held += 1
+        singular += verdict.nullity > 0
         assert "edges" not in vars(g) and "neighbors" not in vars(g)
-        assert calls == ([g.n] if verdict.nullity else [])
-    assert held == 965
+    assert held == 965 and singular == 372 and calls == []
     g = read_graph6(write_graph6(circulant(CirculantSpec(40, {1}))))
-    assert is_nut(g).nullity == 2 and g.held_masks() is None
+    assert is_nut(g).nullity == 2 and g.masks is None
 
 
 def test_is_nut_builds_no_dense_matrix():
