@@ -6,10 +6,10 @@ was built in.  One form is the sorted edge tuple, which ``read_graph6``,
 ``cayley_abelian``, ``subdivide_edges`` and ``circulant`` on sparse specs
 build.  The other is one neighbour bitmask per vertex, which ``circulant``
 builds on dense specs by rotating vertex 0's offset mask; ``is_nut`` packs
-such masks straight into its elimination.  Every builder makes its output
-valid by construction and hands it to ``Graph._unchecked``.  Cayley graphs
-label their group elements in row-major order, so a label gives its
-coordinates.
+such masks straight into its elimination.  ``Graph(n, edges)`` checks and
+normalizes outside input; every builder emits each edge once, (min, max)
+and sorted, and hands it to ``Graph._unchecked``.  Cayley graphs label
+their group elements in row-major order, so a label gives its coordinates.
 """
 
 from __future__ import annotations
@@ -89,47 +89,38 @@ def bit_positions(mask: int) -> list[int]:
     return list(compress(count(), bin(mask).encode()[:1:-1].translate(_DIGIT_BYTES)))
 
 
-def _normalized(edges: Iterable[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
-    """The distinct edges as (min, max) pairs, sorted; a self-loop is
-    refused."""
-    norm = set()
-    for u, v in edges:
-        if u == v:
-            raise ValueError(f"self-loop at vertex {u}")
-        norm.add((u, v) if u < v else (v, u))
-    return tuple(sorted(norm))
-
-
 class Graph(_Frozen):
     """Undirected simple graph on vertices 0..n-1.
 
     ``edges`` is sorted with (min, max) normalization, so every graph has a
     canonical iteration order.  ``masks``, bit v of ``masks[u]`` set iff uv
     is an edge, is None unless a builder made them; ``edges``, if not built,
-    and ``neighbors`` are derived on first read.  ``Graph(n, edges)`` and
-    ``from_edges`` check their input; the builders use ``_unchecked``.
+    and ``neighbors`` are derived on first read.  ``Graph(n, edges)`` reads
+    any edge iterable once and normalizes it; the builders use ``_unchecked``.
     Instances are immutable; all operations on them are pure.
     """
 
     _fields = ("n", "edges")
     masks: Optional[tuple[int, ...]] = None
 
-    def __init__(self, n: int, edges: tuple[tuple[int, int], ...]):
+    def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if type(n) is not int:
             raise ValueError(f"vertex count must be an int, got {n!r}")
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
-        prev = None
+        norm = set()
         for e in edges:
             u, v = e
             if type(u) is not int or type(v) is not int:
                 raise ValueError(f"edge {e!r} has an endpoint that is not an int")
-            if not (0 <= u < v < n):
-                raise ValueError(f"edge {e!r} out of range or not (min, max) normalized")
-            if prev is not None and e <= prev:
-                raise ValueError("edges must be strictly sorted")
-            prev = e
-        self.__dict__.update(n=n, edges=edges)
+            if u == v:
+                raise ValueError(f"self-loop at vertex {u}")
+            if u > v:
+                u, v = v, u
+            if u < 0 or v >= n:
+                raise ValueError(f"edge {e!r} out of range")
+            norm.add((u, v))
+        self.__dict__.update(n=n, edges=tuple(sorted(norm)))
 
     @classmethod
     def _unchecked(cls, n: int, **form) -> "Graph":
@@ -138,12 +129,6 @@ class Graph(_Frozen):
         g = cls.__new__(cls)
         g.__dict__.update(n=n, **form)
         return g
-
-    @classmethod
-    def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
-        """Build a graph from an arbitrary edge iterable, normalizing order
-        and dropping duplicates.  Self-loops are rejected."""
-        return cls(n, _normalized(edges))
 
     @cached_property
     def edges(self) -> tuple[tuple[int, int], ...]:
@@ -267,11 +252,14 @@ def cayley_abelian(spec: AbelianCayleySpec) -> Graph:
 
     Vertices are the group elements in row-major order (last coordinate
     fastest): (x_1, ..., x_d) has label sum of x_i * m_(i+1) * ... * m_d.
+    Each c in S gives the pairs (u, u + c) with u < u + c, so an edge uv,
+    u < v, comes once, from c = v - u, as S is closed under negation.
     """
     edges = []
     for c in spec.connection:
-        edges.extend(enumerate(_affine(spec.orders, 1, c)))
-    return Graph._unchecked(prod(spec.orders), edges=_normalized(edges))
+        edges += [(u, v) for u, v in enumerate(_affine(spec.orders, 1, c)) if u < v]
+    edges.sort()
+    return Graph._unchecked(prod(spec.orders), edges=tuple(edges))
 
 
 def _affine(orders: Sequence[int], sign: int, c: Sequence[int]) -> list[int]:
@@ -310,11 +298,12 @@ def subdivide_edges(g: Graph, targets: Iterable[tuple[int, int]], s: int) -> Gra
             raise ValueError(f"target {e!r} is not an edge of the graph")
     if s == 0 or not first:
         return g
+    # chain labels exceed g's, so (u, b) and (v, b + s - 1) are (min, max)
     edges = [e for e in g.edges if e not in first]
     for (u, v), b in first.items():
-        chain = [u, *range(b, b + s), v]
-        edges += zip(chain, chain[1:])
-    return Graph._unchecked(g.n + len(first) * s, edges=_normalized(edges))
+        edges += [(u, b), *zip(range(b, b + s - 1), range(b + 1, b + s)), (v, b + s - 1)]
+    edges.sort()
+    return Graph._unchecked(g.n + len(first) * s, edges=tuple(edges))
 
 
 def _chain_starts(n: int, targets: Iterable[tuple[int, int]],

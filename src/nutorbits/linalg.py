@@ -22,7 +22,7 @@ pivot columns do not change.  A graph built as neighbour bitmasks (see
 its masks, a byte at a time, by looking up each nibble in a small table
 of that nibble spread over four slots; its dict rows are built only for
 the dict elimination, and the check of a singular matrix reads the masks
-of each kernel vector's support.
+of the kernel vectors' supports, each mask once.
 
 Each kernel vector costs a few n-entry lists and a walk over the pivot
 columns above its free column, plus work in its support; the nonzeros of A
@@ -330,7 +330,7 @@ def _modular_kernel(rows: Optional[list[dict[int, int]]], n: int, q: int,
     once, and the support is summed, column by column, into A v (see the
     module docstring).  At full rank it returns [] before any of this is
     set up.  The 0/1 rows ``masks`` (see ``_kernel``) go packed as they
-    stand, and the check reads the masks of the support alone."""
+    stand, and the check reads each mask of the supports at most once."""
     p = (1 << q) - 1
     if masks is None:
         columns, users, weights = _eliminate_mod_p(rows, n, q)
@@ -340,6 +340,7 @@ def _modular_kernel(rows: Optional[list[dict[int, int]]], n: int, q: int,
         return []
     ascending = columns[::-1]
     basis = []
+    positions: dict[int, list[int]] = {}  # column j: the rows of its mask
     for f in sorted(set(range(n)).difference(ascending)):
         # a pivot row holds only columns below its pivot column, so every
         # push goes up and x_c = 0 for c < f
@@ -366,7 +367,9 @@ def _modular_kernel(rows: Optional[list[dict[int, int]]], n: int, q: int,
                 for i, a in rows[j].items():
                     product[i] += a * e
             else:
-                for i in bit_positions(masks[j]):
+                if j not in positions:
+                    positions[j] = bit_positions(masks[j])
+                for i in positions[j]:
                     product[i] += e
         if any(product):
             return None

@@ -33,7 +33,7 @@ def cartesian_product(g: Graph, h: Graph) -> Graph:
     nh = h.n
     edges = [(a * nh + b, a * nh + b2) for a in range(g.n) for b, b2 in h.edges]
     edges += [(a * nh + b, a2 * nh + b) for a, a2 in g.edges for b in range(nh)]
-    return Graph.from_edges(g.n * nh, edges)
+    return Graph(g.n * nh, edges)
 
 
 def edge_masks(g: Graph) -> tuple[int, ...]:

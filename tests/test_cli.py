@@ -693,7 +693,7 @@ def test_parser_is_built_once_and_keeps_no_state_between_calls(capsys):
 def _relabelled(n, edges, seed):
     perm = list(range(n))
     random.Random(seed).shuffle(perm)
-    return Graph.from_edges(n, [(perm[u], perm[v]) for u, v in edges])
+    return Graph(n, [(perm[u], perm[v]) for u, v in edges])
 
 
 _PETERSEN_PAIRS = list(combinations(range(5), 2))

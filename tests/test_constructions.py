@@ -1,3 +1,6 @@
+import ast
+import pathlib
+import re
 from itertools import combinations, islice, product
 
 import pytest
@@ -422,3 +425,52 @@ def test_subdivision_refuses_an_explicit_orbits_exact_order(monkeypatch, k, orbi
     monkeypatch.setattr(constructions, "cayley_nut", lambda k, p=None: pytest.fail("base built"))
     with pytest.raises(ResourceCapError, match=f"order {order} exceeds"):
         subdivided_cayley(k, 1, orbit=orbit)
+
+
+README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+
+# what a comment in README's library tour may state of its statement's
+# value r, as a pattern and a test of r against the match m
+_TOUR_CLAIMS = {
+    r"nullity (\d+)": lambda r, m: r.nullity == int(m[1]),
+    r"kernel \(([-\d,]+),\.\.\.\)": lambda r, m: (
+        r.kernel_basis[0][:m[1].count(",") + 1] == ast.literal_eval(m[1] + ",")),
+    r"\bfull\b": lambda r, m: r.is_full,
+    r"o_v=(\d+), o_e=(\d+), o_a=(\d+)": lambda r, m: r.counts == tuple(map(int, m.groups())),
+    r"census \((\d+), ?(\d+), ?(\d+)\)": lambda r, m: (
+        r.census.counts == tuple(map(int, m.groups()))),
+    r"\|Aut\|=(\d+)": lambda r, m: getattr(r, "census", r).aut_order == int(m[1]),
+    r"order-(\d+)": lambda r, m: r.graph.n == int(m[1]),
+}
+
+
+def test_readme_library_tour_holds_what_its_comments_state():
+    # the python block runs statement by statement, and every value stated
+    # in a statement's comment (a literal, or a claim above) is its value's
+    block = re.search(r"## Library tour\n\n```python\n(.*?)```", README.read_text(),
+                      re.S)[1]
+    lines = block.splitlines()
+    namespace = {}
+    checked = []
+    for stmt in ast.parse(block).body:
+        if isinstance(stmt, ast.Expr):
+            value = eval(compile(ast.Expression(stmt.value), "README.md", "eval"), namespace)
+        else:
+            exec(compile(ast.Module([stmt], []), "README.md", "exec"), namespace)
+            value = namespace[stmt.targets[0].id] if isinstance(stmt, ast.Assign) else None
+        comment = lines[stmt.end_lineno - 1].partition("#")[2].strip()
+        if not comment:
+            continue
+        claims = [(pattern, m) for pattern in _TOUR_CLAIMS
+                  if (m := re.search(pattern, comment))]
+        try:
+            claims.append(("literal", ast.literal_eval(comment)))
+        except (ValueError, SyntaxError):
+            pass
+        assert claims, comment
+        for pattern, m in claims:
+            assert (value == m if pattern == "literal"
+                    else _TOUR_CLAIMS[pattern](value, m)), (comment, pattern)
+        checked.append(len(claims))
+    # g's verdict and census, two symbolic tests, four families, the construction
+    assert checked == [3, 2, 1, 1, 2, 2, 2, 2, 1]

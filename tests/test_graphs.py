@@ -5,7 +5,7 @@ import pickle
 import random
 import subprocess
 import sys
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from oracles import cartesian_product, complete_graph, edge_masks, reference_read_graph6
@@ -13,13 +13,13 @@ from oracles import cartesian_product, complete_graph, edge_masks, reference_rea
 import nutorbits
 from nutorbits import (AbelianCayleySpec, CirculantSpec, Graph,
                        Graph6ParseError, ResourceCapError, SpecificationError,
-                       cayley_abelian, circulant, graphs, read_graph6,
+                       cayley_abelian, circulant, graphs, is_nut, read_graph6,
                        subdivide_edges, write_dot, write_graph6)
 from nutorbits.graphs import MAX_ORDER
 
 
 def test_graph_normalization_and_queries():
-    g = Graph.from_edges(4, [(2, 0), (0, 1), (1, 0), (3, 2)])
+    g = Graph(4, [(2, 0), (0, 1), (1, 0), (3, 2)])
     assert g.edges == ((0, 1), (0, 2), (2, 3))
     assert g.neighbors[2] == {0, 3} and g.neighbors[0] == {1, 2}
     assert 3 not in g.neighbors[0]
@@ -28,11 +28,24 @@ def test_graph_normalization_and_queries():
 
 def test_graph_rejects_bad_edges():
     with pytest.raises(ValueError):
-        Graph.from_edges(3, [(0, 0)])
-    with pytest.raises(ValueError):
-        Graph(3, ((1, 0),))
+        Graph(3, [(0, 0)])
+    assert Graph(3, ((1, 0),)).edges == ((0, 1),)  # reversed: normalized, not refused
     with pytest.raises(ValueError):
         Graph(2, ((0, 2),))
+
+
+def test_graph_reads_any_edge_iterable_once():
+    # a generator is read once, by the checks and the stored edges alike;
+    # a list, a set, and unsorted, reversed or repeated pairs all give the
+    # one canonical, hashable P3
+    p3 = Graph(3, ((0, 1), (1, 2)))
+    assert is_nut(Graph(3, (e for e in ((0, 1), (1, 2))))).nullity == 1
+    for g in (Graph(3, (e for e in ((0, 1), (1, 2)))), Graph(3, [(0, 1), (1, 2)]),
+              Graph(3, [[1, 2], [0, 1]]), Graph(3, {(1, 2), (0, 1)}),
+              Graph(3, ((1, 2), (0, 1))), Graph(3, ((2, 1), (1, 0))),
+              Graph(3, ((0, 1), (1, 2), (2, 1), (0, 1)))):
+        assert g == p3 and hash(g) == hash(p3) and g.size == 2
+        assert g.edges == ((0, 1), (1, 2)) and type(g.edges) is tuple
 
 
 def test_circulant_examples(circ_10_12, c4):
@@ -59,7 +72,7 @@ def test_circulant_edges_match_the_modular_definition():
         sets = [set(c) for k in range(1, n // 2 + 1 if n <= 12 else 3)
                 for c in combinations(half, k)]
         for offsets in sets + [set(half)]:
-            expected = Graph.from_edges(n, [(i, (i + s) % n) for i in range(n) for s in offsets])
+            expected = Graph(n, [(i, (i + s) % n) for i in range(n) for s in offsets])
             assert circulant(CirculantSpec(n, offsets)) == expected
 
 
@@ -105,13 +118,12 @@ def test_large_circulant_forms_equal_the_edge_built_graph(monkeypatch, fill_divi
 
 
 def test_no_module_builds_a_graph_through_the_checked_constructors():
-    # Graph(n, edges) and Graph.from_edges check outside input; the
-    # package's builders make valid graphs and go through Graph._unchecked
+    # Graph(n, edges) checks outside input; the package's builders make
+    # valid graphs and go through Graph._unchecked
     package = pathlib.Path(nutorbits.__file__).parent
     calls = [f"{path.name}:{node.lineno}" for path in sorted(package.glob("*.py"))
              for node in ast.walk(ast.parse(path.read_text()))
-             if isinstance(node, ast.Call)
-             and ast.unparse(node.func) in ("Graph", "Graph.from_edges")]
+             if isinstance(node, ast.Call) and ast.unparse(node.func) == "Graph"]
     assert calls == []
 
 
@@ -202,7 +214,7 @@ def test_cartesian_product_basics(k4):
 
     # (a, b) has label 2a + b: it is adjacent to (a, b') for b ~ b' in K2
     # and to (a', b) for a ~ a' in P3
-    p3 = Graph.from_edges(3, [(0, 1), (1, 2)])
+    p3 = Graph(3, [(0, 1), (1, 2)])
     expected = {(2 * a + b, 2 * a + b2) for a in range(3) for b, b2 in k2.edges}
     expected |= {(2 * a + b, 2 * a2 + b) for a, a2 in p3.edges for b in range(2)}
     assert set(cartesian_product(p3, k2).edges) == expected
@@ -216,7 +228,7 @@ def test_cartesian_product_basics(k4):
 
 
 def test_cartesian_product_degree_additivity():
-    g = Graph.from_edges(3, [(0, 1)])  # degrees 1, 1, 0
+    g = Graph(3, [(0, 1)])  # degrees 1, 1, 0
     h = complete_graph(3)
     prod = cartesian_product(g, h)
     for a in range(g.n):
@@ -298,6 +310,12 @@ def test_cayley_abelian_validation_agrees_with_the_definition():
             assert valid and spec.connection == connection, (orders, connection)
             g = cayley_abelian(spec)
             assert Graph(g.n, g.edges) == g
+            # each edge once, as (u, v) with u < v and v - u in S
+            labels = list(product(*map(range, orders)))
+            assert g.edges == tuple(
+                (u, v) for u, v in combinations(range(g.n), 2)
+                if tuple((y - x) % m for x, y, m in zip(labels[u], labels[v], orders))
+                in connection)
             accepted += 1
     assert 40 <= accepted <= 360
 
@@ -321,7 +339,7 @@ def test_subdivide_edges(circ_10_12):
 
 
 def test_subdivision_labels_are_deterministic():
-    g = Graph.from_edges(3, [(0, 1), (1, 2)])
+    g = Graph(3, [(0, 1), (1, 2)])
     s = subdivide_edges(g, [(1, 2), (0, 1)], 2)
     # sorted target order: (0,1) gets 3,4 and (1,2) gets 5,6, paths oriented
     # from the smaller endpoint: 0-3-4-1 and 1-5-6-2
@@ -398,7 +416,7 @@ def test_graph6_agrees_with_networkx_both_ways():
         expected = nx.to_graph6_bytes(h, header=False).decode("ascii").strip()
         assert write_graph6(g) == expected
         back = nx.from_graph6_bytes(expected.encode("ascii"))
-        assert read_graph6(expected) == Graph.from_edges(back.number_of_nodes(), back.edges)
+        assert read_graph6(expected) == Graph(back.number_of_nodes(), back.edges)
 
 
 def test_graph6_fuzzed_round_trips_and_error_offsets():
@@ -410,10 +428,10 @@ def test_graph6_fuzzed_round_trips_and_error_offsets():
         n = draw(st.integers(0, 70))
         pairs = list(combinations(range(n), 2))
         edges = draw(st.sets(st.sampled_from(pairs), max_size=80)) if pairs else set()
-        text = write_graph6(Graph.from_edges(n, edges))
+        text = write_graph6(Graph(n, edges))
         at = draw(st.integers(0, len(text) - 1))
         bad = draw(st.sampled_from('!"#$%&*+,-./0123456789:;<=>\x7f\xe9'))
-        return Graph.from_edges(n, edges), text, at, bad
+        return Graph(n, edges), text, at, bad
 
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(cases())
@@ -440,7 +458,7 @@ def test_graph6_reader_agrees_with_reference_on_mutated_strings():
         n = draw(st.one_of(st.integers(0, 70), st.integers(63, 300)))
         vertex = st.integers(0, max(n - 1, 0))
         pairs = draw(st.lists(st.tuples(vertex, vertex), max_size=60))
-        payload = write_graph6(Graph.from_edges(n, [(u, v) for u, v in pairs if u != v]))
+        payload = write_graph6(Graph(n, [(u, v) for u, v in pairs if u != v]))
         if n > 1 and draw(st.booleans()):
             # more bits in the last byte, which may hold padding
             bits = draw(st.integers(1, 63))
@@ -501,7 +519,9 @@ def test_write_dot_with_and_without_orbits(c4):
 
 @pytest.mark.parametrize("build,message", [
     (lambda: Graph(-1, ()), "vertex count must be nonnegative"),
-    (lambda: Graph(3, ((1, 2), (0, 1))), "edges must be strictly sorted"),
+    (lambda: Graph(3, ((1, 1),)), "self-loop at vertex 1"),
+    (lambda: Graph(2, ((0, 2),)), "edge (0, 2) out of range"),
+    (lambda: Graph(3, [(1, -1)]), "edge (1, -1) out of range"),
     (lambda: Graph(2.5, ()), "vertex count must be an int, got 2.5"),
     (lambda: Graph(3, ((0.0, 1.0),)), "edge (0.0, 1.0) has an endpoint that is not an int"),
     (lambda: Graph(3, ((0, 1), (1, 2.0))), "edge (1, 2.0) has an endpoint that is not an int"),
