@@ -41,7 +41,10 @@ A seed joins the union-find, and the generators, when the level loop
 reaches the first level whose chosen vertex it moves: it fixes v_0..v_{i-1},
 so it lies in the stabilizer whose orbits the union-find then keeps.  A
 verified seed joins only points that an automorphism joins, so it can spare
-explores but never change a class, the orbits or the order.
+explores but never change a class, the orbits or the order.  A caller that
+proves its seeds generate the whole group, and knows its order, skips the
+search: ``orbit_census`` then verifies the seeds by the same check and reads
+the orbits off them (a subdivision's lifts, see ``constructions``).
 
 No group element is ever listed.  When level i ends, v_i's class in its
 target cell is its orbit under the stabilizer of v_0..v_{i-1}, since every
@@ -89,8 +92,9 @@ class OrbitCensus(NamedTuple):
 
     Orbits are sorted tuples ordered by smallest member, so edge orbits are
     ordered by their lexicographically smallest edge.  ``generators`` are
-    the search's: its verified seeds and the automorphisms it found.  A
-    construction passes them on as seeds for a graph built from this one.
+    the search's, its verified seeds and the automorphisms it found, or
+    the verified seeds alone when the order was given.  A construction
+    passes them on as seeds for a graph built from this one.
     """
 
     vertex_orbits: tuple[tuple[int, ...], ...]
@@ -304,6 +308,21 @@ def _preserves_edges(adj: Sequence[frozenset[int]], p: Sequence[int]) -> bool:
                for v in adj[u] if v > u or p[v] == v)
 
 
+def _verified(g: Graph, seeds: Iterable[Sequence[int]]) -> list[Permutation]:
+    """The seeds as tuples, once each is checked to be a permutation of
+    range(n) that maps edges to edges; ``VerificationError`` names the
+    first that is not."""
+    n, adj = g.n, g.neighbors
+    verified = []
+    for i, p in enumerate(map(tuple, seeds)):
+        if sorted(p) != list(range(n)):
+            raise VerificationError(f"seed {i} is not a permutation of range({n})")
+        if not _preserves_edges(adj, p):
+            raise VerificationError(f"seed {i} maps an edge to a non-edge")
+        verified.append(p)
+    return verified
+
+
 def _search(g: Graph, fixed: Optional[int] = None,
             seeds: Iterable[Sequence[int]] = ()) -> tuple[list[Permutation], int]:
     """Generators and order of the automorphisms of g, or of those fixing
@@ -387,11 +406,7 @@ def _search(g: Graph, fixed: Optional[int] = None,
 
     # each verified seed waits for the first level whose chosen vertex it moves
     seeded: dict[int, list[Permutation]] = {}
-    for i, p in enumerate(map(tuple, seeds)):
-        if sorted(p) != list(range(n)):
-            raise VerificationError(f"seed {i} is not a permutation of range({n})")
-        if not _preserves_edges(adj, p):
-            raise VerificationError(f"seed {i} maps an edge to a non-edge")
+    for p in _verified(g, seeds):
         level = next((j for j, (_, v) in enumerate(choices) if p[v] != v), None)
         if level is not None:
             seeded.setdefault(level, []).append(p)
@@ -478,10 +493,18 @@ def _classes(keys: Iterable[int], items: Iterable) -> tuple[tuple, ...]:
     return tuple(map(tuple, out.values()))
 
 
-def orbit_census(g: Graph, seeds: Iterable[Sequence[int]] = ()) -> OrbitCensus:
+def orbit_census(g: Graph, seeds: Iterable[Sequence[int]] = (),
+                 aut_order: Optional[int] = None) -> OrbitCensus:
     """Vertex, edge and arc orbit partitions under Aut(G), from a search
-    seeded with the automorphisms ``seeds`` (see ``_search``)."""
-    group = automorphism_group(g, seeds)
+    seeded with the automorphisms ``seeds`` (see ``_search``).  A caller
+    that knows the seeds generate Aut(G), and its order ``aut_order``,
+    skips the search: the seeds are verified as the search verifies them
+    and give the orbits as they stand.  A subdivision's lifts are such
+    seeds (see ``constructions.subdivided_nut``)."""
+    if aut_order is None:
+        group = automorphism_group(g, seeds)
+    else:
+        group = PermutationGroup.from_generators(g.n, _verified(g, seeds), aut_order)
     census = OrbitCensus(*orbits_of(g, group.generators), group.order,
                          group.generators)
     if not census.o_e <= census.o_a <= 2 * census.o_e:

@@ -2,12 +2,16 @@
 exceptional Cayley nut graph, the orbit-raising subdivision, the (r, k)
 dispatch, and the realizability predicates.
 
-Every builder verifies its own output from scratch: the nut certificate is
-recomputed by exact nullspace, the orbit census by the automorphism search,
-and the group order is compared against the formula claimed for the family.
-The search is seeded with the automorphisms the construction guarantees, each
-one verified before use: a Cayley graph's translations and inversion, and a
-subdivision's base generators lifted to its chains.
+Every builder verifies its own output: the nut certificate is recomputed by
+exact nullspace, the orbit census is recomputed, and the group order is
+compared against the formula claimed for the family.  The census comes
+from the automorphism search, seeded with a Cayley graph's translations
+and inversion; a subdivision's census is lifted from its base's instead,
+with no search (see ``subdivided_nut``).  Every automorphism the
+construction guarantees is verified on the output before use.  On a
+subdivision the nut certificate eliminates only the base, as ``is_nut``
+contracts the subdivided edges' threads and checks the lifted kernel
+vector on the whole graph.
 A Cayley builder's nullity and verdict must also match its character test.
 A mismatch is an internal consistency failure and aborts loudly; it is never
 a valid outcome.  Each builder refuses, before it builds anything, an order
@@ -73,9 +77,12 @@ def primes_from(lower_bound: int) -> Iterator[int]:
 def _certify(graph: Graph, provenance: dict,
              expected_counts: tuple[int, int, int], expected_aut_order: int,
              spec: Optional[AbelianCayleySpec] = None,
-             seeds: Sequence[Sequence[int]] = ()) -> VerifiedNut:
+             seeds: Sequence[Sequence[int]] = (),
+             lifted: bool = False) -> VerifiedNut:
     """Verify ``graph`` as a nut graph with the expected census; a Cayley
-    ``spec`` supplies the census's seeds and a character test to match."""
+    ``spec`` supplies the census's seeds and a character test to match.
+    ``lifted`` seeds generate Aut(graph), of the expected order, and the
+    census takes its orbits from them with no search."""
     verdict = is_nut(graph)
     if spec is not None:
         seeds = cayley_automorphisms(spec.orders)
@@ -90,7 +97,8 @@ def _certify(graph: Graph, provenance: dict,
             f"construction {provenance} failed the nut check: "
             f"nullity={verdict.nullity}, is_full={verdict.is_full} "
             f"(order {graph.n}, size {graph.size})")
-    census = orbit_census(graph, seeds)
+    census = (orbit_census(graph, seeds, expected_aut_order) if lifted
+              else orbit_census(graph, seeds))
     if census.counts != expected_counts:
         raise VerificationError(
             f"construction {provenance} produced orbit counts "
@@ -232,10 +240,21 @@ def subdivided_nut(base: VerifiedNut, orbit_index: int, t: int) -> VerifiedNut:
     """Subdivide every edge of one edge orbit of a vertex-transitive nut
     graph with o_e = o_a exactly 4t times.
 
-    The result is verified from scratch to be a nut graph with orbit counts
-    (2t + 1, 2t + k, 4t + k) and an unchanged automorphism group order.
-    ``orbit_index`` selects among edge orbits ordered by lexicographically
-    smallest edge.
+    The result is verified to be a nut graph with orbit counts
+    (2t + 1, 2t + k, 4t + k).  ``orbit_index`` selects among edge orbits
+    ordered by lexicographically smallest edge.
+
+    The census is lifted from the base's.  A vertex-transitive nut graph
+    has minimum degree at least 3 (one of degree at most 2 is a matching
+    or a union of cycles, none of them nut), and a base of lower degree is
+    refused.  So the branch vertices of the output are exactly those of
+    degree 3 or more, which every automorphism fixes as a set, mapping
+    threads to threads.  Restriction to them is one to one, as the base is
+    simple and one that fixes them fixes each thread, and onto the
+    automorphisms of the base that fix the subdivided edges, all of them
+    since those form an orbit.  The group order is the base's, and the
+    lifts of the base's generators, each verified as an automorphism of the
+    output, generate the group and give its orbits with no search.
     """
     census = base.census
     _check_subdivision(t, orbit_index, census.o_e)
@@ -245,6 +264,11 @@ def subdivided_nut(base: VerifiedNut, orbit_index: int, t: int) -> VerifiedNut:
     if census.o_e != census.o_a:
         raise HypothesisError(
             f"base must have o_e = o_a, got ({census.o_e}, {census.o_a})")
+    degree = base.graph.degree_sequence()[0]
+    if degree < 3:
+        raise VerificationError(
+            f"base {base.provenance} has a vertex of degree {degree}: its census "
+            "lifts to a subdivision only at minimum degree 3 or more")
     orbit = census.edge_orbits[orbit_index]
     _check_order(base.graph.n + 4 * t * len(orbit))
     k = census.o_e
@@ -253,7 +277,7 @@ def subdivided_nut(base: VerifiedNut, orbit_index: int, t: int) -> VerifiedNut:
                   "orbit_index": orbit_index, "base": base.provenance}
     seeds = subdivision_lifts(base.graph, orbit, 4 * t, census.generators)
     return _certify(graph, provenance, (2 * t + 1, 2 * t + k, 4 * t + k),
-                    expected_aut_order=census.aut_order, seeds=seeds)
+                    expected_aut_order=census.aut_order, seeds=seeds, lifted=True)
 
 
 def subdivided_cayley(k: int, t: int, p: Optional[int] = None,

@@ -319,14 +319,19 @@ def subdivision_lifts(g: Graph, targets: Iterable[tuple[int, int]], s: int,
     """Each automorphism p of g that maps the target edges onto themselves,
     lifted to ``subdivide_edges(g, targets, s)``: it acts as p on g's
     vertices and carries the chain of each target edge (u, v) onto the
-    chain of (p[u], p[v]), reversed when p[u] > p[v]."""
+    chain of (p[u], p[v]), reversed when p[u] > p[v].  A p that maps a
+    target edge to a non-target raises ``ValueError``."""
     first = _chain_starts(g.n, targets, s)
     lifts = []
-    for p in perms:
+    for i, p in enumerate(perms):
         lift = list(p)
         for u, v in first:
             pu, pv = p[u], p[v]
-            b = first[(pu, pv) if pu < pv else (pv, pu)]
+            image = (pu, pv) if pu < pv else (pv, pu)
+            if image not in first:
+                raise ValueError(f"permutation {i} maps the target edge {(u, v)} "
+                                 f"to {image}, which is not a target")
+            b = first[image]
             lift += range(b, b + s) if pu < pv else range(b + s - 1, b - 1, -1)
         lifts.append(tuple(lift))
     return lifts

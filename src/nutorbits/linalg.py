@@ -48,6 +48,20 @@ every minor of A is then nonzero modulo P unless it is zero, so rank_P is
 the rank over Q, and every reduced echelon kernel entry, a ratio of two
 minors, reconstructs uniquely.  The reduced echelon form is unique, so
 every rung that certifies gives the same basis.  No tolerances anywhere.
+
+A graph's threads are contracted first.  A thread is a path
+u - a_1 - ... - a_L - v whose interior vertices have degree 2 and whose
+ends do not.  When L = 0 (mod 4), u != v and uv is no edge, the rows of
+a_1..a_L force a_{2i} = (-1)^i x_u and a_{2i+1} = (-1)^i x_v (a_0 = u),
+so a_1 = x_v and a_L = x_u, and the rows of u and v read as if the thread
+were the edge uv.  The kernel of the graph with the thread replaced by uv
+therefore lifts by that rule one to one onto the graph's: the nullity is
+the same, and so is fullness, since each interior entry is +-x_u or
++-x_v.  A subdivision construction is its base with such threads (see
+``constructions.subdivided_nut``), so its certificate eliminates the
+base.  Every lifted vector is checked to give A v = 0 over Z on the whole
+graph, from its own rows.  Graphs held as masks are dense circulants,
+regular, so they have no thread and are not scanned.
 """
 
 from __future__ import annotations
@@ -416,17 +430,104 @@ def _kernel(rows: Optional[list[dict[int, int]]], n: int,
     return basis
 
 
+def _threads(rows: list[dict[int, int]]) -> list[tuple[int, list[int], int]]:
+    """Every thread of the graph whose adjacency rows are ``rows``, as
+    (u, [a_1, ..., a_L], v): a path u - a_1 - ... - a_L - v, L >= 1, whose
+    interior vertices have degree 2 and whose ends do not (u = v when the
+    path closes on one end).  A cycle of degree-2 vertices has no end and
+    is no thread.  Each degree-2 vertex is walked once, so the scan is O(n)."""
+    seen = bytearray(len(rows))
+    threads = []
+    for a, row in enumerate(rows):
+        if len(row) != 2 or seen[a]:
+            continue
+        seen[a] = 1
+        halves = []
+        for b in row:  # walk from a one way, then the other
+            path, prev = [], a
+            while len(rows[b]) == 2 and b != a:
+                path.append(b)
+                seen[b] = 1
+                x, y = rows[b]
+                prev, b = b, y if x == prev else x
+            if b == a:  # back at a: a cycle
+                break
+            halves.append((path, b))
+        else:
+            (left, u), (right, v) = halves
+            threads.append((u, left[::-1] + [a] + right, v))
+    return threads
+
+
+def _threaded_kernel(rows: list[dict[int, int]], n: int) -> list[IntVector]:
+    """The primitive reduced echelon kernel basis of the graph whose
+    adjacency rows are ``rows``, with each thread of a multiple of 4
+    interior vertices contracted to an edge first (see the module
+    docstring).  A thread is contracted when its ends differ and are not
+    adjacent in the graph so far reduced; a parallel thread then keeps its
+    vertices.  The reduced graph is labelled in increasing order of the
+    least label each vertex's entry is lifted to.  A lifted vector's first
+    nonzero entry is then at the least label of its first nonzero reduced
+    entry, and a reduced entry of 0 lifts to 0s, so the lift of the reduced
+    echelon basis, each vector signed to lead positive, is the whole
+    graph's, with no re-echelon.  Each lifted vector is checked to give
+    A v = 0 over Z."""
+    contracted: list[tuple[int, list[int], int]] = []
+    added: set[tuple[int, int]] = set()
+    for u, interior, v in _threads(rows):
+        if (len(interior) % 4 == 0 and u != v and v not in rows[u]
+                and (min(u, v), max(u, v)) not in added):
+            contracted.append((u, interior, v))
+            added.add((min(u, v), max(u, v)))
+    if not contracted:
+        return _kernel(rows, n)
+    dropped = bytearray(n)
+    least = list(range(n))  # the least label whose entry is lifted from x_r
+    for u, interior, v in contracted:
+        for a in interior:
+            dropped[a] = 1
+        least[u] = min(least[u], *interior[1::2])  # a_2, a_4, ...: +-x_u
+        least[v] = min(least[v], *interior[::2])   # a_1, a_3, ...: +-x_v
+    kept = sorted((r for r in range(n) if not dropped[r]), key=least.__getitem__)
+    label = {r: i for i, r in enumerate(kept)}
+    reduced = [{label[j]: 1 for j in rows[r] if not dropped[j]} for r in kept]
+    for u, _, v in contracted:
+        reduced[label[u]][label[v]] = reduced[label[v]][label[u]] = 1
+    basis = []
+    for y in _kernel(reduced, len(kept)):
+        x = [0] * n
+        for r, e in zip(kept, y):
+            x[r] = e
+        for u, interior, v in contracted:
+            pattern = (x[v], -x[u], -x[v], x[u])  # a_1, a_2, a_3, a_4, then again
+            for i, a in enumerate(interior):
+                x[a] = pattern[i & 3]
+        if next(e for e in x if e) < 0:
+            x = [-e for e in x]
+        product = [0] * n
+        for j, e in enumerate(x):  # A x, column by column
+            if e:
+                for i in rows[j]:
+                    product[i] += e
+        if any(product):
+            raise AssertionError("internal error: a kernel vector lifted "
+                                 "through contracted threads fails A v = 0")
+        basis.append(tuple(x))
+    return basis
+
+
 def is_nut(g: Graph) -> NutVerdict:
     """Certify the nut property of a graph: adjacency nullity 1 with a full
     kernel vector, on at least two vertices.  A graph built as masks is
-    certified from them, and any other from dict rows of its edges."""
-    masks = g.masks
-    rows: Optional[list[dict[int, int]]] = None
-    if masks is None:
-        rows = [{} for _ in range(g.n)]
+    certified from them, and any other from dict rows of its edges, with
+    its threads of a multiple of 4 interior vertices contracted."""
+    if g.masks is None:
+        rows: list[dict[int, int]] = [{} for _ in range(g.n)]
         for u, v in g.edges:
             rows[u][v] = rows[v][u] = 1
-    basis = _kernel(rows, g.n, masks)
+        basis = _threaded_kernel(rows, g.n)
+    else:  # a dense circulant: regular, so no thread
+        basis = _kernel(None, g.n, g.masks)
     nullity = len(basis)
     is_full = nullity == 1 and all(e != 0 for e in basis[0])
     return NutVerdict(

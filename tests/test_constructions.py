@@ -14,7 +14,8 @@ from nutorbits import (AbelianCayleySpec, CirculantSpec, HypothesisError,
                        nut_realizable, orbit_census, primes_from, prop1_graph,
                        prop2_graph, prop3_graph, subdivided_nut)
 from nutorbits.automorphisms import identity
-from nutorbits.constructions import FAMILIES, build, is_prime, subdivided_cayley
+from nutorbits.constructions import (FAMILIES, VerifiedNut, build, is_prime,
+                                     subdivided_cayley)
 from nutorbits.graphs import cayley_automorphisms
 
 
@@ -287,21 +288,78 @@ def _assert_seeds_change_nothing(g, seeded):
         gens, g.arcs(), lambda p, a: (p[a[0]], p[a[1]]))
 
 
+def _searched(monkeypatch):
+    """The order of every graph the automorphism search runs on, in turn."""
+    orders = []
+    search = automorphisms.automorphism_group
+
+    def spy(g, seeds=()):
+        orders.append(g.n)
+        return search(g, seeds)
+
+    monkeypatch.setattr(automorphisms, "automorphism_group", spy)
+    return orders
+
+
+def _assert_census_lifted(built, searched):
+    """A subdivision's census searched its base alone and matches the
+    unseeded search; any other build searched itself."""
+    subdivided = built.provenance["variant"] == "subdivided"
+    assert built.graph.n not in searched if subdivided else searched[-1] == built.graph.n
+    _assert_seeds_change_nothing(built.graph, built.census)
+
+
 @pytest.mark.parametrize("form, params", CORPUS_FORMS,
                          ids=["-".join([f, *(f"{k}{v}" for k, v in p.items())])
                               for f, p in CORPUS_FORMS])
-def test_seeds_leave_every_corpus_construction_census_unchanged(form, params):
-    built = build(form, **params)
-    _assert_seeds_change_nothing(built.graph, built.census)
+def test_seeds_leave_every_corpus_construction_census_unchanged(monkeypatch, form, params):
+    # the corpus holds every construct-ladder argv of the benchmark
+    searched = _searched(monkeypatch)
+    _assert_census_lifted(build(form, **params), searched)
+
+
+SUBDIV_SWEEP = FAMILIES["subdiv"].sweep
+
+
+@pytest.mark.parametrize("t", range(SUBDIV_SWEEP.first, SUBDIV_SWEEP.cap + 1, SUBDIV_SWEEP.step))
+def test_every_subdiv_sweep_row_lifts_its_census(monkeypatch, t):
+    searched = _searched(monkeypatch)
+    _assert_census_lifted(build("subdiv", k=2, t=t), searched)
 
 
 @pytest.mark.parametrize("make", [lambda: prop2_graph(5, 11), lambda: prop3_graph(5),
                                   fig3_graph], ids=["prop2(5,11)", "prop3(5)", "fig3"])
-def test_seeds_leave_every_subdivision_census_unchanged(make):
+def test_seeds_leave_every_subdivision_census_unchanged(monkeypatch, make):
     base = make()
+    searched = _searched(monkeypatch)
     for index in range(base.census.o_e):
-        built = subdivided_nut(base, index, 1)
-        _assert_seeds_change_nothing(built.graph, built.census)
+        for t in (1, 2):
+            searched.clear()
+            built = subdivided_nut(base, index, t)
+            assert built.census.aut_order == base.census.aut_order
+            _assert_census_lifted(built, searched)
+
+
+def test_subdivided_nut_refuses_a_base_of_minimum_degree_below_3():
+    # C_10 passes as a base with o_v = 1 and o_e = o_a = 1, but restriction
+    # to its vertices is no isomorphism: a subdivision of every edge is a
+    # longer cycle, with more automorphisms
+    g = circulant(CirculantSpec(10, {1}))
+    base = VerifiedNut(g, None, orbit_census(g), {"variant": "fabricated"})
+    with pytest.raises(VerificationError) as err:
+        subdivided_nut(base, 0, 1)
+    assert str(err.value) == ("base {'variant': 'fabricated'} has a vertex of degree 2: "
+                              "its census lifts to a subdivision only at minimum degree "
+                              "3 or more")
+
+
+def test_lifted_census_verifies_its_seeds():
+    # the lifts are checked as the search checks its seeds, by one helper
+    g = circulant(CirculantSpec(10, {1, 2}))
+    with pytest.raises(VerificationError, match="seed 0 is not a permutation"):
+        orbit_census(g, [(0,) * 10], aut_order=20)
+    with pytest.raises(VerificationError, match="seed 1 maps an edge to a non-edge"):
+        orbit_census(g, [identity(10), (1, 0) + tuple(range(2, 10))], aut_order=20)
 
 
 @pytest.mark.parametrize("orders", [(2, 2, 2), (4, 2), (6, 2)])
@@ -341,15 +399,16 @@ def test_census_refuses_a_seed_that_breaks_an_edge(swapped_chain_lift):
 
 
 @pytest.mark.parametrize("make, calls", [
-    (lambda: construct_with_orbits(31, 32), 6), (lambda: construct_with_orbits(21, 22), 6),
-    (lambda: construct_with_orbits(9, 10), 6), (lambda: construct_with_orbits(3, 8), 6),
+    (lambda: construct_with_orbits(31, 32), 3), (lambda: construct_with_orbits(21, 22), 3),
+    (lambda: construct_with_orbits(9, 10), 3), (lambda: construct_with_orbits(3, 8), 3),
     (lambda: construct_with_orbits(1, 12), 3), (lambda: prop2_graph(9, 19), 3),
     (lambda: prop3_graph(13), 7), (fig3_graph, 3),
 ], ids=["r31k32", "r21k22", "r9k10", "r3k8", "r1k12", "prop2(9,19)", "prop3(13)", "fig3"])
 def test_seeds_spare_the_construct_ladder_refinements(monkeypatch, make, calls):
     # Unseeded, these builds refine 12, 12, 12, 12, 6, 7, 11 and 7 times:
     # the seeds spare every explore but prop3's, whose translations and
-    # inversion generate 16n of its 96n automorphisms.
+    # inversion generate 16n of its 96n automorphisms.  A subdivision's
+    # census runs no search: its 3 refinements are its base's.
     counted = []
     refine = automorphisms._refine
 

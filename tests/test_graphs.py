@@ -15,7 +15,7 @@ from nutorbits import (AbelianCayleySpec, CirculantSpec, Graph,
                        Graph6ParseError, ResourceCapError, SpecificationError,
                        cayley_abelian, circulant, graphs, is_nut, read_graph6,
                        subdivide_edges, write_dot, write_graph6)
-from nutorbits.graphs import MAX_ORDER
+from nutorbits.graphs import MAX_ORDER, subdivision_lifts
 
 
 def test_graph_normalization_and_queries():
@@ -529,6 +529,10 @@ def test_write_dot_with_and_without_orbits(c4):
      "subdivision count must be nonnegative, got -1"),
     (lambda: write_graph6(Graph(258048, ())),
      "graph6 writer supports orders up to 258047, got 258048"),
+    # the rotation of Circ(10, {1, 2}) moves the target (0, 1) off the targets
+    (lambda: subdivision_lifts(circulant(CirculantSpec(10, {1, 2})), [(0, 1)], 4,
+                               [tuple(range(10)), tuple(range(1, 10)) + (0,)]),
+     "permutation 1 maps the target edge (0, 1) to (1, 2), which is not a target"),
 ])
 def test_graph_layer_refusals(build, message):
     with pytest.raises(ValueError) as err:

@@ -12,7 +12,7 @@ from nutorbits import linalg
 from nutorbits import (CirculantSpec, Graph, ResourceCapError, circulant,
                        construct_with_orbits, is_nut)
 from nutorbits.graphs import (MAX_ORDER, AbelianCayleySpec, cayley_abelian,
-                              read_graph6, write_graph6)
+                              read_graph6, subdivide_edges, write_graph6)
 from nutorbits.linalg import MERSENNE_EXPONENTS
 
 EXACT_KERNEL = exact_kernel
@@ -28,6 +28,20 @@ def _rows(a):
 def _kernel(a):
     """The certified kernel basis of the symmetric integer matrix a."""
     return linalg._kernel(_rows(a), len(a))
+
+
+def _graph_rows(g):
+    """The dict rows ``is_nut`` builds from g's edges, before it contracts
+    any thread."""
+    rows = [{} for _ in range(g.n)]
+    for u, v in g.edges:
+        rows[u][v] = rows[v][u] = 1
+    return rows
+
+
+def _unreduced(g):
+    """The kernel basis of g's whole adjacency matrix, no thread contracted."""
+    return linalg._kernel(_graph_rows(g), g.n)
 
 
 def _symmetric_product(b, d):
@@ -265,10 +279,14 @@ def test_past_bound_certificate_agrees_on_every_cross_oracle_circulant(request):
 
 @pytest.mark.parametrize("r, k, rerun", [(5, 7, 521), (31, 32, 1279)])
 def test_past_bound_certificate_agrees_on_large_constructions(request, r, k, rerun):
+    # on the whole graph's dict rows: is_nut contracts the subdivision's
+    # threads and certifies the base they leave
     g = construct_with_orbits(r, k).graph
-    expected = is_nut(g)
+    rows = _graph_rows(g)
+    expected = linalg._kernel(rows, g.n)
+    assert expected == list(is_nut(g).kernel_basis)
     tries = request.getfixturevalue("fail_first_tries")
-    assert is_nut(g) == expected
+    assert linalg._kernel(rows, g.n) == expected
     assert tries == [13, 61, rerun]
 
 
@@ -420,8 +438,8 @@ def test_kernel_basis_of_a_large_complete_bipartite_graph():
         + [_unit_difference(2 * m, m + j, 2 * m - 1) for j in range(m - 1)])
 
 
-def _handed_over(monkeypatch, g):
-    """is_nut(g), and the column count of every live block that the dict
+def _handed_over(monkeypatch, g, certify=is_nut):
+    """certify(g), and the column count of every live block that the dict
     rows handed to the packed elimination."""
     handed = []
 
@@ -430,24 +448,24 @@ def _handed_over(monkeypatch, g):
         return inner(rows, n, q, masks)
 
     monkeypatch.setattr(linalg, "_eliminate_packed", spy)
-    return is_nut(g), handed
+    return certify(g), handed
 
 
-@pytest.mark.parametrize("g, expected", [
+@pytest.mark.parametrize("g, certify, expected", [
     # every row holds 8 of 18 columns: packed from the start
-    (circulant(CirculantSpec(18, {1, 2, 3, 4})), [18]),
-    # n = 610, degree 2 and 3: the rows fill only in the last 10 columns,
-    # a block too narrow to hand over
-    (construct_with_orbits(31, 32).graph, []),
+    (circulant(CirculantSpec(18, {1, 2, 3, 4})), is_nut, [18]),
+    # n = 610, degree 2 and 3, unreduced (is_nut contracts its threads): the
+    # rows fill only in the last 10 columns, a block too narrow to hand over
+    (construct_with_orbits(31, 32).graph, _unreduced, []),
     # dense but past the order limit; one pivot leaves rows of 2 entries,
     # which fill only in the last 10 columns
-    (complete_graph(400), []),
+    (complete_graph(400), is_nut, []),
     # Q_6: its rows fill in the last 32 columns, just wide enough
     (cayley_abelian(AbelianCayleySpec([2] * 6, [tuple(int(i == j) for j in range(6))
-                                                for i in range(6)])), [32]),
+                                                for i in range(6)])), is_nut, [32]),
 ], ids=["Circ(18,{1,2,3,4})", "construct(31,32)", "K400", "Q6"])
-def test_dict_rows_hand_over_once_the_live_block_is_dense(monkeypatch, g, expected):
-    assert _handed_over(monkeypatch, g)[1] == expected
+def test_dict_rows_hand_over_once_the_live_block_is_dense(monkeypatch, g, certify, expected):
+    assert _handed_over(monkeypatch, g, certify)[1] == expected
 
 
 def _random_cubic_graph(n, seed):
@@ -608,3 +626,174 @@ def test_rational_reconstruction_modulo_8191_on_every_residue():
     assert [linalg._reconstruct(x, 13) for x in range(p)] == [fractions.get(x)
                                                               for x in range(p)]
 
+
+
+# -- threads: paths of degree-2 vertices --------------------------------------
+
+def _threaded(base_order, edges, threads, rng=None):
+    """The graph of ``edges`` on 0..base_order-1 with, for each (u, v, L),
+    a path of L fresh vertices from u to v; its labels shuffled by ``rng``
+    if given."""
+    edges, order = list(edges), base_order
+    for u, v, length in threads:
+        path = [u, *range(order, order + length), v]
+        edges += zip(path, path[1:])
+        order += length
+    if rng is not None:
+        label = list(range(order))
+        rng.shuffle(label)
+        edges = [(label[a], label[b]) for a, b in edges]
+    return Graph(order, edges)
+
+
+def _oracle_threads(g):
+    """(u, v, L) for every thread of g, found as the components of its
+    degree-2 vertices with no walk: one that is a path has two edges
+    leaving it, to its ends u and v (u = v allowed); a cycle has none."""
+    adj = g.neighbors
+    twos = {x for x in range(g.n) if len(adj[x]) == 2}
+    seen, threads = set(), []
+    for x in sorted(twos):
+        if x in seen:
+            continue
+        component, stack = {x}, [x]
+        while stack:
+            for y in adj[stack.pop()]:
+                if y in twos and y not in component:
+                    component.add(y)
+                    stack.append(y)
+        seen |= component
+        ends = sorted(y for z in component for y in adj[z] if y not in twos)
+        if ends:
+            u, v = ends
+            threads.append((u, v, len(component)))
+    return threads
+
+
+def _contractible_totals(g):
+    """Every number of vertices the contraction may remove from g: one
+    thread of L = 0 (mod 4) for each pair of distinct, non-adjacent ends
+    that has one, whichever of its parallel threads goes first."""
+    lengths = {}
+    for u, v, length in _oracle_threads(g):
+        if length % 4 == 0 and u != v and v not in g.neighbors[u]:
+            lengths.setdefault((min(u, v), max(u, v)), set()).add(length)
+    totals = {0}
+    for options in lengths.values():
+        totals = {t + length for t in totals for length in options}
+    return totals
+
+
+@pytest.fixture
+def kernel_orders(monkeypatch):
+    """The order of every matrix ``_kernel`` certifies, with whether it
+    came as masks."""
+    orders = []
+    kernel = linalg._kernel
+
+    def spy(rows, n, masks=None):
+        orders.append((n, masks is not None))
+        return kernel(rows, n, masks)
+
+    monkeypatch.setattr(linalg, "_kernel", spy)
+    return orders
+
+
+def _assert_exact(g):
+    verdict = is_nut(g)
+    assert list(verdict.kernel_basis) == [
+        primitive(v) for v in EXACT_KERNEL(adjacency_matrix(g))]
+    return verdict
+
+
+K33 = [(a, b) for a in range(3) for b in range(3, 6)]  # 0 and 1 are not adjacent
+
+
+@pytest.mark.parametrize("length", range(1, 10))
+def test_only_threads_of_a_multiple_of_4_contract(kernel_orders, length):
+    g = _threaded(6, K33, [(0, 1, length)], random.Random(length))
+    _assert_exact(g)
+    assert kernel_orders == [(g.n - (length if length % 4 == 0 else 0), False)]
+
+
+@pytest.mark.parametrize("base_order, edges, threads, removed, nullity", [
+    (6, K33, [(0, 0, 4)], 0, 3),              # u = v
+    (6, K33, [(0, 3, 4)], 0, 2),              # ends already adjacent
+    (6, K33, [(0, 1, 4), (0, 1, 4)], 4, 2),   # parallel: the second meets the first's edge
+    (6, K33, [(0, 1, 4), (0, 1, 8)], 4, 2),   # the scan meets the thread of 4 first
+    (14, K33 + [(6 + i, 6 + (i + 1) % 8) for i in range(8)], [], 0, 6),  # a C_8 component
+    (7, K33, [(0, 6, 8)], 8, 3),              # a pendant thread, to a vertex of degree 1
+    (2, [], [(0, 1, 4)], 4, 0),               # the path P_6 reduces to K_2
+    (6, [], [(0, v, 4) for v in range(1, 6)], 20, 4),  # a subdivided star K_{1,5}
+], ids=["u=v", "adjacent-ends", "parallel", "parallel-4-8", "cycle", "pendant", "P6",
+        "star"])
+def test_threads_contract_where_the_identity_holds(kernel_orders, base_order, edges,
+                                                   threads, removed, nullity):
+    g = _threaded(base_order, edges, threads)
+    assert _assert_exact(g).nullity == nullity
+    assert kernel_orders == [(g.n - removed, False)]
+    assert removed in _contractible_totals(g)
+
+
+def test_an_end_of_two_contracted_threads_lifts_from_its_least_label(kernel_orders):
+    # vertex 1 ends two contracted threads of 8, and under this labelling
+    # the least label lifted from its entry lies on the first: ordering the
+    # reduced graph by the second thread alone leaves the lifted basis out
+    # of echelon form
+    g = _threaded(4, [(2, 3)], [(1, 3, 8), (3, 1, 2), (2, 1, 8), (2, 0, 2)])
+    label = [10, 17, 15, 11, 5, 21, 16, 13, 22, 8, 4, 18, 6, 2, 3, 1, 20, 12, 0, 19, 9,
+             23, 7, 14]
+    _assert_exact(Graph(g.n, [(label[u], label[v]) for u, v in g.edges]))
+    assert kernel_orders == [(g.n - 16, False)]
+
+
+def test_a_subdivided_nut_graph_contracts_to_its_base(kernel_orders):
+    # the offset-1 edges of the nut graph Circ(10, {1, 2}), 4 vertices on each
+    g = subdivide_edges(circulant(CirculantSpec(10, {1, 2})),
+                        [(v, (v + 1) % 10) for v in range(10)], 4)
+    relabelled = _threaded(g.n, g.edges, [], random.Random(5))
+    assert _assert_exact(g).is_nut and _assert_exact(relabelled).is_nut
+    assert kernel_orders == [(10, False)] * 2
+
+
+def test_threads_agree_with_the_exact_kernel_on_random_graphs(kernel_orders):
+    # random graphs of 2-8 vertices with up to four planted threads of 1-9
+    # vertices, ends anywhere (equal and adjacent ends too), sometimes with a
+    # cycle component, labels shuffled
+    rng = random.Random(34)
+    nullities, contracted = set(), 0
+    for trial in range(300):
+        base_order = rng.randint(2, 8)
+        edges = [e for e in combinations(range(base_order), 2) if rng.random() < 0.5]
+        threads = [(rng.randrange(base_order), rng.randrange(base_order), rng.randint(1, 9))
+                   for _ in range(rng.randint(1, 4))]
+        if rng.random() < 0.2:  # a cycle of 3-9 vertices
+            cycle = range(base_order, base_order + rng.randint(3, 9))
+            edges += zip(cycle, [*cycle[1:], cycle[0]])
+            base_order = cycle.stop
+        g = _threaded(base_order, edges, threads, rng)
+        kernel_orders.clear()
+        nullities.add(_assert_exact(g).nullity)
+        [(order, masks)] = kernel_orders
+        assert not masks and g.n - order in _contractible_totals(g), (g, order)
+        contracted += order < g.n
+    assert {0, 1} <= nullities and max(nullities) >= 3
+    assert contracted >= 30
+
+
+def test_graphs_held_as_masks_are_never_reduced(kernel_orders):
+    # dense circulants are regular: even a cycle held as masks has no ends
+    specs = [CirculantSpec(10, {1}), CirculantSpec(10, {1, 2}), CirculantSpec(18, {1, 2, 3, 4})]
+    graphs = [circulant(spec) for spec in specs]
+    assert all(g.masks is not None for g in graphs)
+    for g in graphs:
+        _assert_exact(g)
+    assert kernel_orders == [(g.n, True) for g in graphs]
+
+
+def test_a_lifted_vector_is_checked_on_the_whole_graph(monkeypatch):
+    # a reduced "kernel" vector that is not one fails A v = 0 once lifted
+    g = construct_with_orbits(3, 5).graph
+    monkeypatch.setattr(linalg, "_kernel", lambda rows, n, masks=None: [(1,) * n])
+    with pytest.raises(AssertionError, match="fails A v = 0"):
+        is_nut(g)
