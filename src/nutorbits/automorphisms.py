@@ -4,22 +4,23 @@ points it moves and the arcs there; the search keeps its orbits in a
 union-find of its own over the vertices, joined by the same routine.
 
 The search is a small canonical-labeling engine: equitable refinement of an
-ordered partition, with backtracking over a target cell.  The partition is
-kept by position (vertices listed cell by cell, each cell named by its
-start) and refined with a queue of splitter cells: a splitter splits only
-the cells holding its neighbours, by their neighbour counts in it, so a
-split costs the degrees of the splitter's vertices rather than a pass over
-every cell (McKay 1981; nauty's refine).  Each touched cell takes one rule:
-its touched vertices of one count move to its back as one new piece, with
-nothing sorted, and a cell with mixed counts takes that split once per
-count, highest count first.  Counts are consulted only when two vertices of
-the splitter share a neighbour.  A singleton splitter, the common case on the
-long degree-2 paths of subdivided graphs, never does, nor does a larger one
-whose neighbourhoods are disjoint: every count is then 1.  Every choice
-depends on positions and counts, never on vertex labels, so the refinement
-commutes with automorphisms.  A child node individualizes one vertex of the
-target cell and refines from that singleton alone, since its parent is
-already equitable.
+ordered partition, with backtracking over a target cell.  Its root is an
+ordered colouring, refined with every cell as a splitter: one cell for
+Aut(G), [{x}, rest] for the stabilizer of x.  The partition is kept by
+position (vertices listed cell by cell, each cell named by its start) and
+refined with a queue of splitter cells: a splitter splits only the cells
+holding its neighbours, by their neighbour counts in it, so a split costs the
+degrees of the splitter's vertices rather than a pass over every cell (McKay
+1981; nauty's refine).  Each touched cell takes one rule: its touched
+vertices of one count move to its back as one new piece, with nothing sorted,
+and a cell with mixed counts takes that split once per count, highest count
+first.  Counts are consulted only when two vertices of the splitter share a
+neighbour.  A singleton splitter, the common case on the long degree-2 paths
+of subdivided graphs, never does, nor does a larger one whose neighbourhoods
+are disjoint: every count is then 1.  Every choice depends on positions and
+counts, never on vertex labels, so the refinement commutes with
+automorphisms.  A child node individualizes one vertex of the target cell and
+refines from that singleton alone, since its parent is already equitable.
 
 The tree is walked with first-path automorphism pruning (McKay 1981, section
 2; McKay and Piperno, Practical Graph Isomorphism II, 2014).  The first path
@@ -125,7 +126,8 @@ class OrbitCensus(NamedTuple):
 # ---------------------------------------------------------------------------
 
 class _Partition:
-    """An ordered partition of range(n), indexed by position.
+    """An ordered partition of range(n), indexed by position, built from the
+    ordered colouring ``cells`` (one cell by default; empty cells dropped).
 
     ``lab`` lists the vertices cell by cell and ``pos`` inverts it.  A cell
     is named by its start position s: ``ends[s]`` is its end (exclusive;
@@ -135,11 +137,13 @@ class _Partition:
 
     __slots__ = ("lab", "pos", "cell", "ends")
 
-    def __init__(self, n: int):
-        self.lab = list(range(n))
-        self.pos = list(range(n))
-        self.cell = [0] * n
-        self.ends = [n] * n
+    def __init__(self, n: int, cells: Optional[Iterable[Iterable[int]]] = None):
+        self.lab, self.pos, self.cell, self.ends = [], [0] * n, [0] * n, [n] * n
+        for c in ([range(n)] if cells is None else cells):
+            s = len(self.lab)
+            self.lab += c
+            for p, v in enumerate(self.lab[s:], s):   # an empty cell sets no end
+                self.pos[v], self.cell[v], self.ends[s] = p, s, len(self.lab)
 
     def copy(self) -> "_Partition":
         other = _Partition.__new__(_Partition)
@@ -310,12 +314,12 @@ def _preserves_edges(adj: Sequence[frozenset[int]], p: Sequence[int]) -> bool:
 
 def _verified(g: Graph, seeds: Iterable[Sequence[int]]) -> list[Permutation]:
     """The seeds as tuples, once each is checked to be a permutation of
-    range(n) that maps edges to edges; ``VerificationError`` names the
-    first that is not."""
+    range(n), of ``int`` entries, that maps edges to edges;
+    ``VerificationError`` names the first that is not."""
     n, adj = g.n, g.neighbors
     verified = []
     for i, p in enumerate(map(tuple, seeds)):
-        if sorted(p) != list(range(n)):
+        if any(type(u) is not int for u in p) or sorted(p) != list(range(n)):
             raise VerificationError(f"seed {i} is not a permutation of range({n})")
         if not _preserves_edges(adj, p):
             raise VerificationError(f"seed {i} maps an edge to a non-edge")
@@ -323,31 +327,27 @@ def _verified(g: Graph, seeds: Iterable[Sequence[int]]) -> list[Permutation]:
     return verified
 
 
-def _search(g: Graph, fixed: Optional[int] = None,
+def _search(g: Graph, cells: Optional[Iterable[Iterable[int]]] = None,
             seeds: Iterable[Sequence[int]] = ()) -> tuple[list[Permutation], int]:
-    """Generators and order of the automorphisms of g, or of those fixing
-    the vertex ``fixed``, by first-path automorphism pruning (see the module
-    docstring).  The target cell of a node is its first non-singleton cell
-    of smallest size.
+    """Generators and order of the automorphisms of g that map each cell of
+    the ordered colouring ``cells`` (see ``_Partition``) onto itself, by
+    first-path automorphism pruning (see the module docstring).  The target
+    cell of a node is its first non-singleton cell of smallest size.
 
-    ``seeds`` are automorphisms known in advance, for the search of the
-    whole group only.  Each must be a permutation of range(n) that
-    preserves the edges, or ``VerificationError`` is raised.  A seed that
-    fixes every chosen vertex of the first path fixes its discrete leaf, so
-    it is the identity and is dropped.  Any other seed fixes v_0..v_{i-1}
-    and moves v_i for some level i: it joins the union-find at its moved
-    points, and the generators, when the level loop reaches level i, where
-    every class is an orbit of the stabilizer of v_0..v_{i-1}, which holds
-    it.  A seed only joins points that one automorphism joins, so it spares
-    the explores of the siblings it joins to v_i and changes no class
-    count."""
+    ``seeds`` are automorphisms known in advance, for the uncoloured search
+    only.  Each must be a permutation of range(n) that preserves the edges,
+    or ``VerificationError`` is raised.  A seed that fixes every chosen
+    vertex of the first path fixes its discrete leaf, so it is the identity
+    and is dropped.  Any other seed fixes v_0..v_{i-1} and moves v_i for
+    some level i: it joins the union-find at its moved points, and the
+    generators, when the level loop reaches level i, where every class is an
+    orbit of the stabilizer of v_0..v_{i-1}, which holds it.  A seed only
+    joins points that one automorphism joins, so it spares the explores of
+    the siblings it joins to v_i and changes no class count."""
     n = g.n
     adj = g.neighbors
-    part = _Partition(n)
-    if fixed is None or n == 1:
-        _refine(adj, part, [0])
-    else:   # cells {fixed} and the rest, at positions 0 and 1
-        _refine(adj, part, [part.individualize(fixed), 1])
+    part = _Partition(n, cells)
+    _refine(adj, part, _cell_starts(part))
 
     # the first path: each node's partition and shape, and the target cell
     # start and chosen vertex of each node above the leaf
@@ -514,9 +514,9 @@ def orbit_census(g: Graph, seeds: Iterable[Sequence[int]] = (),
 
 
 def stabilizer(g: Graph, x: int) -> PermutationGroup:
-    """The subgroup of Aut(g) fixing the vertex x: the same search with x
-    individualized at the root."""
-    if not 0 <= x < g.n:
+    """The subgroup of Aut(g) fixing the vertex x: the same search, started
+    from the colouring [{x}, rest]."""
+    if type(x) is not int or not 0 <= x < g.n:
         raise ValueError(f"vertex {x} is not a vertex of a graph of order {g.n}")
-    gens, order = _search(g, x)
+    gens, order = _search(g, [[x], [v for v in range(g.n) if v != x]])
     return PermutationGroup.from_generators(g.n, gens, order)

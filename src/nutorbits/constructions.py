@@ -77,15 +77,13 @@ def primes_from(lower_bound: int) -> Iterator[int]:
 def _certify(graph: Graph, provenance: dict,
              expected_counts: tuple[int, int, int], expected_aut_order: int,
              spec: Optional[AbelianCayleySpec] = None,
-             seeds: Sequence[Sequence[int]] = (),
-             lifted: bool = False) -> VerifiedNut:
+             lifts: Optional[Sequence[Sequence[int]]] = None) -> VerifiedNut:
     """Verify ``graph`` as a nut graph with the expected census; a Cayley
     ``spec`` supplies the census's seeds and a character test to match.
-    ``lifted`` seeds generate Aut(graph), of the expected order, and the
-    census takes its orbits from them with no search."""
+    ``lifts`` generate Aut(graph), of the expected order, and the census
+    takes its orbits from them with no search."""
     verdict = is_nut(graph)
     if spec is not None:
-        seeds = cayley_automorphisms(spec.orders)
         orders = vanishing_subgroups(spec)
         nullity = sum(len(cyclotomic(d)) - 1 for d in orders)  # phi(d) = deg Phi_d
         if nullity != verdict.nullity or (orders == (2,)) != verdict.is_nut:
@@ -97,8 +95,8 @@ def _certify(graph: Graph, provenance: dict,
             f"construction {provenance} failed the nut check: "
             f"nullity={verdict.nullity}, is_full={verdict.is_full} "
             f"(order {graph.n}, size {graph.size})")
-    census = (orbit_census(graph, seeds, expected_aut_order) if lifted
-              else orbit_census(graph, seeds))
+    census = (orbit_census(graph, lifts, expected_aut_order) if lifts is not None
+              else orbit_census(graph, cayley_automorphisms(spec.orders) if spec else ()))
     if census.counts != expected_counts:
         raise VerificationError(
             f"construction {provenance} produced orbit counts "
@@ -275,9 +273,9 @@ def subdivided_nut(base: VerifiedNut, orbit_index: int, t: int) -> VerifiedNut:
     graph = subdivide_edges(base.graph, orbit, 4 * t)
     provenance = {"variant": "subdivided", "k": k, "t": t,
                   "orbit_index": orbit_index, "base": base.provenance}
-    seeds = subdivision_lifts(base.graph, orbit, 4 * t, census.generators)
+    lifts = subdivision_lifts(base.graph, orbit, 4 * t, census.generators)
     return _certify(graph, provenance, (2 * t + 1, 2 * t + k, 4 * t + k),
-                    expected_aut_order=census.aut_order, seeds=seeds, lifted=True)
+                    expected_aut_order=census.aut_order, lifts=lifts)
 
 
 def subdivided_cayley(k: int, t: int, p: Optional[int] = None,

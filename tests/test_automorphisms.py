@@ -63,13 +63,21 @@ def test_known_group_orders(build, order):
     assert automorphism_group(build()).order == order
 
 
-def test_agrees_with_exhaustive_search_on_random_graphs():
+def _brute_force_graphs() -> list[Graph]:
+    """The 25 seeded random graphs of acceptance criterion 11 (n <= 8)."""
     rng = random.Random(0xC0FFEE)
-    for trial in range(25):
+    graphs = []
+    for _ in range(25):
         n = rng.randint(2, 8)
         p = rng.choice([0.2, 0.35, 0.5, 0.65, 0.8])
         edges = [e for e in combinations(range(n), 2) if rng.random() < p]
-        g = Graph(n, tuple(sorted(edges)))
+        graphs.append(Graph(n, tuple(sorted(edges))))
+    return graphs
+
+
+def test_agrees_with_exhaustive_search_on_random_graphs():
+    for g in _brute_force_graphs():
+        n = g.n
         grp = automorphism_group(g)
         expected = exhaustive_automorphisms(g)
         # a subgroup of Aut(G) with the order of Aut(G) is Aut(G)
@@ -77,6 +85,31 @@ def test_agrees_with_exhaustive_search_on_random_graphs():
         assert all(p in expected for p in grp.generators)
         for x in range(n):
             assert stabilizer(g, x).order == sum(p[x] == x for p in expected)
+
+
+def test_search_from_a_colouring_agrees_with_exhaustive_search():
+    # each graph from [{x}, rest] and from random ordered colourings of 1 to 4
+    # cells, some of them empty, each cell listed in shuffled order: the
+    # search finds exactly the automorphisms that map every cell onto itself
+    rng = random.Random(0xC010)
+    for trial, g in enumerate(_brute_force_graphs()):
+        n = g.n
+        everything = exhaustive_automorphisms(g)
+        x = rng.randrange(n)
+        colourings = [[[x], [v for v in range(n) if v != x]]]
+        for k in range(1, 5):
+            colour = [rng.randrange(k) for _ in range(n)]
+            cells = [[v for v in range(n) if colour[v] == c] for c in range(k)]
+            for cell in cells:
+                rng.shuffle(cell)
+            colourings.append(cells)
+        for cells in colourings:
+            colour = {v: c for c, cell in enumerate(cells) for v in cell}
+            expected = {p for p in everything
+                        if all(colour[p[v]] == colour[v] for v in range(n))}
+            gens, order = automorphisms._search(g, cells)
+            assert order == len(expected), (trial, cells)
+            assert all(p in expected for p in gens), (trial, cells)
 
 
 def test_dihedral_orders_for_consecutive_circulants():
@@ -133,11 +166,12 @@ def test_stabilizer_examples(circ_10_12, k4):
 
 def test_stabilizer_refuses_a_point_outside_the_graph():
     # K_{1,3}: the centre 0 is fixed by all 6 automorphisms, a leaf by 2.
-    # A negative index must not wrap round to the last leaf.
+    # A negative index must not wrap round to the last leaf, and a float or
+    # a bool is not a vertex.
     star = _complete_bipartite(1, 3)
     assert stabilizer(star, 0).order == 6
     assert stabilizer(star, star.n - 1).order == 2
-    for x in (-1, star.n):
+    for x in (-1, star.n, 1.0, True):
         with pytest.raises(ValueError, match="not a vertex"):
             stabilizer(star, x)
     with pytest.raises(ValueError, match="not a vertex"):
@@ -413,6 +447,30 @@ def test_refinement_after_individualizing_needs_only_the_singleton():
             _refine(g.neighbors, part, [part.individualize(v)])
             cells = _cells(part)
             assert set(map(frozenset, cells)) == coarsest_equitable_partition(g, split)
+
+
+def test_search_root_is_the_coarsest_equitable_partition_finer_than_its_colouring(
+        monkeypatch):
+    # every cell of the colouring is a splitter at the root, so none is left
+    # unrefined, and the refined cells keep the colouring's order
+    roots = []
+
+    def recording(adj, part, splitters):
+        _refine(adj, part, splitters)
+        roots.append(_cells(part))
+
+    monkeypatch.setattr(automorphisms, "_refine", recording)
+    rng = random.Random(0xE3)
+    for g in _refinement_cases():
+        for k in range(1, 5):
+            colour = [rng.randrange(k) for _ in range(g.n)]
+            colouring = [[v for v in range(g.n) if colour[v] == c] for c in range(k)]
+            roots.clear()
+            automorphisms._search(g, colouring)
+            cells = roots[0]
+            assert set(map(frozenset, cells)) == coarsest_equitable_partition(g, colouring)
+            colours = [colour[cell[0]] for cell in cells]
+            assert colours == sorted(colours)
 
 
 def test_refinement_commutes_with_relabelling():

@@ -564,6 +564,17 @@ def test_every_source_import_is_stdlib_or_nutorbits():
     assert outside == []
 
 
+def test_every_source_file_parses_as_python_3_10():
+    # pyproject.toml declares requires-python >= 3.10; the grammar check is
+    # shown to bite by refusing 3.11's except*
+    with pytest.raises(SyntaxError):
+        ast.parse("try:\n    pass\nexcept* ValueError:\n    pass\n", feature_version=(3, 10))
+    paths = sorted(pathlib.Path(cli.__file__).parent.glob("*.py"))
+    assert paths
+    for path in paths:
+        ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))
+
+
 def test_package_exports_are_exactly_its_public_names():
     # a name deleted from a module but left in __all__ fails to resolve; a
     # public function or class bound in the package must be listed

@@ -4,7 +4,7 @@ import re
 from itertools import combinations, islice, product
 
 import pytest
-from oracles import adjacency_matrix, orbit_partition
+from oracles import adjacency_matrix, complete_graph, orbit_partition
 
 from nutorbits import (AbelianCayleySpec, CirculantSpec, HypothesisError,
                        NotCoveredByThisPaper, NotRealizable, ResourceCapError,
@@ -353,11 +353,20 @@ def test_subdivided_nut_refuses_a_base_of_minimum_degree_below_3():
                               "3 or more")
 
 
+# The reflection of Circ(10, {1, 2}) with 0 written as a float or a bool:
+# equal to an int, and a permutation by sorting, but not a permutation of ints.
+_REFLECTIONS_WITH_A_NON_INT = [(0.0,) + tuple(range(9, 0, -1)),
+                               (False,) + tuple(range(9, 0, -1))]
+
+
 def test_lifted_census_verifies_its_seeds():
     # the lifts are checked as the search checks its seeds, by one helper
     g = circulant(CirculantSpec(10, {1, 2}))
+    for seed in [(0,) * 10] + _REFLECTIONS_WITH_A_NON_INT:
+        with pytest.raises(VerificationError, match="seed 0 is not a permutation"):
+            orbit_census(g, [seed], aut_order=20)
     with pytest.raises(VerificationError, match="seed 0 is not a permutation"):
-        orbit_census(g, [(0,) * 10], aut_order=20)
+        orbit_census(complete_graph(2), [(1.0, 0.0)], aut_order=2)
     with pytest.raises(VerificationError, match="seed 1 maps an edge to a non-edge"):
         orbit_census(g, [identity(10), (1, 0) + tuple(range(2, 10))], aut_order=20)
 
@@ -385,9 +394,12 @@ def test_seeds_leave_every_small_cayley_census_unchanged(orders):
 
 def test_census_refuses_a_seed_that_is_not_a_permutation():
     g = circulant(CirculantSpec(10, {1, 2}))
-    for seed in [(0,) * 10, tuple(range(9)), tuple(range(1, 11))]:
+    for seed in ([(0,) * 10, tuple(range(9)), tuple(range(1, 11))]
+                 + _REFLECTIONS_WITH_A_NON_INT):
         with pytest.raises(VerificationError, match="not a permutation"):
             orbit_census(g, [seed])
+    with pytest.raises(VerificationError, match="not a permutation"):
+        orbit_census(complete_graph(2), [(1.0, 0.0)])
 
 
 def test_census_refuses_a_seed_that_breaks_an_edge(swapped_chain_lift):
