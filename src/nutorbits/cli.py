@@ -300,6 +300,8 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
+    if hasattr(sys, "set_int_max_str_digits"):  # |Aut| may pass the default 4300 digits
+        sys.set_int_max_str_digits(0)
     args = _parser().parse_args(argv)
     try:
         return args.fn(args)

@@ -226,42 +226,36 @@ def cayley_nut(k: int, p: Optional[int] = None) -> VerifiedNut:
 
 
 def _check_subdivision(t: int, orbit_index: Optional[int], k: int) -> None:
-    """Refuse t < 1, or an orbit index outside a base's k edge orbits."""
-    if t < 1:
+    """Refuse a t < 1, or an orbit index outside a base's k edge orbits, and
+    either one whose type is not int, such as a bool or a float."""
+    if type(t) is not int or t < 1:
         raise HypothesisError(f"t must be a positive integer, got {t}")
-    if orbit_index is not None and not (0 <= orbit_index < k):
+    if orbit_index is not None and (type(orbit_index) is not int or not 0 <= orbit_index < k):
         raise HypothesisError(
             f"orbit index {orbit_index} out of range for {k} edge orbits")
 
 
 def subdivided_nut(base: VerifiedNut, orbit_index: int, t: int) -> VerifiedNut:
-    """Subdivide every edge of one edge orbit of a vertex-transitive nut
-    graph with o_e = o_a exactly 4t times.
+    """Subdivide every edge of one edge orbit of a nut graph exactly 4t
+    times.  ``orbit_index`` selects among edge orbits ordered by
+    lexicographically smallest edge.  The result is verified to be a nut
+    graph with the base's |Aut| and orbit counts (o_v + 2ct, o_e + 2ct,
+    o_a + 4ct), where c, the number of base arc orbits that hold its arcs,
+    is 1 if the arc orbit of its first edge (u, v) holds (v, u), else 2.
 
-    The result is verified to be a nut graph with orbit counts
-    (2t + 1, 2t + k, 4t + k).  ``orbit_index`` selects among edge orbits
-    ordered by lexicographically smallest edge.
-
-    The census is lifted from the base's.  A vertex-transitive nut graph
-    has minimum degree at least 3 (one of degree at most 2 is a matching
-    or a union of cycles, none of them nut), and a base of lower degree is
-    refused.  So the branch vertices of the output are exactly those of
+    The census is lifted from the base's.  A base of minimum degree below 3
+    is refused, so the branch vertices of the output are exactly those of
     degree 3 or more, which every automorphism fixes as a set, mapping
     threads to threads.  Restriction to them is one to one, as the base is
     simple and one that fixes them fixes each thread, and onto the
     automorphisms of the base that fix the subdivided edges, all of them
-    since those form an orbit.  The group order is the base's, and the
-    lifts of the base's generators, each verified as an automorphism of the
-    output, generate the group and give its orbits with no search.
+    since those form an orbit.  So thread position j pairs with 4t + 1 - j
+    exactly when c = 1.  The group order is the base's, and the lifts of
+    the base's generators, each verified as an automorphism of the output,
+    generate the group and give its orbits with no search.
     """
     census = base.census
     _check_subdivision(t, orbit_index, census.o_e)
-    if census.o_v != 1:
-        raise HypothesisError(
-            f"base must be vertex-transitive, got o_v = {census.o_v}")
-    if census.o_e != census.o_a:
-        raise HypothesisError(
-            f"base must have o_e = o_a, got ({census.o_e}, {census.o_a})")
     degree = base.graph.degree_sequence()[0]
     if degree < 3:
         raise VerificationError(
@@ -269,12 +263,14 @@ def subdivided_nut(base: VerifiedNut, orbit_index: int, t: int) -> VerifiedNut:
             "lifts to a subdivision only at minimum degree 3 or more")
     orbit = census.edge_orbits[orbit_index]
     _check_order(base.graph.n + 4 * t * len(orbit))
-    k = census.o_e
+    arcs = next(arcs for arcs in census.arc_orbits if orbit[0] in arcs)
+    ct = t if orbit[0][::-1] in arcs else 2 * t  # c * t
     graph = subdivide_edges(base.graph, orbit, 4 * t)
-    provenance = {"variant": "subdivided", "k": k, "t": t,
+    provenance = {"variant": "subdivided", "k": census.o_e, "t": t,
                   "orbit_index": orbit_index, "base": base.provenance}
     lifts = subdivision_lifts(base.graph, orbit, 4 * t, census.generators)
-    return _certify(graph, provenance, (2 * t + 1, 2 * t + k, 4 * t + k),
+    o_v, o_e, o_a = census.counts
+    return _certify(graph, provenance, (o_v + 2 * ct, o_e + 2 * ct, o_a + 4 * ct),
                     expected_aut_order=census.aut_order, lifts=lifts)
 
 

@@ -10,7 +10,7 @@ oracle walks its input one character at a time.  Complete graphs,
 cartesian products, dense adjacency matrices and neighbour bitmasks are
 written from their definitions, a map is checked against the edge set, and
 the gcd criterion decides the consecutive-offset circulants by arithmetic
-alone.
+alone.  Bi-circulants are written from their definition too.
 """
 
 from fractions import Fraction
@@ -34,6 +34,21 @@ def cartesian_product(g: Graph, h: Graph) -> Graph:
     edges = [(a * nh + b, a * nh + b2) for a in range(g.n) for b, b2 in h.edges]
     edges += [(a * nh + b, a2 * nh + b) for a, a2 in g.edges for b in range(nh)]
     return Graph(g.n * nh, edges)
+
+
+def bicirculant_edges(m: int, S0, S1, T) -> list[tuple[int, int]]:
+    """The edges of BC(m; S0, S1, T): cycle c on the vertices cm..cm + m - 1
+    with j ~ j + s (mod m) for s in Sc, and the spokes j ~ m + (j + t mod m)
+    for t in T.  Cycle offsets are in 1..m - 1, where s and m - s give the
+    same edges and s = m / 2 gives a matching; spoke offsets are in 0..m - 1."""
+    edges = set()
+    for c, offsets in enumerate((S0, S1)):
+        for j in range(m):
+            for s in offsets:
+                u, v = c * m + j, c * m + (j + s) % m
+                edges.add((min(u, v), max(u, v)))
+    edges |= {(j, m + (j + t) % m) for j in range(m) for t in T}
+    return sorted(edges)
 
 
 def edge_masks(g: Graph) -> tuple[int, ...]:

@@ -2,6 +2,7 @@ import ast
 import concurrent.futures
 import hashlib
 import json
+import math
 import os
 import pathlib
 import random
@@ -47,6 +48,29 @@ def test_check_k4_is_not_nut(capsys):
     assert code == 0
     report = json.loads(out)
     assert report["nut"]["is_nut"] is False and report["nut"]["nullity"] == 0
+
+
+def test_check_prints_an_aut_order_past_the_default_digit_limit(capsys, monkeypatch):
+    # 2399! (7069 digits, the star of order 2400) is past the 4300 digits
+    # that Python converts by default from 3.10.7; the census is faked
+    # because the star's search takes seconds
+    big = math.factorial(2399)
+    census = cli.orbit_census
+    monkeypatch.setattr(cli, "orbit_census", lambda g: census(g)._replace(aut_order=big))
+    limited = hasattr(sys, "set_int_max_str_digits")  # no limit before 3.10.7
+    if limited:
+        before = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
+    try:
+        code, out, _ = run_cli(capsys, "check", "A_")
+        assert code == 0 and json.loads(out)["census"]["aut_order"] == big
+        code, out, _ = run_cli(capsys, "check", "--human", "A_")
+        assert code == 0
+        [digits] = [line.split()[1] for line in out.splitlines() if line.startswith("|Aut|")]
+        assert digits == str(big)
+    finally:
+        if limited:
+            sys.set_int_max_str_digits(before)
 
 
 def test_check_malformed_input_exits_2(capsys):

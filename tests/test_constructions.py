@@ -4,14 +4,14 @@ import re
 from itertools import combinations, islice, product
 
 import pytest
-from oracles import adjacency_matrix, complete_graph, orbit_partition
+from oracles import adjacency_matrix, bicirculant_edges, complete_graph, orbit_partition
 
-from nutorbits import (AbelianCayleySpec, CirculantSpec, HypothesisError,
+from nutorbits import (AbelianCayleySpec, CirculantSpec, Graph, HypothesisError,
                        NotCoveredByThisPaper, NotRealizable, ResourceCapError,
                        VerificationError, automorphisms, cayley_abelian,
                        cayley_nut, cayley_nut_edge_orbits, circulant,
                        constructions, construct_with_orbits, fig3_graph,
-                       nut_realizable, orbit_census, primes_from, prop1_graph,
+                       is_nut, nut_realizable, orbit_census, primes_from, prop1_graph,
                        prop2_graph, prop3_graph, subdivided_nut)
 from nutorbits.automorphisms import identity
 from nutorbits.constructions import (FAMILIES, VerifiedNut, build, is_prime,
@@ -123,12 +123,23 @@ def test_subdivided_nut_hypothesis_errors():
         subdivided_nut(base, 0, 0)
     with pytest.raises(HypothesisError):
         subdivided_nut(base, 5, 1)
-    # the output of one subdivision is no longer vertex-transitive, so a
-    # second application is rejected
+    # the output of one subdivision has vertices of degree 2, so a second
+    # application is refused
     once = subdivided_nut(base, 0, 1)
     assert once.census.o_v >= 3
-    with pytest.raises(HypothesisError):
+    with pytest.raises(VerificationError, match="has a vertex of degree 2"):
         subdivided_nut(once, 0, 1)
+
+
+@pytest.mark.parametrize("orbit, t", [(True, 1), (1.0, 1), (0, True), (0, 1.0)])
+def test_subdivision_refuses_a_t_or_orbit_index_that_is_not_an_int(orbit, t):
+    base = prop1_graph(2, 5)
+    for subdivide in (lambda: subdivided_nut(base, orbit, t),
+                      lambda: subdivided_cayley(k=2, t=t, orbit=orbit)):
+        with pytest.raises(HypothesisError) as err:
+            subdivide()
+        assert str(err.value) == (f"t must be a positive integer, got {t}" if orbit == 0 else
+                                  f"orbit index {orbit} out of range for 2 edge orbits")
 
 
 def test_construct_with_orbits_dispatch():
@@ -340,6 +351,43 @@ def test_seeds_leave_every_subdivision_census_unchanged(monkeypatch, make):
             _assert_census_lifted(built, searched)
 
 
+# Two-orbit nut bases BC(m; S0, S1, T) (see oracles.bicirculant_edges), each
+# with |Aut| = 2m: its census, and how many of its edge orbits no automorphism
+# reverses, whose arcs fall into two arc orbits.
+BICIRCULANT_BASES = [
+    (5, {1}, {2}, {0, 1}, (2, 3, 4), 1),
+    (6, {3}, {1, 2}, {0, 2}, (2, 4, 5), 1),
+    (10, {1}, {1, 2, 3}, {0, 4}, (2, 5, 6), 1),
+    (6, {3}, {1, 2, 3}, {0, 1, 2}, (2, 6, 8), 2),
+    (8, {4}, {1, 2, 4}, {0, 1, 2, 3, 4}, (2, 7, 10), 3),
+    (8, {1, 4}, {1, 2, 3, 4}, {0, 1, 2}, (2, 8, 10), 2),
+    (8, {1, 4}, {1, 2, 3, 4}, {0, 1, 2, 3, 4}, (2, 9, 12), 3),
+]
+
+
+@pytest.mark.parametrize("m, S0, S1, T, counts, irreversible", BICIRCULANT_BASES,
+                         ids=[f"k0={row[4][1]}" for row in BICIRCULANT_BASES])
+def test_subdivided_nut_lifts_every_edge_orbit_of_a_two_orbit_base(
+        monkeypatch, m, S0, S1, T, counts, irreversible):
+    g = Graph(2 * m, bicirculant_edges(m, S0, S1, T))
+    base = VerifiedNut(g, is_nut(g), orbit_census(g), {"variant": "bicirculant"})
+    assert base.verdict.is_nut and min(g.degree_sequence()) >= 3
+    assert base.census.counts == counts and base.census.aut_order == 2 * m
+    searched = _searched(monkeypatch)
+    arc_orbit = {a: i for i, arcs in enumerate(base.census.arc_orbits) for a in arcs}
+    cs = [len({arc_orbit[a] for u, v in orbit for a in ((u, v), (v, u))})
+          for orbit in base.census.edge_orbits]
+    assert cs.count(2) == irreversible and set(cs) == {1, 2}
+    o_v, o_e, o_a = counts
+    for index, c in enumerate(cs):
+        for t in (1, 2):
+            searched.clear()
+            built = subdivided_nut(base, index, t)
+            assert built.census.counts == (o_v + 2 * c * t, o_e + 2 * c * t, o_a + 4 * c * t)
+            assert built.census.aut_order == 2 * m
+            _assert_census_lifted(built, searched)
+
+
 def test_subdivided_nut_refuses_a_base_of_minimum_degree_below_3():
     # C_10 passes as a base with o_v = 1 and o_e = o_a = 1, but restriction
     # to its vertices is no isomorphism: a subdivision of every edge is a
@@ -448,15 +496,6 @@ def test_answer_records_are_immutable():
         with pytest.raises(AttributeError):
             setattr(record, field, None)
         assert getattr(record, field) is not None
-
-
-def test_subdivided_nut_refuses_a_base_with_more_arc_than_edge_orbits():
-    # every abelian Cayley base has o_e = o_a, so the census is edited
-    base = prop1_graph(2)
-    census = base.census._replace(edge_orbits=base.census.edge_orbits[:1])
-    with pytest.raises(HypothesisError) as err:
-        subdivided_nut(base._replace(census=census), 0, 1)
-    assert str(err.value) == "base must have o_e = o_a, got (1, 2)"
 
 
 def test_cayley_nut_edge_orbits_refuses_a_negative_count():
