@@ -10,12 +10,12 @@ and inversion; a subdivision's census is lifted from its base's instead,
 with no search (see ``subdivided_nut``).  Every automorphism the
 construction guarantees is verified on the output before use.  On a
 subdivision the nut certificate eliminates only the base, as ``is_nut``
-contracts the subdivided edges' threads and checks the lifted kernel
+contracts the chains the subdivision holds and checks the lifted kernel
 vector on the whole graph.
 A Cayley builder's nullity and verdict must also match its character test.
 A mismatch is an internal consistency failure and aborts loudly; it is never
-a valid outcome.  Each builder refuses, before it builds anything, an order
-above ``graphs.MAX_ORDER``.
+a valid outcome.  Each builder refuses, before it builds anything, a
+parameter that is not an int, then an order above ``graphs.MAX_ORDER``.
 
 ``FAMILIES`` is the one table of construct forms and sweep suites: each row
 gives the builder, the prime floor of a prime family and the sweep range.
@@ -69,9 +69,8 @@ def is_prime(n: int) -> bool:
 
 def primes_from(lower_bound: int) -> Iterator[int]:
     """Ascending primes >= lower_bound, by trial division."""
-    for n in count(max(2, lower_bound)):
-        if is_prime(n):
-            yield n
+    _check_ints(ValueError, lower_bound=lower_bound)
+    return filter(is_prime, count(max(2, lower_bound)))
 
 
 def _certify(graph: Graph, provenance: dict,
@@ -111,6 +110,13 @@ def _certify(graph: Graph, provenance: dict,
     return VerifiedNut(graph, verdict, census, provenance)
 
 
+def _check_ints(error: type = HypothesisError, /, **params) -> None:
+    """Raise ``error`` on a given parameter whose type is not int (bool too)."""
+    for name, value in params.items():
+        if value is not None and type(value) is not int:
+            raise error(f"{name} must be an int, got {value!r}")
+
+
 def _check_order(n: int, at_least: bool = False) -> None:
     if n > MAX_ORDER:
         order = f"at least {n}" if at_least else n
@@ -141,6 +147,7 @@ def prop1_graph(k: int, p: Optional[int] = None) -> VerifiedNut:
     """Circ(2p, {1..k}) for even k >= 2 and prime p >= k + 2: a Cayley nut
     graph with k edge orbits, k arc orbits, and dihedral symmetry of order
     4p.  The default p is the smallest admissible prime."""
+    _check_ints(k=k, p=p)
     if k < 2 or k % 2:
         raise HypothesisError(f"k must be even and >= 2, got {k}")
     [p] = _primes("prop1", k, p)
@@ -156,6 +163,7 @@ def prop2_graph(k: int, p: Optional[int] = None) -> VerifiedNut:
     """Circ(2p, {2..k-1, p}) box K2 for odd k >= 5 and prime p >= 2k + 1: a
     Cayley nut graph with k edge orbits, k arc orbits, |Aut| = 8p.  The
     default p is the smallest admissible prime."""
+    _check_ints(k=k, p=p)
     if k < 5 or k % 2 == 0:
         raise HypothesisError(f"k must be odd and >= 5, got {k}")
     [p] = _primes("prop2", k, p)
@@ -168,6 +176,7 @@ def prop2_graph(k: int, p: Optional[int] = None) -> VerifiedNut:
 def prop3_graph(n: int) -> VerifiedNut:
     """Circ(2n, {1, n}) box K4 for odd n >= 5: a Cayley nut graph with three
     edge orbits, three arc orbits, |Aut| = 96n."""
+    _check_ints(n=n)
     if n < 5 or n % 2 == 0:
         raise HypothesisError(f"n must be odd and >= 5, got {n}")
     _check_order(8 * n)
@@ -196,6 +205,7 @@ def _cayley_base(k: int, p: Optional[int]) -> tuple[str, dict, int, list[int]]:
     even k, n edges in every orbit; for odd k >= 5, n / 2 for the K2 edges
     (index 0) and for s = p (index k - 1).  The k = 3 base, Circ(10, {1, 5})
     box K4, has 60 K4 edges, 40 at offset 1 and 20 at offset 5."""
+    _check_ints(k=k, p=p)
     if k < 2:
         raise NotRealizable(
             f"no Cayley nut graph has {k} edge orbits: nut graphs satisfy "
@@ -286,6 +296,8 @@ def subdivided_cayley(k: int, t: int, p: Optional[int] = None,
     least n(1 + 4t) for even k and n(1 + 2t) for odd k, then t and the
     index, then an explicit orbit's exact output order.
     """
+    if type(t) is not int or orbit is not None and type(orbit) is not int:
+        _check_subdivision(t, orbit, k)
     _, _, n, sizes = _cayley_base(k, p)
     _check_order(n + 4 * t * min(sizes), at_least=True)
     _check_subdivision(t, orbit, k)  # a cayley_nut(k) base has k edge orbits
@@ -304,6 +316,7 @@ def construct_with_orbits(r: int, k: int) -> VerifiedNut:
     Cayley nut graph with k - r + 1 edge orbits, 4t times with
     t = (r - 1) / 2.
     """
+    _check_ints(r=r, k=k)
     if r < 1:
         raise HypothesisError(f"vertex orbit count must be >= 1, got {r}")
     if k <= r:
@@ -403,6 +416,7 @@ def build(form: str, **params) -> VerifiedNut:
 
 def nut_realizable(r: int, k: int) -> bool:
     """Whether some nut graph has r vertex orbits and k edge orbits."""
+    _check_ints(ValueError, r=r, k=k)
     if r < 1 or k < 0:
         raise ValueError(f"predicates are defined for r >= 1, k >= 0, "
                          f"got ({r}, {k})")
@@ -412,6 +426,7 @@ def nut_realizable(r: int, k: int) -> bool:
 def cayley_nut_edge_orbits(k: int) -> bool:
     """Whether some Cayley nut graph has k edge orbits (equivalently k arc
     orbits)."""
+    _check_ints(ValueError, k=k)
     if k < 0:
         raise ValueError(f"orbit counts are nonnegative, got {k}")
     return k >= 2

@@ -6,7 +6,8 @@ was built in.  One form is the sorted edge tuple, which ``read_graph6``,
 ``cayley_abelian``, ``subdivide_edges`` and ``circulant`` on sparse specs
 build.  The other is one neighbour bitmask per vertex, which ``circulant``
 builds on dense specs by rotating vertex 0's offset mask; ``is_nut`` packs
-such masks straight into its elimination.  ``Graph(n, edges)`` checks and
+such masks straight into its elimination, and contracts the chains that a
+subdivision holds (see ``subdivide_edges``).  ``Graph(n, edges)`` checks and
 normalizes outside input; every builder emits each edge once, (min, max)
 and sorted, and hands it to ``Graph._unchecked``.  Cayley graphs label
 their group elements in row-major order, so a label gives its coordinates.
@@ -95,13 +96,15 @@ class Graph(_Frozen):
     ``edges`` is sorted with (min, max) normalization, so every graph has a
     canonical iteration order.  ``masks``, bit v of ``masks[u]`` set iff uv
     is an edge, is None unless a builder made them; ``edges``, if not built,
-    and ``neighbors`` are derived on first read.  ``Graph(n, edges)`` reads
-    any edge iterable once and normalizes it; the builders use ``_unchecked``.
-    Instances are immutable; all operations on them are pure.
+    and ``neighbors`` are derived on first read.  ``chains`` is None unless
+    ``subdivide_edges`` set it.  ``Graph(n, edges)`` reads any edge iterable
+    once and normalizes it; the builders use ``_unchecked``.  Instances are
+    immutable; all operations on them are pure.
     """
 
     _fields = ("n", "edges")
     masks: Optional[tuple[int, ...]] = None
+    chains: Optional[tuple[dict[tuple[int, int], int], int]] = None
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if type(n) is not int:
@@ -287,7 +290,10 @@ def subdivide_edges(g: Graph, targets: Iterable[tuple[int, int]], s: int) -> Gra
 
     New vertices are labeled n, n+1, ... in sorted target-edge order, with
     each path oriented from the smaller endpoint label, so outputs are
-    reproducible.  s = 0 returns the graph unchanged.
+    reproducible.  s = 0 returns the graph unchanged.  For s a positive
+    multiple of 4 the output holds its chains, which ``is_nut`` contracts:
+    ``chains`` is the targets' ``_chain_starts`` map and s (g's own, if
+    any, are not carried over).
     """
     if s < 0:
         raise ValueError(f"subdivision count must be nonnegative, got {s}")
@@ -303,7 +309,8 @@ def subdivide_edges(g: Graph, targets: Iterable[tuple[int, int]], s: int) -> Gra
     for (u, v), b in first.items():
         edges += [(u, b), *zip(range(b, b + s - 1), range(b + 1, b + s)), (v, b + s - 1)]
     edges.sort()
-    return Graph._unchecked(g.n + len(first) * s, edges=tuple(edges))
+    return Graph._unchecked(g.n + len(first) * s, edges=tuple(edges),
+                            chains=(first, s) if s % 4 == 0 else None)
 
 
 def _chain_starts(n: int, targets: Iterable[tuple[int, int]],

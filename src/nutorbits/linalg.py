@@ -49,19 +49,19 @@ the rank over Q, and every reduced echelon kernel entry, a ratio of two
 minors, reconstructs uniquely.  The reduced echelon form is unique, so
 every rung that certifies gives the same basis.  No tolerances anywhere.
 
-A graph's threads are contracted first.  A thread is a path
-u - a_1 - ... - a_L - v whose interior vertices have degree 2 and whose
-ends do not.  When L = 0 (mod 4), u != v and uv is no edge, the rows of
-a_1..a_L force a_{2i} = (-1)^i x_u and a_{2i+1} = (-1)^i x_v (a_0 = u),
-so a_1 = x_v and a_L = x_u, and the rows of u and v read as if the thread
-were the edge uv.  The kernel of the graph with the thread replaced by uv
-therefore lifts by that rule one to one onto the graph's: the nullity is
-the same, and so is fullness, since each interior entry is +-x_u or
-+-x_v.  A subdivision construction is its base with such threads (see
-``constructions.subdivided_nut``), so its certificate eliminates the
-base.  Every lifted vector is checked to give A v = 0 over Z on the whole
-graph, from its own rows.  Graphs held as masks are dense circulants,
-regular, so they have no thread and are not scanned.
+A subdivision holds its chains (see ``graphs.subdivide_edges``): each
+subdivided edge uv of its base is a path u - a_1 - ... - a_L - v of new
+degree-2 vertices, with L = 0 (mod 4), u != v and uv no edge, as the base
+is simple.  The rows of a_1..a_L force a_{2i} = (-1)^i x_u and
+a_{2i+1} = (-1)^i x_v (a_0 = u), so a_1 = x_v and a_L = x_u, and the rows
+of u and v read as if the chain were the edge uv.  The base's kernel thus
+lifts one to one onto the subdivision's, each chain as (x_v, -x_u, -x_v,
+x_u) repeated, with the same nullity and fullness.  Chain labels come
+after the base's, so a lifted vector equals its base vector on the base's
+labels, where every lead lies: the lift of the primitive reduced echelon
+basis is the subdivision's.  ``is_nut`` eliminates the base's rows alone
+and checks each lifted vector for A v = 0 over Z on the whole graph.  Any
+other graph, a subdivision read from graph6 too, is eliminated whole.
 """
 
 from __future__ import annotations
@@ -430,104 +430,45 @@ def _kernel(rows: Optional[list[dict[int, int]]], n: int,
     return basis
 
 
-def _threads(rows: list[dict[int, int]]) -> list[tuple[int, list[int], int]]:
-    """Every thread of the graph whose adjacency rows are ``rows``, as
-    (u, [a_1, ..., a_L], v): a path u - a_1 - ... - a_L - v, L >= 1, whose
-    interior vertices have degree 2 and whose ends do not (u = v when the
-    path closes on one end).  A cycle of degree-2 vertices has no end and
-    is no thread.  Each degree-2 vertex is walked once, so the scan is O(n)."""
-    seen = bytearray(len(rows))
-    threads = []
-    for a, row in enumerate(rows):
-        if len(row) != 2 or seen[a]:
-            continue
-        seen[a] = 1
-        halves = []
-        for b in row:  # walk from a one way, then the other
-            path, prev = [], a
-            while len(rows[b]) == 2 and b != a:
-                path.append(b)
-                seen[b] = 1
-                x, y = rows[b]
-                prev, b = b, y if x == prev else x
-            if b == a:  # back at a: a cycle
-                break
-            halves.append((path, b))
-        else:
-            (left, u), (right, v) = halves
-            threads.append((u, left[::-1] + [a] + right, v))
-    return threads
-
-
-def _threaded_kernel(rows: list[dict[int, int]], n: int) -> list[IntVector]:
-    """The primitive reduced echelon kernel basis of the graph whose
-    adjacency rows are ``rows``, with each thread of a multiple of 4
-    interior vertices contracted to an edge first (see the module
-    docstring).  A thread is contracted when its ends differ and are not
-    adjacent in the graph so far reduced; a parallel thread then keeps its
-    vertices.  The reduced graph is labelled in increasing order of the
-    least label each vertex's entry is lifted to.  A lifted vector's first
-    nonzero entry is then at the least label of its first nonzero reduced
-    entry, and a reduced entry of 0 lifts to 0s, so the lift of the reduced
-    echelon basis, each vector signed to lead positive, is the whole
-    graph's, with no re-echelon.  Each lifted vector is checked to give
-    A v = 0 over Z."""
-    contracted: list[tuple[int, list[int], int]] = []
-    added: set[tuple[int, int]] = set()
-    for u, interior, v in _threads(rows):
-        if (len(interior) % 4 == 0 and u != v and v not in rows[u]
-                and (min(u, v), max(u, v)) not in added):
-            contracted.append((u, interior, v))
-            added.add((min(u, v), max(u, v)))
-    if not contracted:
-        return _kernel(rows, n)
-    dropped = bytearray(n)
-    least = list(range(n))  # the least label whose entry is lifted from x_r
-    for u, interior, v in contracted:
-        for a in interior:
-            dropped[a] = 1
-        least[u] = min(least[u], *interior[1::2])  # a_2, a_4, ...: +-x_u
-        least[v] = min(least[v], *interior[::2])   # a_1, a_3, ...: +-x_v
-    kept = sorted((r for r in range(n) if not dropped[r]), key=least.__getitem__)
-    label = {r: i for i, r in enumerate(kept)}
-    reduced = [{label[j]: 1 for j in rows[r] if not dropped[j]} for r in kept]
-    for u, _, v in contracted:
-        reduced[label[u]][label[v]] = reduced[label[v]][label[u]] = 1
-    basis = []
-    for y in _kernel(reduced, len(kept)):
-        x = [0] * n
-        for r, e in zip(kept, y):
-            x[r] = e
-        for u, interior, v in contracted:
-            pattern = (x[v], -x[u], -x[v], x[u])  # a_1, a_2, a_3, a_4, then again
-            for i, a in enumerate(interior):
-                x[a] = pattern[i & 3]
-        if next(e for e in x if e) < 0:
-            x = [-e for e in x]
-        product = [0] * n
+def _chain_lift(g: Graph, basis: list[IntVector]) -> list[IntVector]:
+    """The base kernel ``basis`` of g lifted along g's chains, each vector
+    checked to give A v = 0 over Z on the whole of g."""
+    first, s = g.chains
+    lifted = []
+    for y in basis:
+        x = list(y)
+        for u, v in first:  # in increasing order of the chains' labels
+            x += (x[v], -x[u], -x[v], x[u]) * (s // 4)
+        product = [0] * g.n
         for j, e in enumerate(x):  # A x, column by column
             if e:
-                for i in rows[j]:
+                for i in g.neighbors[j]:
                     product[i] += e
         if any(product):
             raise AssertionError("internal error: a kernel vector lifted "
-                                 "through contracted threads fails A v = 0")
-        basis.append(tuple(x))
-    return basis
+                                 "along a subdivision's chains fails A v = 0")
+        lifted.append(tuple(x))
+    return lifted
 
 
 def is_nut(g: Graph) -> NutVerdict:
     """Certify the nut property of a graph: adjacency nullity 1 with a full
     kernel vector, on at least two vertices.  A graph built as masks is
-    certified from them, and any other from dict rows of its edges, with
-    its threads of a multiple of 4 interior vertices contracted."""
-    if g.masks is None:
-        rows: list[dict[int, int]] = [{} for _ in range(g.n)]
-        for u, v in g.edges:
-            rows[u][v] = rows[v][u] = 1
-        basis = _threaded_kernel(rows, g.n)
-    else:  # a dense circulant: regular, so no thread
+    certified from them, and any other from dict rows of its edges: of the
+    base alone, the labels below the first chain's with each subdivided
+    edge put back, when it holds chains (see the module docstring)."""
+    if g.masks is not None:
         basis = _kernel(None, g.n, g.masks)
+    else:
+        first, s = g.chains or ({}, 0)
+        m = g.n - len(first) * s  # the base's order
+        rows: list[dict[int, int]] = [{} for _ in range(m)]
+        for u, v in chain(g.edges, first):
+            if v < m:
+                rows[u][v] = rows[v][u] = 1
+        basis = _kernel(rows, m)
+        if first:
+            basis = _chain_lift(g, basis)
     nullity = len(basis)
     is_full = nullity == 1 and all(e != 0 for e in basis[0])
     return NutVerdict(

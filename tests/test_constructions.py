@@ -182,6 +182,34 @@ def test_realizability_predicates():
         nut_realizable(0, 3)
 
 
+_NOT_INTS = [
+    (cayley_nut, (3.0,), HypothesisError, "k must be an int, got 3.0"),
+    (cayley_nut, (2.0,), HypothesisError, "k must be an int, got 2.0"),
+    (construct_with_orbits, (True, 2), HypothesisError, "r must be an int, got True"),
+    (construct_with_orbits, (1, 4.0), HypothesisError, "k must be an int, got 4.0"),
+    (construct_with_orbits, (3.0, 5), HypothesisError, "r must be an int, got 3.0"),
+    (prop1_graph, (4.0,), HypothesisError, "k must be an int, got 4.0"),
+    (prop1_graph, (4, 7.0), HypothesisError, "p must be an int, got 7.0"),
+    (prop2_graph, (5.0,), HypothesisError, "k must be an int, got 5.0"),
+    (prop2_graph, (5, 11.0), HypothesisError, "p must be an int, got 11.0"),
+    (prop3_graph, (5.0,), HypothesisError, "n must be an int, got 5.0"),
+    (subdivided_cayley, (2.0, 1), HypothesisError, "k must be an int, got 2.0"),
+    (subdivided_cayley, (2, "1"), HypothesisError, "t must be a positive integer, got 1"),
+    (primes_from, (2.5,), ValueError, "lower_bound must be an int, got 2.5"),
+    (nut_realizable, (1.5, 3), ValueError, "r must be an int, got 1.5"),
+    (cayley_nut_edge_orbits, (2.5,), ValueError, "k must be an int, got 2.5"),
+]
+
+
+@pytest.mark.parametrize("call, args, error, message", _NOT_INTS,
+                         ids=[f"{call.__name__}{args!r}" for call, args, _, _ in _NOT_INTS])
+def test_a_parameter_that_is_not_an_int_is_refused_before_any_arithmetic(
+        call, args, error, message):
+    with pytest.raises(ValueError) as err:
+        call(*args)
+    assert type(err.value) is error and str(err.value) == message
+
+
 def test_every_verified_nut_satisfies_orbit_gap():
     # o_e >= o_v + 1 on a spread of builder outputs
     for built in (prop1_graph(2, 5), prop1_graph(4, 7), fig3_graph(),

@@ -10,7 +10,7 @@ from oracles import (adjacency_matrix, bareiss_echelon, complete_graph,
 
 from nutorbits import linalg
 from nutorbits import (CirculantSpec, Graph, ResourceCapError, circulant,
-                       construct_with_orbits, is_nut)
+                       cayley_nut, construct_with_orbits, is_nut)
 from nutorbits.graphs import (MAX_ORDER, AbelianCayleySpec, cayley_abelian,
                               read_graph6, subdivide_edges, write_graph6)
 from nutorbits.linalg import MERSENNE_EXPONENTS
@@ -31,8 +31,8 @@ def _kernel(a):
 
 
 def _graph_rows(g):
-    """The dict rows ``is_nut`` builds from g's edges, before it contracts
-    any thread."""
+    """The dict rows of g's whole adjacency matrix, as ``is_nut`` builds
+    them from the edges of a graph that holds no chains."""
     rows = [{} for _ in range(g.n)]
     for u, v in g.edges:
         rows[u][v] = rows[v][u] = 1
@@ -40,7 +40,7 @@ def _graph_rows(g):
 
 
 def _unreduced(g):
-    """The kernel basis of g's whole adjacency matrix, no thread contracted."""
+    """The kernel basis of g's whole adjacency matrix, no chain contracted."""
     return linalg._kernel(_graph_rows(g), g.n)
 
 
@@ -279,8 +279,8 @@ def test_past_bound_certificate_agrees_on_every_cross_oracle_circulant(request):
 
 @pytest.mark.parametrize("r, k, rerun", [(5, 7, 521), (31, 32, 1279)])
 def test_past_bound_certificate_agrees_on_large_constructions(request, r, k, rerun):
-    # on the whole graph's dict rows: is_nut contracts the subdivision's
-    # threads and certifies the base they leave
+    # on the whole graph's dict rows: is_nut contracts the chains the
+    # subdivision holds and certifies its base
     g = construct_with_orbits(r, k).graph
     rows = _graph_rows(g)
     expected = linalg._kernel(rows, g.n)
@@ -454,7 +454,7 @@ def _handed_over(monkeypatch, g, certify=is_nut):
 @pytest.mark.parametrize("g, certify, expected", [
     # every row holds 8 of 18 columns: packed from the start
     (circulant(CirculantSpec(18, {1, 2, 3, 4})), is_nut, [18]),
-    # n = 610, degree 2 and 3, unreduced (is_nut contracts its threads): the
+    # n = 610, degree 2 and 3, unreduced (is_nut contracts its chains): the
     # rows fill only in the last 10 columns, a block too narrow to hand over
     (construct_with_orbits(31, 32).graph, _unreduced, []),
     # dense but past the order limit; one pivot leaves rows of 2 entries,
@@ -628,7 +628,7 @@ def test_rational_reconstruction_modulo_8191_on_every_residue():
 
 
 
-# -- threads: paths of degree-2 vertices --------------------------------------
+# -- threads and chains: paths of degree-2 vertices ---------------------------
 
 def _threaded(base_order, edges, threads, rng=None):
     """The graph of ``edges`` on 0..base_order-1 with, for each (u, v, L),
@@ -644,44 +644,6 @@ def _threaded(base_order, edges, threads, rng=None):
         rng.shuffle(label)
         edges = [(label[a], label[b]) for a, b in edges]
     return Graph(order, edges)
-
-
-def _oracle_threads(g):
-    """(u, v, L) for every thread of g, found as the components of its
-    degree-2 vertices with no walk: one that is a path has two edges
-    leaving it, to its ends u and v (u = v allowed); a cycle has none."""
-    adj = g.neighbors
-    twos = {x for x in range(g.n) if len(adj[x]) == 2}
-    seen, threads = set(), []
-    for x in sorted(twos):
-        if x in seen:
-            continue
-        component, stack = {x}, [x]
-        while stack:
-            for y in adj[stack.pop()]:
-                if y in twos and y not in component:
-                    component.add(y)
-                    stack.append(y)
-        seen |= component
-        ends = sorted(y for z in component for y in adj[z] if y not in twos)
-        if ends:
-            u, v = ends
-            threads.append((u, v, len(component)))
-    return threads
-
-
-def _contractible_totals(g):
-    """Every number of vertices the contraction may remove from g: one
-    thread of L = 0 (mod 4) for each pair of distinct, non-adjacent ends
-    that has one, whichever of its parallel threads goes first."""
-    lengths = {}
-    for u, v, length in _oracle_threads(g):
-        if length % 4 == 0 and u != v and v not in g.neighbors[u]:
-            lengths.setdefault((min(u, v), max(u, v)), set()).add(length)
-    totals = {0}
-    for options in lengths.values():
-        totals = {t + length for t in totals for length in options}
-    return totals
 
 
 @pytest.fixture
@@ -711,57 +673,69 @@ K33 = [(a, b) for a in range(3) for b in range(3, 6)]  # 0 and 1 are not adjacen
 
 @pytest.mark.parametrize("length", range(1, 10))
 def test_only_threads_of_a_multiple_of_4_contract(kernel_orders, length):
+    # a thread that Graph(...) built is eliminated whole; a chain of K_3,3's
+    # edge 03 that subdivide_edges built is contracted when 4 divides it
     g = _threaded(6, K33, [(0, 1, length)], random.Random(length))
     _assert_exact(g)
-    assert kernel_orders == [(g.n - (length if length % 4 == 0 else 0), False)]
+    subdivided = subdivide_edges(Graph(6, K33), [(0, 3)], length)
+    _assert_exact(subdivided)
+    assert kernel_orders == [(g.n, False), (6 if length % 4 == 0 else subdivided.n, False)]
 
 
-@pytest.mark.parametrize("base_order, edges, threads, removed, nullity", [
-    (6, K33, [(0, 0, 4)], 0, 3),              # u = v
-    (6, K33, [(0, 3, 4)], 0, 2),              # ends already adjacent
-    (6, K33, [(0, 1, 4), (0, 1, 4)], 4, 2),   # parallel: the second meets the first's edge
-    (6, K33, [(0, 1, 4), (0, 1, 8)], 4, 2),   # the scan meets the thread of 4 first
-    (14, K33 + [(6 + i, 6 + (i + 1) % 8) for i in range(8)], [], 0, 6),  # a C_8 component
-    (7, K33, [(0, 6, 8)], 8, 3),              # a pendant thread, to a vertex of degree 1
-    (2, [], [(0, 1, 4)], 4, 0),               # the path P_6 reduces to K_2
-    (6, [], [(0, v, 4) for v in range(1, 6)], 20, 4),  # a subdivided star K_{1,5}
+@pytest.mark.parametrize("base_order, edges, threads, nullity", [
+    (6, K33, [(0, 0, 4)], 3),              # u = v
+    (6, K33, [(0, 3, 4)], 2),              # ends already adjacent
+    (6, K33, [(0, 1, 4), (0, 1, 4)], 2),   # parallel
+    (6, K33, [(0, 1, 4), (0, 1, 8)], 2),   # parallel, of 4 and 8
+    (14, K33 + [(6 + i, 6 + (i + 1) % 8) for i in range(8)], [], 6),  # a C_8 component
+    (7, K33, [(0, 6, 8)], 3),              # a pendant thread, to a vertex of degree 1
+    (2, [], [(0, 1, 4)], 0),               # the path P_6
+    (6, [], [(0, v, 4) for v in range(1, 6)], 4),  # a subdivided star K_{1,5}
 ], ids=["u=v", "adjacent-ends", "parallel", "parallel-4-8", "cycle", "pendant", "P6",
         "star"])
 def test_threads_contract_where_the_identity_holds(kernel_orders, base_order, edges,
-                                                   threads, removed, nullity):
+                                                   threads, nullity):
+    # built by Graph(...), so eliminated whole; P_6 and the star are also
+    # subdivide_edges' chains of 4, which contract to K_2 and K_1,5
     g = _threaded(base_order, edges, threads)
     assert _assert_exact(g).nullity == nullity
-    assert kernel_orders == [(g.n - removed, False)]
-    assert removed in _contractible_totals(g)
+    assert kernel_orders == [(g.n, False)]
+    if not edges:
+        star = [(u, v) for u, v, _ in threads]
+        subdivided = subdivide_edges(Graph(base_order, star), star, 4)
+        assert subdivided == g
+        kernel_orders.clear()
+        assert _assert_exact(subdivided).nullity == nullity
+        assert kernel_orders == [(base_order, False)]
 
 
 def test_an_end_of_two_contracted_threads_lifts_from_its_least_label(kernel_orders):
-    # vertex 1 ends two contracted threads of 8, and under this labelling
-    # the least label lifted from its entry lies on the first: ordering the
-    # reduced graph by the second thread alone leaves the lifted basis out
-    # of echelon form
+    # vertex 1 ends two threads of 8, under a labelling that interleaves
+    # them: built by Graph(...), the graph is eliminated whole
     g = _threaded(4, [(2, 3)], [(1, 3, 8), (3, 1, 2), (2, 1, 8), (2, 0, 2)])
     label = [10, 17, 15, 11, 5, 21, 16, 13, 22, 8, 4, 18, 6, 2, 3, 1, 20, 12, 0, 19, 9,
              23, 7, 14]
     _assert_exact(Graph(g.n, [(label[u], label[v]) for u, v in g.edges]))
-    assert kernel_orders == [(g.n - 16, False)]
+    assert kernel_orders == [(g.n, False)]
 
 
 def test_a_subdivided_nut_graph_contracts_to_its_base(kernel_orders):
-    # the offset-1 edges of the nut graph Circ(10, {1, 2}), 4 vertices on each
+    # the offset-1 edges of the nut graph Circ(10, {1, 2}), 4 vertices on each;
+    # relabelled by Graph(...), it holds no chains and is eliminated whole
     g = subdivide_edges(circulant(CirculantSpec(10, {1, 2})),
                         [(v, (v + 1) % 10) for v in range(10)], 4)
     relabelled = _threaded(g.n, g.edges, [], random.Random(5))
     assert _assert_exact(g).is_nut and _assert_exact(relabelled).is_nut
-    assert kernel_orders == [(10, False)] * 2
+    assert kernel_orders == [(10, False), (g.n, False)]
 
 
 def test_threads_agree_with_the_exact_kernel_on_random_graphs(kernel_orders):
     # random graphs of 2-8 vertices with up to four planted threads of 1-9
     # vertices, ends anywhere (equal and adjacent ends too), sometimes with a
-    # cycle component, labels shuffled
+    # cycle component, labels shuffled: built by Graph(...), each is
+    # eliminated whole
     rng = random.Random(34)
-    nullities, contracted = set(), 0
+    nullities = set()
     for trial in range(300):
         base_order = rng.randint(2, 8)
         edges = [e for e in combinations(range(base_order), 2) if rng.random() < 0.5]
@@ -774,11 +748,68 @@ def test_threads_agree_with_the_exact_kernel_on_random_graphs(kernel_orders):
         g = _threaded(base_order, edges, threads, rng)
         kernel_orders.clear()
         nullities.add(_assert_exact(g).nullity)
-        [(order, masks)] = kernel_orders
-        assert not masks and g.n - order in _contractible_totals(g), (g, order)
-        contracted += order < g.n
+        assert kernel_orders == [(g.n, False)], g
     assert {0, 1} <= nullities and max(nullities) >= 3
-    assert contracted >= 30
+
+
+@pytest.mark.parametrize("s", range(10))
+def test_subdivide_edges_holds_its_chains_at_a_positive_multiple_of_4(s):
+    g = Graph(6, K33)
+    targets = [(3, 0), (1, 4), (2, 5)]
+    subdivided = subdivide_edges(g, targets, s)
+    if s == 0:
+        assert subdivided is g and g.chains is None
+    else:
+        first = {(0, 3): 6, (1, 4): 6 + s, (2, 5): 6 + 2 * s}
+        assert subdivided.chains == ((first, s) if s % 4 == 0 else None)
+    # Graph(...) and read_graph6 hold no chains, and equality ignores them
+    for copy in (Graph(subdivided.n, subdivided.edges),
+                 read_graph6(write_graph6(subdivided))):
+        assert copy == subdivided and copy.chains is None
+
+
+def test_a_subdivision_of_a_subdivision_contracts_only_its_own_chains(kernel_orders):
+    # the second subdivision's base is the first, chains and all, and is
+    # eliminated whole
+    once = subdivide_edges(circulant(CirculantSpec(10, {1, 2})),
+                           [(v, (v + 1) % 10) for v in range(10)], 4)
+    twice = subdivide_edges(once, [(0, 2), (10, 11), (13, 1)], 8)
+    assert twice.chains == ({(0, 2): 50, (1, 13): 58, (10, 11): 66}, 8)
+    assert _assert_exact(twice).is_nut
+    assert kernel_orders == [(once.n, False)]
+
+
+def test_declared_chains_agree_with_the_exact_kernel_on_random_subdivisions(kernel_orders):
+    # random bases of 2-8 vertices, one to four of their edges subdivided 4
+    # or 8 times, labels as subdivide_edges gives them: only the base is
+    # eliminated, and the lifted basis is the whole graph's reduced echelon
+    # basis, at nullity above 1 too
+    rng = random.Random(37)
+    nullities = []
+    for trial in range(200):
+        base_order = rng.randint(2, 8)
+        edges = [e for e in combinations(range(base_order), 2) if rng.random() < 0.5]
+        if not edges:
+            continue
+        base = Graph(base_order, edges)
+        g = subdivide_edges(base, rng.sample(edges, min(len(edges), rng.randint(1, 4))),
+                            rng.choice((4, 8)))
+        assert g.chains is not None
+        kernel_orders.clear()
+        nullities.append(_assert_exact(g).nullity)
+        assert kernel_orders == [(base_order, False)], g
+    assert {0, 1, 2, 3} <= set(nullities) and len(nullities) > 150
+
+
+@pytest.mark.parametrize("r, k", [(3, 8), (9, 10), (21, 22), (31, 32)])
+def test_a_construct_ladder_subdivision_eliminates_only_its_base(kernel_orders, r, k):
+    base = cayley_nut(k - r + 1).graph
+    kernel_orders.clear()
+    g = construct_with_orbits(r, k).graph
+    first, s = g.chains
+    assert s == 2 * (r - 1) and g.n == base.n + len(first) * s
+    # the base's own certificate, then the output's, from the base's rows
+    assert kernel_orders == [(base.n, base.masks is not None), (base.n, False)]
 
 
 def test_graphs_held_as_masks_are_never_reduced(kernel_orders):
