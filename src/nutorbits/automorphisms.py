@@ -1,7 +1,11 @@
-"""Graph automorphism groups from scratch.  The orbit census is one
-union-find over the vertices and arcs, fed by each generator only at the
-points it moves and the arcs there; the search keeps its orbits in a
-union-find of its own over the vertices, joined by the same routine.
+"""Graph automorphism groups from scratch.  The orbit census of a graph
+read from outside is one union-find over the vertices and arcs, fed by each
+generator only at the points it moves and the arcs there; the search keeps
+its orbits in a union-find of its own over the vertices, joined by the same
+routine.  A construction's orbits come from its group instead: a Cayley
+build's are read at vertex 0 from the generators that fix it, and a
+subdivision's are its base's, carried along the chains (see
+``orbit_census``).
 
 The search is a small canonical-labeling engine: equitable refinement of an
 ordered partition, with backtracking over a target cell.  Its root is an
@@ -44,8 +48,9 @@ so it lies in the stabilizer whose orbits the union-find then keeps.  A
 verified seed joins only points that an automorphism joins, so it can spare
 explores but never change a class, the orbits or the order.  A caller that
 proves its seeds generate the whole group, and knows its order, skips the
-search: ``orbit_census`` then verifies the seeds by the same check and reads
-the orbits off them (a subdivision's lifts, see ``constructions``).
+search: ``orbit_census`` then verifies the seeds by the same check and takes
+them as the group's generators (a subdivision's lifts, see
+``constructions``).
 
 No group element is ever listed.  When level i ends, v_i's class in its
 target cell is its orbit under the stabilizer of v_0..v_{i-1}, since every
@@ -59,7 +64,7 @@ from __future__ import annotations
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import VerificationError
-from .graphs import Graph
+from .graphs import Graph, _affine, cayley_automorphisms
 
 Permutation = tuple[int, ...]
 
@@ -493,20 +498,142 @@ def _classes(keys: Iterable[int], items: Iterable) -> tuple[tuple, ...]:
     return tuple(map(tuple, out.values()))
 
 
+def _cayley_orbits(g: Graph, gens: Sequence[Permutation]
+                   ) -> tuple[tuple[tuple, ...], tuple[tuple, ...], tuple[tuple, ...]]:
+    """The orbits of a Cayley graph of the abelian group with factor orders
+    ``g.cayley_orders``, given generators of its automorphism group among
+    which those that fix 0 generate the stabilizer of 0, the inversion
+    among them unless it is the identity.
+
+    The translations act regularly, so every arc (u, u + c) is the
+    translate of (0, c), and two arcs at 0 lie in one orbit exactly when
+    the stabilizer of 0 maps one onto the other: the arc orbits are the
+    classes C of N(0) under the generators fixing 0, each expanded to
+    {(u, u + c) : c in C}.  The inversion maps c to -c, so a class holds
+    both arcs of each of its edges, and its edge orbit is its arcs (u, v)
+    with u < v.  There is one vertex orbit.  Orbits are sorted and ordered
+    by smallest member, as ``orbits_of`` gives them: the smallest arc of C
+    is (0, min C)."""
+    n, orders = g.n, g.cayley_orders
+    near = sorted(g.neighbors[0])
+    root = list(range(n))
+    _join(root, [(c, p[c]) for p in gens if p[0] == 0 for c in near])
+    arc_orbits = []
+    for cls in _classes([_find(root, c) for c in near], near):
+        arcs = []
+        for c in cls:
+            coordinates = []   # row-major: the last coordinate is c mod m_d
+            for m in reversed(orders):
+                c, x = divmod(c, m)
+                coordinates.append(x)
+            arcs += enumerate(_affine(orders, 1, coordinates[::-1]))
+        arcs.sort()
+        arc_orbits.append(tuple(arcs))
+    edge_orbits = tuple(tuple([a for a in arcs if a[0] < a[1]]) for arcs in arc_orbits)
+    return (tuple(range(n)),), edge_orbits, tuple(arc_orbits)
+
+
+def _chain_orbits(g: Graph, gens: Sequence[Permutation]
+                  ) -> Optional[tuple[tuple[tuple, ...], tuple[tuple, ...], tuple[tuple, ...]]]:
+    """The orbits of a graph that holds chains (see
+    ``graphs.subdivide_edges``) under the group generated by ``gens``, if
+    each generator maps the base's labels, those below the first chain's,
+    onto themselves; None otherwise.
+
+    Such a group maps each chain, a path of degree-2 vertices between two
+    base vertices, onto a chain, so its restriction to the base, with each
+    subdivided edge put back, is a group of automorphisms of the base that
+    maps the subdivided edges onto themselves.  The union-find runs on the
+    base under the restricted generators.  Its vertex orbits, and its edge
+    and arc orbits off the subdivided edges, stand.  Read along an arc
+    (x, y) of a subdivided edge, its chain is x = P_0, P_1, ..., P_s,
+    P_{s+1} = y, and an automorphism mapping (x, y) to (x', y') maps each
+    P_j to P'_j.  So the arc orbit A of (x, y) gives one vertex orbit for
+    each position j, one arc orbit {(P_i, P_{i+1})} for each i = 0..s, and
+    one edge orbit for each i.  Read along (y, x), position j is s + 1 - j.
+    When A holds both arcs of its edges, its paths read each chain both
+    ways, so j pairs with s + 1 - j and i with s - i, and the positions up
+    to s / 2 give every vertex and edge orbit.  Otherwise the arc orbit of
+    (y, x), the reverse of A, gives the same vertex and edge orbits as A,
+    and its own s + 1 arc orbits."""
+    first, s = g.chains
+    base_n = g.n - len(first) * s
+    if any(max(p[:base_n]) >= base_n for p in gens):
+        return None
+    edges = [e for e in g.edges if e[1] < base_n]
+    edges += first
+    edges.sort()
+    base = Graph._unchecked(base_n, edges=tuple(edges))
+    vertex_orbits, base_edge_orbits, base_arc_orbits = orbits_of(
+        base, [p[:base_n] for p in gens])
+    index = {a: i for i, arcs in enumerate(base_arc_orbits) for a in arcs}
+
+    def path(x: int, y: int) -> list[int]:
+        if x < y:
+            b = first[x, y]
+            return [x, *range(b, b + s), y]
+        b = first[y, x]
+        return [x, *range(b + s - 1, b - 1, -1), y]
+
+    vertex_orbits, edge_orbits, arc_orbits = list(vertex_orbits), [], []
+    for orbit in base_edge_orbits:
+        if orbit[0] not in first:
+            edge_orbits.append(orbit)
+            continue
+        u, v = orbit[0]
+        forward, backward = index[u, v], index[v, u]
+        # either arc orbit's paths read every chain of the edge orbit
+        last = s // 2 if forward == backward else s
+        for k in {forward, backward}:
+            paths = [path(*a) for a in base_arc_orbits[k]]
+            arc_orbits += [[(p[i], p[i + 1]) for p in paths] for i in range(s + 1)]
+        vertex_orbits += [{p[j] for p in paths} for j in range(1, last + 1)]
+        edge_orbits += [[(p[i], p[i + 1]) for p in paths] for i in range(last + 1)]
+    arc_orbits += [arcs for arcs in base_arc_orbits
+                   if arcs[0] not in first and arcs[0][::-1] not in first]
+    edge_orbits = [{(x, y) if x < y else (y, x) for x, y in orbit} for orbit in edge_orbits]
+    return (_sorted_orbits(vertex_orbits), _sorted_orbits(edge_orbits),
+            _sorted_orbits(arc_orbits))
+
+
+def _sorted_orbits(orbits: Iterable[Iterable]) -> tuple[tuple, ...]:
+    """Each orbit sorted, the orbits ordered by smallest member."""
+    return tuple(sorted(tuple(sorted(orbit)) for orbit in orbits))
+
+
 def orbit_census(g: Graph, seeds: Iterable[Sequence[int]] = (),
                  aut_order: Optional[int] = None) -> OrbitCensus:
     """Vertex, edge and arc orbit partitions under Aut(G), from a search
     seeded with the automorphisms ``seeds`` (see ``_search``).  A caller
     that knows the seeds generate Aut(G), and its order ``aut_order``,
     skips the search: the seeds are verified as the search verifies them
-    and give the orbits as they stand.  A subdivision's lifts are such
-    seeds (see ``constructions.subdivided_nut``)."""
+    and generate the group as they stand.  A subdivision's lifts are such
+    seeds (see ``constructions.subdivided_nut``).
+
+    A construction's orbits come from its group.  A Cayley graph built by
+    ``cayley_abelian`` or ``circulant`` seeds the search with its
+    translations and inversion, and its orbits are read at vertex 0 (see
+    ``_cayley_orbits``): it is regular, so the search's root partition is
+    one cell, its first chosen vertex is 0, and the generators it keeps
+    below that level, those fixing 0, generate the stabilizer of 0 and
+    hold the inversion, a seed that fixes 0.  A graph that holds chains
+    takes its orbits from its base, carried along the chains, when every
+    generator maps the base onto itself (see ``_chain_orbits``).  Any other
+    graph, and a chain graph whose generators mix base and chain labels,
+    takes ``orbits_of``."""
+    cayley = aut_order is None and g.cayley_orders is not None
+    if cayley:
+        seeds = [*cayley_automorphisms(g.cayley_orders), *seeds]
     if aut_order is None:
         group = automorphism_group(g, seeds)
     else:
         group = PermutationGroup.from_generators(g.n, _verified(g, seeds), aut_order)
-    census = OrbitCensus(*orbits_of(g, group.generators), group.order,
-                         group.generators)
+    gens = group.generators
+    if cayley:
+        orbits = _cayley_orbits(g, gens)
+    else:
+        orbits = g.chains and _chain_orbits(g, gens) or orbits_of(g, gens)
+    census = OrbitCensus(*orbits, group.order, gens)
     if not census.o_e <= census.o_a <= 2 * census.o_e:
         raise AssertionError(f"internal error: orbit counts violate "
                              f"o_e <= o_a <= 2 o_e: {census.counts}")

@@ -4,14 +4,15 @@ dispatch, and the realizability predicates.
 
 Every builder verifies its own output: the nut certificate is recomputed by
 exact nullspace, the orbit census is recomputed, and the group order is
-compared against the formula claimed for the family.  The census comes
-from the automorphism search, seeded with a Cayley graph's translations
-and inversion; a subdivision's census is lifted from its base's instead,
-with no search (see ``subdivided_nut``).  Every automorphism the
-construction guarantees is verified on the output before use.  On a
-subdivision the nut certificate eliminates only the base, as ``is_nut``
-contracts the chains the subdivision holds and checks the lifted kernel
-vector on the whole graph.
+compared against the formula claimed for the family.  A Cayley build's
+census comes from the automorphism search, which ``orbit_census`` seeds
+with the graph's translations and inversion, and its orbits are read at
+vertex 0; a subdivision's census is lifted from its base's instead, with
+no search, and its orbits are its base's carried along the chains (see
+``subdivided_nut``).  Every automorphism the construction guarantees is
+verified on the output before use.  On a subdivision the nut certificate
+eliminates only the base, as ``is_nut`` contracts the chains the
+subdivision holds and checks the lifted kernel vector on the whole graph.
 A Cayley builder's nullity and verdict must also match its character test.
 A mismatch is an internal consistency failure and aborts loudly; it is never
 a valid outcome.  Each builder refuses, before it builds anything, a
@@ -32,8 +33,8 @@ from .automorphisms import OrbitCensus, orbit_census
 from .errors import (HypothesisError, NotCoveredByThisPaper, NotRealizable,
                      ResourceCapError, VerificationError)
 from .graphs import (MAX_ORDER, AbelianCayleySpec, CirculantSpec, Graph,
-                     cayley_abelian, cayley_automorphisms, circulant,
-                     subdivide_edges, subdivision_lifts)
+                     cayley_abelian, circulant, subdivide_edges,
+                     subdivision_lifts)
 from .linalg import NutVerdict, is_nut
 from .polynomials import cyclotomic, vanishing_subgroups
 
@@ -78,9 +79,9 @@ def _certify(graph: Graph, provenance: dict,
              spec: Optional[AbelianCayleySpec] = None,
              lifts: Optional[Sequence[Sequence[int]]] = None) -> VerifiedNut:
     """Verify ``graph`` as a nut graph with the expected census; a Cayley
-    ``spec`` supplies the census's seeds and a character test to match.
+    ``spec`` supplies a character test to match.
     ``lifts`` generate Aut(graph), of the expected order, and the census
-    takes its orbits from them with no search."""
+    takes them as its generators with no search."""
     verdict = is_nut(graph)
     if spec is not None:
         orders = vanishing_subgroups(spec)
@@ -94,8 +95,8 @@ def _certify(graph: Graph, provenance: dict,
             f"construction {provenance} failed the nut check: "
             f"nullity={verdict.nullity}, is_full={verdict.is_full} "
             f"(order {graph.n}, size {graph.size})")
-    census = (orbit_census(graph, lifts, expected_aut_order) if lifts is not None
-              else orbit_census(graph, cayley_automorphisms(spec.orders) if spec else ()))
+    census = (orbit_census(graph) if lifts is None
+              else orbit_census(graph, lifts, expected_aut_order))
     if census.counts != expected_counts:
         raise VerificationError(
             f"construction {provenance} produced orbit counts "
@@ -239,10 +240,10 @@ def _check_subdivision(t: int, orbit_index: Optional[int], k: int) -> None:
     """Refuse a t < 1, or an orbit index outside a base's k edge orbits, and
     either one whose type is not int, such as a bool or a float."""
     if type(t) is not int or t < 1:
-        raise HypothesisError(f"t must be a positive integer, got {t}")
+        raise HypothesisError(f"t must be a positive integer, got {t!r}")
     if orbit_index is not None and (type(orbit_index) is not int or not 0 <= orbit_index < k):
         raise HypothesisError(
-            f"orbit index {orbit_index} out of range for {k} edge orbits")
+            f"orbit index {orbit_index!r} out of range for {k} edge orbits")
 
 
 def subdivided_nut(base: VerifiedNut, orbit_index: int, t: int) -> VerifiedNut:
@@ -262,7 +263,9 @@ def subdivided_nut(base: VerifiedNut, orbit_index: int, t: int) -> VerifiedNut:
     since those form an orbit.  So thread position j pairs with 4t + 1 - j
     exactly when c = 1.  The group order is the base's, and the lifts of
     the base's generators, each verified as an automorphism of the output,
-    generate the group and give its orbits with no search.
+    generate the group with no search.  They fix the base's labels as a
+    set, so the census takes its orbits from the base under them, carried
+    along the chains by that pairing (see ``automorphisms.orbit_census``).
     """
     census = base.census
     _check_subdivision(t, orbit_index, census.o_e)

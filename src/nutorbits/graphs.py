@@ -10,7 +10,9 @@ such masks straight into its elimination, and contracts the chains that a
 subdivision holds (see ``subdivide_edges``).  ``Graph(n, edges)`` checks and
 normalizes outside input; every builder emits each edge once, (min, max)
 and sorted, and hands it to ``Graph._unchecked``.  Cayley graphs label
-their group elements in row-major order, so a label gives its coordinates.
+their group elements in row-major order, so a label gives its coordinates,
+and hold their factor orders, from which ``orbit_census`` reads their
+translations.  Copies and pickles keep the form a graph was built in.
 """
 
 from __future__ import annotations
@@ -97,14 +99,17 @@ class Graph(_Frozen):
     canonical iteration order.  ``masks``, bit v of ``masks[u]`` set iff uv
     is an edge, is None unless a builder made them; ``edges``, if not built,
     and ``neighbors`` are derived on first read.  ``chains`` is None unless
-    ``subdivide_edges`` set it.  ``Graph(n, edges)`` reads any edge iterable
-    once and normalizes it; the builders use ``_unchecked``.  Instances are
+    ``subdivide_edges`` set it, and ``cayley_orders``, the factor orders of
+    the group whose elements label the vertices, unless ``cayley_abelian``
+    or ``circulant`` did.  ``Graph(n, edges)`` reads any edge iterable once
+    and normalizes it; the builders use ``_unchecked``.  Instances are
     immutable; all operations on them are pure.
     """
 
     _fields = ("n", "edges")
     masks: Optional[tuple[int, ...]] = None
     chains: Optional[tuple[dict[tuple[int, int], int], int]] = None
+    cayley_orders: Optional[tuple[int, ...]] = None
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if type(n) is not int:
@@ -132,6 +137,12 @@ class Graph(_Frozen):
         g = cls.__new__(cls)
         g.__dict__.update(n=n, **form)
         return g
+
+    def __reduce__(self):
+        # copies and pickles keep the built form and the records; the
+        # derived ``neighbors`` is rebuilt on first read
+        form = {k: v for k, v in self.__dict__.items() if k != "neighbors"}
+        return object.__new__, (type(self),), form
 
     @cached_property
     def edges(self) -> tuple[tuple[int, int], ...]:
@@ -239,14 +250,14 @@ def circulant(spec: CirculantSpec) -> Graph:
         # length, fills the tuple free lists a little on every call (as
         # ``edges`` and ``neighbors`` would)
         masks = tuple([doubled >> k & full for k in range(n, 0, -1)])
-        return Graph._unchecked(n, masks=masks)
+        return Graph._unchecked(n, masks=masks, cayley_orders=(n,))
     edges = []
     for s in offsets:
         edges += [(i, i + s) for i in range(n - s)]
         if 2 * s < n:
             edges += [(j, j + n - s) for j in range(s)]
     edges.sort()
-    return Graph._unchecked(n, edges=tuple(edges))
+    return Graph._unchecked(n, edges=tuple(edges), cayley_orders=(n,))
 
 
 def cayley_abelian(spec: AbelianCayleySpec) -> Graph:
@@ -262,7 +273,8 @@ def cayley_abelian(spec: AbelianCayleySpec) -> Graph:
     for c in spec.connection:
         edges += [(u, v) for u, v in enumerate(_affine(spec.orders, 1, c)) if u < v]
     edges.sort()
-    return Graph._unchecked(prod(spec.orders), edges=tuple(edges))
+    return Graph._unchecked(prod(spec.orders), edges=tuple(edges),
+                            cayley_orders=spec.orders)
 
 
 def _affine(orders: Sequence[int], sign: int, c: Sequence[int]) -> list[int]:

@@ -11,9 +11,10 @@ from nutorbits import (AbelianCayleySpec, CirculantSpec, Graph, HypothesisError,
                        VerificationError, automorphisms, cayley_abelian,
                        cayley_nut, cayley_nut_edge_orbits, circulant,
                        constructions, construct_with_orbits, fig3_graph,
-                       is_nut, nut_realizable, orbit_census, primes_from, prop1_graph,
-                       prop2_graph, prop3_graph, subdivided_nut)
-from nutorbits.automorphisms import identity
+                       is_nut, nut_realizable, orbit_census, primes_from,
+                       prop1_graph, prop2_graph, prop3_graph, subdivide_edges,
+                       subdivided_nut)
+from nutorbits.automorphisms import identity, orbits_of
 from nutorbits.constructions import (FAMILIES, VerifiedNut, build, is_prime,
                                      subdivided_cayley)
 from nutorbits.graphs import cayley_automorphisms
@@ -194,7 +195,7 @@ _NOT_INTS = [
     (prop2_graph, (5, 11.0), HypothesisError, "p must be an int, got 11.0"),
     (prop3_graph, (5.0,), HypothesisError, "n must be an int, got 5.0"),
     (subdivided_cayley, (2.0, 1), HypothesisError, "k must be an int, got 2.0"),
-    (subdivided_cayley, (2, "1"), HypothesisError, "t must be a positive integer, got 1"),
+    (subdivided_cayley, (2, "1"), HypothesisError, "t must be a positive integer, got '1'"),
     (primes_from, (2.5,), ValueError, "lower_bound must be an int, got 2.5"),
     (nut_realizable, (1.5, 3), ValueError, "r must be an int, got 1.5"),
     (cayley_nut_edge_orbits, (2.5,), ValueError, "k must be an int, got 2.5"),
@@ -313,7 +314,9 @@ CORPUS_FORMS = [
 
 
 def _assert_seeds_change_nothing(g, seeded):
-    unseeded = orbit_census(g)
+    # the graph rebuilt from its edges holds no Cayley or chain record, so
+    # its census runs the unseeded search and the whole-graph union-find
+    unseeded = orbit_census(Graph(g.n, g.edges))
     assert seeded.vertex_orbits == unseeded.vertex_orbits
     assert seeded.edge_orbits == unseeded.edge_orbits
     assert seeded.arc_orbits == unseeded.arc_orbits
@@ -414,6 +417,101 @@ def test_subdivided_nut_lifts_every_edge_orbit_of_a_two_orbit_base(
             assert built.census.counts == (o_v + 2 * c * t, o_e + 2 * c * t, o_a + 4 * c * t)
             assert built.census.aut_order == 2 * m
             _assert_census_lifted(built, searched)
+
+
+# ---------------------------------------------------------------------------
+# Orbits read from a construction's group: checked against the whole-graph
+# union-find and the closure oracle, never against orbit_census itself
+# ---------------------------------------------------------------------------
+
+def _assert_whole_graph_orbits(g, census):
+    """The census's orbits are those that ``orbits_of`` finds on the whole
+    graph under the census's generators, and those of the closure oracle."""
+    orbits = (census.vertex_orbits, census.edge_orbits, census.arc_orbits)
+    assert orbits == orbits_of(g, census.generators)
+    gens = census.generators
+    assert orbits == (
+        tuple(orbit_partition(gens, range(g.n), lambda p, v: p[v])),
+        tuple(orbit_partition(gens, g.edges, lambda p, e: tuple(sorted((p[e[0]], p[e[1]]))))),
+        tuple(orbit_partition(gens, g.arcs(), lambda p, a: (p[a[0]], p[a[1]]))))
+
+
+def _orbits_of_ran(monkeypatch):
+    """The order of every graph ``orbits_of`` runs on, in turn."""
+    orders = []
+    whole = automorphisms.orbits_of
+
+    def spy(g, gens):
+        orders.append(g.n)
+        return whole(g, gens)
+
+    monkeypatch.setattr(automorphisms, "orbits_of", spy)
+    return orders
+
+
+def _base_order(g):
+    """The order of the base a chain-holding graph was subdivided from."""
+    first, s = g.chains
+    return g.n - len(first) * s
+
+
+@pytest.mark.parametrize("form, params", CORPUS_FORMS,
+                         ids=["-".join([f, *(f"{k}{v}" for k, v in p.items())])
+                              for f, p in CORPUS_FORMS])
+def test_every_corpus_construction_reads_the_whole_graph_orbits(monkeypatch, form, params):
+    # Cayley builds take their orbits at vertex 0 and run no orbits_of; a
+    # subdivision runs it on its base alone and carries it along the chains
+    ran = _orbits_of_ran(monkeypatch)
+    built = build(form, **params)
+    subdivided = built.provenance["variant"] == "subdivided"
+    assert (built.graph.chains is not None) == (built.graph.cayley_orders is None) == subdivided
+    assert ran == ([_base_order(built.graph)] if subdivided else [])
+    _assert_whole_graph_orbits(built.graph, built.census)
+
+
+# every row of every default sweep that builds a graph (2 primes a k, the
+# sweep's default)
+SWEEP_ROWS = [(suite, {**family.sweep.fixed, **params})
+              for suite, family in FAMILIES.items() if family.build and family.sweep
+              for value in range(family.sweep.first, family.sweep.default_max + 1,
+                                 family.sweep.step)
+              for params in family.sweep.cases(value, 2)]
+
+
+@pytest.mark.parametrize("suite, params", SWEEP_ROWS,
+                         ids=[f"{suite}-{'-'.join(map(str, params.values()))}"
+                              for suite, params in SWEEP_ROWS])
+def test_every_sweep_row_reads_the_whole_graph_orbits(suite, params):
+    built = build(suite, **params)
+    _assert_whole_graph_orbits(built.graph, built.census)
+
+
+@pytest.mark.parametrize("m, S0, S1, T, counts, irreversible", BICIRCULANT_BASES,
+                         ids=[f"k0={row[4][1]}" for row in BICIRCULANT_BASES])
+def test_every_two_orbit_subdivision_reads_the_whole_graph_orbits(
+        m, S0, S1, T, counts, irreversible):
+    # each base edge orbit, reversible or not, carried along chains of 4 and 8
+    g = Graph(2 * m, bicirculant_edges(m, S0, S1, T))
+    base = VerifiedNut(g, is_nut(g), orbit_census(g), {"variant": "bicirculant"})
+    for index in range(base.census.o_e):
+        for t in (1, 2):
+            built = subdivided_nut(base, index, t)
+            _assert_whole_graph_orbits(built.graph, built.census)
+
+
+def test_a_chain_graph_whose_group_mixes_base_and_chains_takes_the_union_find(
+        monkeypatch, c4):
+    # C_4 with one edge subdivided 4 times is C_8, whose rotations carry the
+    # base labels 0..3 onto chain labels 4..7
+    g = subdivide_edges(c4, [(0, 1)], 4)
+    assert g.chains == ({(0, 1): 4}, 4)
+    assert g == Graph(8, [(0, 3), (0, 4), (1, 2), (1, 7), (2, 3), (4, 5), (5, 6), (6, 7)])
+    ran = _orbits_of_ran(monkeypatch)
+    census = orbit_census(g)
+    assert ran == [8]
+    assert any(max(p[:4]) >= 4 for p in census.generators)
+    assert census.aut_order == 16 and census.counts == (1, 1, 1)
+    _assert_whole_graph_orbits(g, census)
 
 
 def test_subdivided_nut_refuses_a_base_of_minimum_degree_below_3():

@@ -13,7 +13,7 @@ from oracles import cartesian_product, complete_graph, edge_masks, reference_rea
 import nutorbits
 from nutorbits import (AbelianCayleySpec, CirculantSpec, Graph,
                        Graph6ParseError, ResourceCapError, SpecificationError,
-                       cayley_abelian, circulant, graphs, is_nut, read_graph6,
+                       cayley_abelian, circulant, graphs, is_nut, linalg, read_graph6,
                        subdivide_edges, write_dot, write_graph6)
 from nutorbits.graphs import MAX_ORDER, subdivision_lifts
 
@@ -336,6 +336,33 @@ def test_subdivide_edges(circ_10_12):
 
     with pytest.raises(ValueError):
         subdivide_edges(circ_10_12, [(0, 5)], 1)
+
+
+def test_copies_and_pickles_keep_the_built_form(monkeypatch):
+    # a subdivision's chains, a dense circulant's masks and a Cayley build's
+    # factor orders survive copy, deepcopy and pickle, with equality as it was
+    sub = nutorbits.construct_with_orbits(3, 5).graph
+    dense = circulant(CirculantSpec(10, {1, 2}))
+    prism = cayley_abelian(AbelianCayleySpec((5, 2), {(1, 0), (4, 0), (0, 1)}))
+    assert sub.chains and dense.masks and prism.cayley_orders == (5, 2)
+    for g in (sub, dense, prism, Graph(3, ((0, 1),))):
+        for other in (copy.copy(g), copy.deepcopy(g), pickle.loads(pickle.dumps(g))):
+            assert other == g and hash(other) == hash(g)
+            assert (other.masks, other.chains, other.cayley_orders) == \
+                (g.masks, g.chains, g.cayley_orders)
+    # is_nut on a copied subdivision still eliminates only its base
+    orders = []
+    kernel = linalg._kernel
+
+    def spy(rows, n, *rest):
+        orders.append(n)
+        return kernel(rows, n, *rest)
+
+    monkeypatch.setattr(linalg, "_kernel", spy)
+    base_n = sub.n - len(sub.chains[0]) * sub.chains[1]
+    for other in (copy.copy(sub), copy.deepcopy(sub), pickle.loads(pickle.dumps(sub))):
+        assert is_nut(other) == is_nut(sub)
+    assert orders == [base_n] * 6
 
 
 def test_subdivision_labels_are_deterministic():
